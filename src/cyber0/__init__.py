@@ -6,21 +6,18 @@ sides rebuild the update by replaying the seeds."""
 __version__ = "0.1.0"
 
 from .adversary import AttackKind, AttackSpec
-from .core import ModelState, ParamVector, axpy, project_ball
+from .core import ParamVector, project_ball
 from .data import Dataset, Partition, load_idx, partition_iid, partition_noniid, synth_generate
 from .federation import (
     ExperimentConfig,
     RoundLog,
     RunResult,
     comm_cost,
-    run_coordwise_tm,
     run_cyber0,
-    run_cyber0_local_epochs,
     run_experiment,
-    run_fedavg,
 )
 from .losses import LogisticRegressionModel, QuadraticModel
-from .robust import AggregationInput, coordwise_trimmed_mean, mean_aggregate, robust_direction_aggregate, trimmed_mean
+from .robust import coordwise_trimmed_mean, mean_aggregate, robust_direction_aggregate, trimmed_mean
 from .seedstream import (
     DirectionMode,
     RngStream,
@@ -31,4 +28,4 @@ from .seedstream import (
     perturb_inplace,
     sphere_direction,
 )
-from .zo import ClientReport, NonFiniteLossError, ZoConfig, apply_update, zo_coefficient, zo_coefficient_mu0
+from .zo import NonFiniteLossError, ZoConfig, apply_update, zo_coefficient, zo_coefficient_mu0

@@ -135,13 +135,3 @@ def flip_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
         raise ValueError(f"labels out of range [0, {num_classes})")
     return (num_classes - 1) - labels
 
-
-def label_flip(dataset):
-    """Flipped copy of a dataset (applied to Byzantine clients' shards only)."""
-    from .data import Dataset
-
-    return Dataset(
-        features=dataset.features,
-        labels=flip_labels(dataset.labels, dataset.num_classes),
-        num_classes=dataset.num_classes,
-    )

@@ -7,8 +7,8 @@ the ExperimentConfig field names exactly. Each run writes ``log.csv``
 echoes the effective config, so the manifest itself re-parses as a config
 file and reproduces the run.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 runtime divergence (non-finite values).
+Exit codes: 0 success, 1 verification failure, 2 usage/parse/set-up
+error, 3 runtime divergence (non-finite values).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 def _key_line(text: str, message: str) -> int:
     key = message.split("'")[1] if "'" in message else message.split()[-1]
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.split("#", 1)[0].strip().startswith(key):
+        if line.split("#", 1)[0].split("=", 1)[0].strip() == key:
             return lineno
     return 1
 
@@ -101,13 +101,18 @@ def write_manifest(config: ExperimentConfig, out_dir: Path, wall_seconds: float,
 
 
 def _execute_run(config: ExperimentConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
     try:
         result = run_experiment(config)
     except NonFiniteLossError as exc:
         print(f"error: run diverged: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, FileNotFoundError) as exc:
+        # set-up errors the config cannot catch on its own: missing data
+        # files, fewer samples than clients
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_log_csv(result.logs, out_dir / "log.csv")
     write_manifest(config, out_dir, time.monotonic() - started, ["log.csv"])
     last = result.logs[-1]

@@ -1,38 +1,13 @@
-"""Dense parameter vectors and the shared projection/update arithmetic.
+"""Dense parameter vectors and the Euclidean ball projection.
 
-A parameter vector is a plain 1-D float64 numpy array; helpers here enforce
-the invariants (fixed length, finite entries) at module boundaries.
+A parameter vector is a plain 1-D float64 numpy array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 ParamVector = np.ndarray
-
-
-def as_param_vector(values, d: int | None = None) -> ParamVector:
-    w = np.asarray(values, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError(f"parameter vector must be 1-D, got shape {w.shape}")
-    if d is not None and len(w) != d:
-        raise ValueError(f"parameter vector has length {len(w)}, expected {d}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("parameter vector contains non-finite entries")
-    return w
-
-
-@dataclass
-class ModelState:
-    """Mutable training state: the parameter vector and the step counter."""
-
-    w: ParamVector
-    step: int = 0
-
-    def advance(self) -> None:
-        self.step += 1
 
 
 def project_ball(w: ParamVector, radius: float) -> ParamVector:
@@ -59,9 +34,3 @@ def project_ball(w: ParamVector, radius: float) -> ParamVector:
         out = out * (radius / n)
     return out * (1.0 - 4.0 * np.finfo(float).eps)
 
-
-def axpy(w: ParamVector, scale: float, v: ParamVector) -> ParamVector:
-    """Elementwise w + scale * v (non-mutating)."""
-    if len(w) != len(v):
-        raise ValueError(f"axpy length mismatch: {len(w)} vs {len(v)}")
-    return w + scale * v

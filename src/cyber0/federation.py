@@ -1,10 +1,10 @@
-"""Round engines: seed-replay zero-order training, the local-epochs variant,
+"""Round engines: seed-replay zero-order training with E local epochs,
 first-order baselines, and communication accounting.
 
-One round: honest clients compute k (or E*k) coefficients on seeded
-batches, the adversary substitutes the Byzantine reports with oracle
-access to the honest values, the federator trims per direction, and every
-replica replays the aggregated coefficients through the same seeds.
+One round: honest clients compute E*k coefficients on seeded batches, the
+adversary substitutes the Byzantine reports with oracle access to the
+honest values, the federator trims per direction, and every replica
+replays the aggregated coefficients through the same seeds.
 Everything is a pure function of the config: reruns and different client
 thread counts produce byte-identical logs.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +23,9 @@ from .adversary import AttackKind, AttackSpec, adversary_seed, byzantine_value, 
 from .core import project_ball
 from .data import BatchCursor, Dataset, load_idx, partition_iid, partition_noniid, synth_generate
 from .losses import LogisticRegressionModel, QuadraticModel
-from .robust import AggregationInput, coordwise_trimmed_mean, mean_aggregate, robust_direction_aggregate
+from .robust import coordwise_trimmed_mean, mean_aggregate, robust_direction_aggregate
 from .seedstream import DirectionMode, SeedTuple, StreamKind, derive_seed, make_direction, sphere_direction
-from .zo import ClientReport, NonFiniteLossError, ZoConfig, apply_update, direction_seed
+from .zo import NonFiniteLossError, ZoConfig, apply_update, direction_seed
 
 THREADS_ENV = "CYBER0_THREADS"
 MNIST_DIR_ENV = "CYBER0_MNIST_DIR"
@@ -328,39 +328,6 @@ class _Setup:
         return self.model.accuracy(w, self.test_X, self.test_y)
 
 
-def _prepare_logreg_variants(model: LogisticRegressionModel, variants: np.ndarray):
-    S = len(variants)
-    W = variants.reshape(S, model.input_dim + 1, model.num_classes)
-    Wp = np.ascontiguousarray(
-        W[:, :-1, :].transpose(1, 0, 2).reshape(model.input_dim, S * model.num_classes)
-    )
-    bias = np.ascontiguousarray(W[:, -1, :].reshape(-1))
-    return Wp, bias
-
-
-def _logreg_losses_prepared(model: LogisticRegressionModel, prepared, batch) -> np.ndarray:
-    X, y = batch
-    Wp, bias = prepared
-    S = len(bias) // model.num_classes
-    L = X @ Wp
-    L += bias[None, :]
-    L = L.reshape(len(X), S, model.num_classes)
-    m = L.max(axis=2)
-    true = L[np.arange(len(y)), :, y]
-    L -= m[:, :, None]
-    np.exp(L, out=L)
-    lse = np.log(L.sum(axis=2))
-    lse += m
-    lse -= true
-    return lse.mean(axis=0)
-
-
-def _multi_losses(model, variants: np.ndarray, prepared, batch) -> np.ndarray:
-    if isinstance(model, LogisticRegressionModel):
-        return _logreg_losses_prepared(model, prepared, batch)
-    return model.loss_batch_multi(variants, batch)
-
-
 def _bracket_variants(w: np.ndarray, mu: float, dirs: list[np.ndarray]) -> np.ndarray:
     """Stack of the 2k evaluation points, mirroring the in-place schedule:
     v[2r] = w + mu z_r and v[2r+1] = (w + mu z_r) - 2 mu z_r."""
@@ -387,9 +354,10 @@ def _map_clients(worker, clients: list[int], threads: int) -> dict[int, np.ndarr
     return out
 
 
-def _substitute_byzantine(setup: _Setup, matrix: np.ndarray, step: int, epoch_of_col) -> None:
+def _substitute_byzantine(setup: _Setup, matrix: np.ndarray, step: int) -> None:
     """Overwrite Byzantine rows column by column, after all honest values
-    for the step are known (oracle ordering)."""
+    for the step are known (oracle ordering). Column e*k + r holds epoch e,
+    direction r."""
     cfg = setup.config
     kind = setup.attack.kind
     if not kind.substitutes_coefficients or not setup.byz:
@@ -397,18 +365,13 @@ def _substitute_byzantine(setup: _Setup, matrix: np.ndarray, step: int, epoch_of
     honest_rows = setup.honest
     for col in range(matrix.shape[1]):
         honest_vals = matrix[honest_rows, col]
-        e, r = epoch_of_col(col)
+        e, r = divmod(col, cfg.k)
         rc_seed = (
             adversary_seed(cfg.root_seed, step, r, e)
             if kind == AttackKind.RANDOM_CHOICE
             else None
         )
         matrix[setup.byz, col] = byzantine_value(kind, honest_vals, cfg.beta, cfg.clients, rc_seed)
-
-
-def _aggregate(setup: _Setup, matrix: np.ndarray) -> np.ndarray:
-    reports = [ClientReport(i, matrix[i]) for i in range(setup.config.clients)]
-    return robust_direction_aggregate(AggregationInput(reports, setup.config.beta))
 
 
 def _check_finite(matrix: np.ndarray, step: int, clients: list[int]) -> None:
@@ -442,67 +405,13 @@ def _should_log(config: ExperimentConfig, t: int) -> bool:
 
 
 def run_cyber0(config: ExperimentConfig) -> RunResult:
-    """Seed-replay zero-order training, one shared round per step (E = 1)."""
-    if config.local_epochs != 1:
-        raise ValueError("run_cyber0 is the single-epoch engine; use run_cyber0_local_epochs")
-    setup = _Setup(config)
-    threads = _thread_count()
-    zo = setup.zo
-    replicas = _make_replicas(setup) if config.debug_replicas else None
-    logs: list[RoundLog] = []
-    started = time.monotonic()
-
-    for t in range(config.steps):
-        batches = setup.batches_for_step()
-        do_log = _should_log(config, t)
-        tr_loss = setup.train_loss(setup.w, batches) if do_log else float("nan")
-
-        dirs = [
-            make_direction(direction_seed(config.root_seed, t, r, 0), setup.d, zo.direction_mode)
-            for r in range(config.k)
-        ]
-        matrix = np.zeros((config.clients, config.k))
-        scale = zo.scale(setup.d)
-        if config.mu_zero:
-            D = np.stack(dirs)
-
-            def worker(i: int) -> np.ndarray:
-                g = setup.model.grad(setup.w, batches[i])
-                return scale * (D @ g)
-
-        else:
-            variants = _bracket_variants(setup.w, config.mu, dirs)
-            prepared = (
-                _prepare_logreg_variants(setup.model, variants)
-                if isinstance(setup.model, LogisticRegressionModel)
-                else None
-            )
-
-            def worker(i: int) -> np.ndarray:
-                losses = _multi_losses(setup.model, variants, prepared, batches[i])
-                return scale * (losses[0::2] - losses[1::2]) / (2.0 * config.mu)
-
-        for i, coeffs in _map_clients(worker, setup.computing, threads).items():
-            matrix[i] = coeffs
-        _check_finite(matrix, t, setup.computing)
-        _substitute_byzantine(setup, matrix, t, lambda col: (0, col))
-        agg = _aggregate(setup, matrix)
-        apply_update(setup.w, agg, t, 0, config.eta, zo, config.root_seed, directions=dirs)
-        if config.project_radius > 0:
-            setup.w = project_ball(setup.w, config.project_radius)
-        if replicas is not None:
-            _advance_replicas(setup, replicas, [(0, agg, dirs)], t)
-        _finish_round(setup, logs, t, tr_loss, started, do_log)
-    return RunResult(config, logs, setup.w)
-
-
-def run_cyber0_local_epochs(config: ExperimentConfig) -> RunResult:
-    """Algorithm variant with E local rounds per upload (E = 1 reproduces
-    run_cyber0 bit for bit)."""
+    """Seed-replay zero-order training: each client runs E local epochs of
+    k directions per step and uploads the E*k coefficients."""
     setup = _Setup(config)
     threads = _thread_count()
     zo = setup.zo
     E, k = config.local_epochs, config.k
+    scale = zo.scale(setup.d)
     replicas = _make_replicas(setup) if config.debug_replicas else None
     logs: list[RoundLog] = []
     started = time.monotonic()
@@ -519,48 +428,44 @@ def run_cyber0_local_epochs(config: ExperimentConfig) -> RunResult:
             ]
             for e in range(E)
         ]
-        scale = zo.scale(setup.d)
+        if config.mu_zero:
+            stacked = [np.stack(dirs_e) for dirs_e in dirs]
+            shared = None
+        else:
+            # every client starts the step at the synchronized w, so epoch 0
+            # evaluates one variant block that all clients share
+            shared = setup.model.prepare_variants(_bracket_variants(setup.w, config.mu, dirs[0]))
+
+        def coefficients(w: np.ndarray, e: int, batch, prepared=None) -> np.ndarray:
+            if config.mu_zero:
+                return scale * (stacked[e] @ setup.model.grad(w, batch))
+            if prepared is None:
+                prepared = setup.model.prepare_variants(_bracket_variants(w, config.mu, dirs[e]))
+            losses = setup.model.loss_batch_multi(prepared, batch)
+            return scale * (losses[0::2] - losses[1::2]) / (2.0 * config.mu)
 
         def worker(i: int) -> np.ndarray:
-            # local drift runs on a scratch replica; uploading leaves the
-            # client's synchronized state untouched (the in-place reset of
-            # the reference procedure, made exact)
-            local = setup.w.copy()
             coeffs = np.empty((E, k))
-            for e in range(E):
-                batch = epoch_batches[e][i]
-                if config.mu_zero:
-                    g = setup.model.grad(local, batch)
-                    coeffs[e] = scale * (np.stack(dirs[e]) @ g)
-                else:
-                    variants = _bracket_variants(local, config.mu, dirs[e])
-                    prepared = (
-                        _prepare_logreg_variants(setup.model, variants)
-                        if isinstance(setup.model, LogisticRegressionModel)
-                        else None
-                    )
-                    losses = _multi_losses(setup.model, variants, prepared, batch)
-                    coeffs[e] = scale * (losses[0::2] - losses[1::2]) / (2.0 * config.mu)
-                apply_update(local, coeffs[e], t, e, config.eta, zo, config.root_seed,
-                             directions=dirs[e])
+            coeffs[0] = coefficients(setup.w, 0, epoch_batches[0][i], shared)
+            if E > 1:
+                local = setup.w.copy()  # local drift never touches the synchronized w
+                for e in range(1, E):
+                    apply_update(local, coeffs[e - 1], t, e - 1, config.eta, zo, config.root_seed,
+                                 directions=dirs[e - 1])
+                    coeffs[e] = coefficients(local, e, epoch_batches[e][i])
             return coeffs.reshape(-1)
 
         matrix = np.zeros((config.clients, E * k))
         for i, coeffs in _map_clients(worker, setup.computing, threads).items():
             matrix[i] = coeffs
         _check_finite(matrix, t, setup.computing)
-        _substitute_byzantine(setup, matrix, t, lambda col: (col // k, col % k))
-        agg_all = _aggregate(setup, matrix)
-        updates = []
-        for e in range(E):
-            agg_e = agg_all[e * k : (e + 1) * k]
-            apply_update(setup.w, agg_e, t, e, config.eta, zo, config.root_seed,
-                         directions=dirs[e])
-            updates.append((e, agg_e, dirs[e]))
+        _substitute_byzantine(setup, matrix, t)
+        agg = robust_direction_aggregate(matrix, config.beta)
+        _replay(setup, setup.w, agg, dirs, t)
         if config.project_radius > 0:
             setup.w = project_ball(setup.w, config.project_radius)
         if replicas is not None:
-            _advance_replicas(setup, replicas, updates, t)
+            _advance_replicas(setup, replicas, agg, dirs, t)
         _finish_round(setup, logs, t, tr_loss, started, do_log)
     return RunResult(config, logs, setup.w)
 
@@ -571,13 +476,20 @@ def _make_replicas(setup: _Setup) -> dict[str, np.ndarray]:
     return reps
 
 
-def _advance_replicas(setup, replicas: dict[str, np.ndarray], updates, t: int) -> None:
+def _replay(setup: _Setup, w: np.ndarray, agg: np.ndarray, dirs, t: int) -> None:
+    """Apply the step's E*k aggregated coefficients to w, epoch by epoch."""
+    cfg = setup.config
+    for e, dirs_e in enumerate(dirs):
+        apply_update(w, agg[e * cfg.k : (e + 1) * cfg.k], t, e, cfg.eta, setup.zo, cfg.root_seed,
+                     directions=dirs_e)
+
+
+def _advance_replicas(setup, replicas: dict[str, np.ndarray], agg, dirs, t: int) -> None:
     """Debug mode: every replica replays the same updates; states must stay
     bit-identical to the canonical model."""
     cfg = setup.config
     for name, w in replicas.items():
-        for e, agg_e, dirs_e in updates:
-            apply_update(w, agg_e, t, e, cfg.eta, setup.zo, cfg.root_seed, directions=dirs_e)
+        _replay(setup, w, agg, dirs, t)
         if cfg.project_radius > 0:
             replicas[name] = project_ball(w, cfg.project_radius)
     for name, w in replicas.items():
@@ -586,11 +498,10 @@ def _advance_replicas(setup, replicas: dict[str, np.ndarray], updates, t: int) -
 
 
 def _run_first_order(config: ExperimentConfig) -> RunResult:
+    """Clients upload full d-dimensional batch gradients; the federator
+    averages them (fedavg) or takes their coordinate-wise trimmed mean."""
     setup = _Setup(config)
     threads = _thread_count()
-    if setup.train is None:
-        # quadratic baselines are legal: every client sees the same loss
-        pass
     logs: list[RoundLog] = []
     started = time.monotonic()
     use_trim = config.algorithm == "coordwise_tm"
@@ -616,25 +527,7 @@ def _run_first_order(config: ExperimentConfig) -> RunResult:
     return RunResult(config, logs, setup.w)
 
 
-def run_fedavg(config: ExperimentConfig) -> RunResult:
-    """Clients upload full d-dimensional batch gradients; plain averaging."""
-    if config.algorithm != "fedavg":
-        config = replace(config, algorithm="fedavg")
-    return _run_first_order(config)
-
-
-def run_coordwise_tm(config: ExperimentConfig) -> RunResult:
-    """First-order baseline with the coordinate-wise trimmed mean."""
-    if config.algorithm != "coordwise_tm":
-        config = replace(config, algorithm="coordwise_tm")
-    return _run_first_order(config)
-
-
 def run_experiment(config: ExperimentConfig) -> RunResult:
-    if config.algorithm == "fedavg":
-        return run_fedavg(config)
-    if config.algorithm == "coordwise_tm":
-        return run_coordwise_tm(config)
-    if config.local_epochs > 1:
-        return run_cyber0_local_epochs(config)
-    return run_cyber0(config)
+    if config.algorithm == "cyber0":
+        return run_cyber0(config)
+    return _run_first_order(config)

@@ -1,8 +1,10 @@
 """Loss models: multinomial logistic regression and a strongly convex quadratic.
 
 Both expose the same surface: ``dimension``, ``eval(w, batch)``,
-``grad(w, batch)``, and the engine fast path ``loss_batch_multi`` that
-evaluates one batch under many parameter variants in a single pass.
+``grad(w, batch)``, and the engine's multi-variant kernel. That kernel has
+two steps: ``prepare_variants`` lays a stack of S parameter variants out
+once per round, and ``loss_batch_multi(prepared, batch)`` evaluates each
+client batch under all S of them in a single pass.
 
 A batch is a pair ``(X, y)`` of features (rows in [0, 1]) and integer
 labels; the quadratic model ignores it (every sample yields the same loss).
@@ -26,7 +28,9 @@ class LossModel(Protocol):
 
     def grad(self, w: ParamVector, batch: Batch) -> ParamVector: ...
 
-    def loss_batch_multi(self, variants: np.ndarray, batch: Batch) -> np.ndarray: ...
+    def prepare_variants(self, variants: np.ndarray) -> object: ...
+
+    def loss_batch_multi(self, prepared: object, batch: Batch) -> np.ndarray: ...
 
 
 class LogisticRegressionModel:
@@ -86,14 +90,31 @@ class LogisticRegressionModel:
         g[-1] = L.sum(axis=0)
         return g.reshape(-1)
 
-    def loss_batch_multi(self, variants: np.ndarray, batch: Batch) -> np.ndarray:
-        """Losses of one batch under S parameter variants, shape (S,)."""
-        X, y = self._check_batch(batch)
+    def prepare_variants(self, variants: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lay S stacked variants out side by side: the (p, S * C) weight
+        block, variant-major within each row, and the (S * C,) biases."""
         S = len(variants)
         W = variants.reshape(S, self.input_dim + 1, self.num_classes)
+        Wp = np.ascontiguousarray(
+            W[:, :-1, :].transpose(1, 0, 2).reshape(self.input_dim, S * self.num_classes)
+        )
+        bias = np.ascontiguousarray(W[:, -1, :].reshape(-1))
+        return Wp, bias
+
+    def loss_batch_multi(self, prepared: tuple[np.ndarray, np.ndarray], batch: Batch) -> np.ndarray:
+        """Losses of one batch under S prepared variants, shape (S,).
+
+        The batch is not validated: this runs once per client per round,
+        and the label scan's small temporaries, interleaved with the
+        round's large arrays, measurably raise peak memory. A feature width
+        other than p still fails in the matrix product."""
+        X, y = batch
+        Wp, bias = prepared
+        S = len(bias) // self.num_classes
         # (b, S, C) through a single matrix product over the feature axis
-        L = np.tensordot(X, W[:, :-1, :], axes=([1], [1]))
-        L += W[:, -1, :][None, :, :]
+        L = X @ Wp
+        L += bias[None, :]
+        L = L.reshape(len(X), S, self.num_classes)
         m = L.max(axis=2)
         true = L[np.arange(len(y)), :, y]
         L -= m[:, :, None]
@@ -126,6 +147,9 @@ class QuadraticModel:
     def grad(self, w: ParamVector, batch: Batch = None) -> ParamVector:
         return self.lam * (w - self.w_star)
 
-    def loss_batch_multi(self, variants: np.ndarray, batch: Batch = None) -> np.ndarray:
-        diff = variants - self.w_star[None, :]
+    def prepare_variants(self, variants: np.ndarray) -> np.ndarray:
+        return variants
+
+    def loss_batch_multi(self, prepared: np.ndarray, batch: Batch = None) -> np.ndarray:
+        diff = prepared - self.w_star[None, :]
         return 0.5 * self.lam * np.einsum("sd,sd->s", diff, diff)

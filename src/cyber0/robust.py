@@ -10,11 +10,8 @@ never change the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .zo import ClientReport
 
 
 class AggregationError(ValueError):
@@ -55,39 +52,17 @@ def trimmed_mean(values, beta: float) -> float:
     return float(_columnwise_trimmed_mean(x[:, None], beta)[0])
 
 
-@dataclass
-class AggregationInput:
-    """One round's reports plus the trim fraction."""
-
-    reports: list[ClientReport]
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not self.reports:
-            raise AggregationError("at least one client report required")
-        counts = {len(r.coefficients) for r in self.reports}
-        if len(counts) != 1:
-            raise AggregationError(f"reports carry differing coefficient counts: {sorted(counts)}")
-        m = len(self.reports)
-        if m - 2 * trim_count(self.beta, m) < 1:
-            raise AggregationError("no survivors after trimming")
-
-    def matrix(self) -> np.ndarray:
-        """(m, k) matrix in ascending client-id order."""
-        ordered = sorted(self.reports, key=lambda r: r.client_id)
-        return np.stack([r.coefficients for r in ordered])
-
-
-def robust_direction_aggregate(agg_input: AggregationInput) -> np.ndarray:
-    """Per-direction trimmed mean over the m clients' coefficients."""
-    return _columnwise_trimmed_mean(agg_input.matrix(), agg_input.beta)
+def robust_direction_aggregate(matrix: np.ndarray, beta: float) -> np.ndarray:
+    """Per-direction trimmed mean of the (m, k) client coefficient matrix."""
+    return coordwise_trimmed_mean(matrix, beta)
 
 
 def coordwise_trimmed_mean(grads: np.ndarray, beta: float) -> np.ndarray:
-    """Trimmed mean applied independently per coordinate of m full gradients."""
+    """Trimmed mean applied independently per column of an (m, n) matrix,
+    e.g. per coordinate of m full gradients."""
     grads = np.asarray(grads, dtype=np.float64)
     if grads.ndim != 2:
-        raise AggregationError("expected an (m, d) gradient matrix")
+        raise AggregationError("expected an (m, n) matrix, one row per client")
     return _columnwise_trimmed_mean(grads, beta)
 
 

@@ -32,9 +32,10 @@ reproduce every stream bit for bit:
 
 * Sphere directions are d Gaussians divided by their Euclidean norm, where
   the squared norm is accumulated as a plain Python float over ``np.dot``
-  of consecutive 4096-wide chunks (so streamed and materialized paths agree
-  bit for bit). An all-zero draw (probability zero) consumes the next d
-  Gaussians from the same stream.
+  of consecutive 4096-wide chunks, in chunk order. The chunking fixes the
+  summation order and so the last bits of every sphere direction. An
+  all-zero draw (probability zero) consumes the next d Gaussians from the
+  same stream.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ _NP_MIX2 = np.uint64(_MIX2)
 _S30, _S27, _S31, _S11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
 _U53 = 2.0 ** -53
 
-# chunk width shared by every streamed consumer; part of the frozen identity
-# because the sphere normalizer accumulates per-chunk dot products
+# chunk width of the sphere normalizer's per-chunk dot products; part of the
+# frozen identity because it fixes their summation order
 CHUNK = 4096
 
 
@@ -248,39 +249,9 @@ def perturb_inplace(
 ) -> None:
     """w <- w + scale * z(seed), mutating w.
 
-    Gaussian mode streams z in CHUNK-wide blocks without materializing it;
-    Sphere mode runs one streamed pass for the normalizer and a second
-    seeded replay pass. Passing ``direction`` (the cached z for this seed)
-    applies the bit-identical update without touching the stream; callers
-    are responsible for the cache actually matching (seed, mode).
+    ``direction`` may carry the cached z for this seed; callers are
+    responsible for the cache actually matching (seed, mode). Without it,
+    z is regenerated by ``make_direction``.
     """
-    d = len(w)
-    if direction is not None:
-        w += scale * direction
-        return
-    if mode == DirectionMode.GAUSSIAN:
-        stream = RngStream(seed)
-        for a in range(0, d, CHUNK):
-            n = min(CHUNK, d - a)
-            w[a : a + n] += scale * stream.gaussians(n)
-        return
-    # Sphere: pass 1 computes the normalizer, pass 2 replays the stream.
-    stream = RngStream(seed)
-    skipped = 0
-    sumsq = 0.0
-    while True:
-        sumsq = 0.0
-        for a in range(0, d, CHUNK):
-            g = stream.gaussians(min(CHUNK, d - a))
-            sumsq += float(np.dot(g, g))
-        if sumsq > 0.0:
-            break
-        skipped += 1
-    norm = np.sqrt(sumsq)
-    replay = RngStream(seed)
-    if skipped:
-        replay.gaussians(skipped * d)
-    for a in range(0, d, CHUNK):
-        g = replay.gaussians(min(CHUNK, d - a))
-        g /= norm
-        w[a : a + min(CHUNK, d - a)] += scale * g
+    z = make_direction(seed, len(w), mode) if direction is None else direction
+    w += scale * z

@@ -9,7 +9,7 @@ Aggregated coefficients are applied by replaying the same seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,19 +56,6 @@ class ZoConfig:
     def scale(self, d: int) -> float:
         # Sphere directions need the dimension factor; Gaussian ones do not.
         return float(d) if self.direction_mode == DirectionMode.SPHERE else 1.0
-
-
-@dataclass
-class ClientReport:
-    """The scalars one client uploads per round: one per direction seed."""
-
-    client_id: int
-    coefficients: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
-        if self.coefficients.ndim != 1 or len(self.coefficients) == 0:
-            raise ValueError("coefficients must be a nonempty 1-D array")
 
 
 def direction_seed(root: int, step: int, sample: int, epoch: int = 0) -> int:
@@ -142,9 +129,10 @@ def apply_update(
 ) -> None:
     """Replay the k aggregated coefficients into w, mutating it.
 
-    Directions are regenerated from (root, step, r, epoch) in ascending r;
-    federator and clients run this identical sequence, so their states stay
-    bit-identical. ``directions`` may carry the step's cached vectors.
+    Directions are applied in ascending r; federator and clients run this
+    identical sequence, so their states stay bit-identical. ``directions``
+    may carry the step's cached vectors; without them each one is
+    regenerated from (root, step, r, epoch).
     """
     if not np.all(np.isfinite(agg_coeffs)):
         raise NonFiniteLossError(f"non-finite aggregated coefficients at step {step}", step=step)
@@ -153,11 +141,7 @@ def apply_update(
         raise ValueError(f"expected {k} aggregated coefficients, got {len(agg_coeffs)}")
     for r in range(k):
         scale = -(eta * float(agg_coeffs[r]) / k)
-        seed = direction_seed(root_seed, step, r, epoch)
-        perturb_inplace(
-            w,
-            scale,
-            seed,
-            cfg.direction_mode,
-            direction=None if directions is None else directions[r],
-        )
+        if directions is None:
+            perturb_inplace(w, scale, direction_seed(root_seed, step, r, epoch), cfg.direction_mode)
+        else:
+            w += scale * directions[r]

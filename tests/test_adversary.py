@@ -10,10 +10,8 @@ from cyber0.adversary import (
     byzantine_value,
     flip_labels,
     full_knowledge,
-    label_flip,
     random_choice,
 )
-from cyber0.data import synth_generate
 from cyber0.robust import trimmed_mean
 
 
@@ -100,12 +98,6 @@ class TestLabelFlip:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             flip_labels(np.array([10]), 10)
-
-    def test_dataset_wrapper(self):
-        ds = synth_generate(3, 40, 5, 4)
-        flipped = label_flip(ds)
-        assert np.array_equal(flipped.labels, 3 - ds.labels)
-        assert flipped.features is ds.features
 
 
 class TestAttackSpec:

@@ -58,6 +58,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigParseError):
             parse_config_text("steps = 5\nsteps = 6\n")
 
+    def test_value_error_reports_exact_key_line(self):
+        # "mu" must not match the "mu_zero" line by prefix
+        with pytest.raises(ConfigParseError) as err:
+            parse_config_text("k = 8\nmu_zero = false\nsteps = 5\nmu = abc\n")
+        assert err.value.line == 4
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigParseError):
             parse_config_text("steps = five\n")
@@ -104,6 +110,22 @@ class TestRun:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")]) == 2
 
+    def test_too_few_samples_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(FAST_CFG.replace("synth_samples = 800", "synth_samples = 10")
+                       .replace("clients = 4", "clients = 12"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_missing_mnist_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "mnist.cfg"
+        cfg.write_text(FAST_CFG.replace("data = synth", "data = mnist")
+                       + f"mnist_dir = {tmp_path / 'missing'}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_divergent_run_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(
@@ -145,6 +167,19 @@ class TestSweep:
     def test_unknown_param_exit_2(self, fast_config, tmp_path):
         assert main(["sweep", str(fast_config), "--param", "wat",
                      "--values", "1", "--out", str(tmp_path)]) == 2
+
+    def test_too_few_samples_exit_2(self, fast_config, tmp_path, capsys):
+        assert main(["sweep", str(fast_config), "--param", "synth_samples",
+                     "--values", "800,3", "--out", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_missing_mnist_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "mnist.cfg"
+        cfg.write_text(FAST_CFG.replace("data = synth", "data = mnist")
+                       + f"mnist_dir = {tmp_path / 'missing'}\n")
+        assert main(["sweep", str(cfg), "--param", "k",
+                     "--values", "4", "--out", str(tmp_path / "s")]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_bad_value_exit_2(self, fast_config, tmp_path):
         assert main(["sweep", str(fast_config), "--param", "alpha",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cyber0.core import as_param_vector, axpy, project_ball
+from cyber0.core import project_ball
 
 
 class TestProjectBall:
@@ -38,50 +38,3 @@ class TestProjectBall:
             project_ball(np.array([1.0, np.nan]), 1.0)
         with pytest.raises(ValueError):
             project_ball(np.array([1.0]), 0.0)
-
-
-class TestAxpy:
-    def test_zero_scale(self):
-        assert np.array_equal(axpy(np.array([1.0, 2.0]), 0.0, np.array([5.0, 5.0])), [1.0, 2.0])
-
-    def test_self_cancellation(self):
-        w = np.array([1.0, 2.0])
-        assert np.array_equal(axpy(w, -1.0, w), [0.0, 0.0])
-
-    def test_hand_example(self):
-        assert np.array_equal(axpy(np.array([1.0, 0.0]), 2.0, np.array([0.0, 3.0])), [1.0, 6.0])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            axpy(np.zeros(3), 1.0, np.zeros(4))
-
-    def test_linear_on_small_integers(self):
-        # exact arithmetic regime: integer-valued doubles
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            w = rng.integers(-20, 20, size=8).astype(float)
-            u = rng.integers(-20, 20, size=8).astype(float)
-            v = rng.integers(-20, 20, size=8).astype(float)
-            a, b = float(rng.integers(-9, 9)), float(rng.integers(-9, 9))
-            assert np.array_equal(axpy(w, a + b, v), axpy(axpy(w, a, v), b, v))
-            assert np.array_equal(axpy(w, a, u + v), axpy(axpy(w, a, u), a, v))
-
-
-def test_as_param_vector_validation():
-    assert as_param_vector([1, 2, 3], 3).dtype == np.float64
-    with pytest.raises(ValueError):
-        as_param_vector([[1.0]])
-    with pytest.raises(ValueError):
-        as_param_vector([1.0, np.inf])
-    with pytest.raises(ValueError):
-        as_param_vector([1.0], 2)
-
-
-def test_model_state_advances_one_step_per_round():
-    from cyber0.core import ModelState
-
-    state = ModelState(w=np.zeros(3))
-    assert state.step == 0
-    for expected in (1, 2, 3):
-        state.advance()
-        assert state.step == expected

@@ -8,11 +8,8 @@ from cyber0.federation import (
     THREADS_ENV,
     comm_cost,
     model_dimension,
-    run_coordwise_tm,
     run_cyber0,
-    run_cyber0_local_epochs,
     run_experiment,
-    run_fedavg,
 )
 from cyber0.losses import LogisticRegressionModel
 from cyber0.seedstream import make_direction
@@ -34,6 +31,41 @@ QUAD = dict(
 )
 
 
+BYZ = {**SYNTH, "alpha": 1 / 3, "beta": 1 / 3}
+NAN = float("nan")
+
+# final (train_loss, test_acc, ||w||) per config: refactors of the round
+# engines must reproduce these outputs, not merely similar ones
+GOLDEN = [
+    ("e1", SYNTH, (1.304872021422769, 87.0, 0.3881549867563766)),
+    ("e3", {**SYNTH, "local_epochs": 3, "steps": 8},
+     (1.324579769462808, 53.666666666666664, 0.3509503553901397)),
+    ("mu_zero_e2", {**SYNTH, "mu": 0.0, "mu_zero": True, "local_epochs": 2, "steps": 10},
+     (1.3311752194576396, 49.333333333333336, 0.3030342301013686)),
+    ("quad_mu_e2", {**QUAD, "mu": 1e-3, "mu_zero": False, "local_epochs": 2, "steps": 10},
+     (0.0002627932637543838, NAN, 0.01919240699343684)),
+    ("full_knowledge_noniid", {**SYNTH, "distribution": "noniid", "clients": 8, "alpha": 0.25,
+                               "attack": "full_knowledge"},
+     (1.4771761986588123, 25.0, 0.7384268847392222)),
+    ("random_choice_e2", {**BYZ, "attack": "random_choice", "local_epochs": 2, "steps": 10},
+     (1.3323938020520554, 52.0, 0.31188666741761517)),
+    ("label_flip", {**BYZ, "attack": "label_flip"},
+     (1.3203462761854066, 75.0, 0.32625035927114887)),
+    ("fedavg", {**SYNTH, "algorithm": "fedavg"},
+     (1.3053490985043388, 96.33333333333334, 0.3263520501974187)),
+    ("coordwise_tm_label_flip", {**BYZ, "algorithm": "coordwise_tm", "attack": "label_flip"},
+     (1.3275571451490062, 71.66666666666667, 0.2564938027591135)),
+    ("replicas_e2", {**SYNTH, "steps": 6, "local_epochs": 2, "debug_replicas": True},
+     (1.3576314185715752, 62.33333333333333, 0.22145426557094947)),
+    ("always_large_e2", {**BYZ, "attack": "always_large", "local_epochs": 2, "steps": 10},
+     (1.333635434103309, 56.666666666666664, 0.30831384684465285)),
+    ("sphere_logreg", {**SYNTH, "direction_mode": "sphere"},
+     (1.3048061715413752, 82.33333333333334, 0.3881557475947562)),
+    ("quad_projection", {**QUAD, "project_radius": 0.5, "steps": 10},
+     (0.0022809247201371207, NAN, 0.0536821877526723)),
+]
+
+
 def logs_equal(a, b):
     return len(a) == len(b) and all(
         x.step == y.step
@@ -53,19 +85,21 @@ class TestDeterminism:
         assert np.array_equal(a.final_w, b.final_w)
 
     def test_thread_count_invariance(self):
-        old = os.environ.get(THREADS_ENV)
-        try:
-            os.environ[THREADS_ENV] = "1"
-            a = run_cyber0(ExperimentConfig(**SYNTH))
-            os.environ[THREADS_ENV] = "8"
-            b = run_cyber0(ExperimentConfig(**SYNTH))
-        finally:
-            if old is None:
-                os.environ.pop(THREADS_ENV, None)
-            else:
-                os.environ[THREADS_ENV] = old
-        assert logs_equal(a.logs, b.logs)
-        assert np.array_equal(a.final_w, b.final_w)
+        for cfg in (ExperimentConfig(**SYNTH),
+                    ExperimentConfig(**{**SYNTH, "local_epochs": 3, "steps": 8})):
+            old = os.environ.get(THREADS_ENV)
+            try:
+                os.environ[THREADS_ENV] = "1"
+                a = run_experiment(cfg)
+                os.environ[THREADS_ENV] = "8"
+                b = run_experiment(cfg)
+            finally:
+                if old is None:
+                    os.environ.pop(THREADS_ENV, None)
+                else:
+                    os.environ[THREADS_ENV] = old
+            assert logs_equal(a.logs, b.logs)
+            assert np.array_equal(a.final_w, b.final_w)
 
     def test_debug_replicas_agree(self):
         cfg = ExperimentConfig(**{**SYNTH, "steps": 10, "debug_replicas": True})
@@ -74,27 +108,29 @@ class TestDeterminism:
     def test_debug_replicas_agree_local_epochs(self):
         cfg = ExperimentConfig(**{**SYNTH, "steps": 6, "local_epochs": 2,
                                   "debug_replicas": True})
-        run_cyber0_local_epochs(cfg)
+        run_cyber0(cfg)
+
+
+@pytest.mark.parametrize("overrides,expected", [g[1:] for g in GOLDEN],
+                         ids=[g[0] for g in GOLDEN])
+def test_outputs_match_recorded_values(overrides, expected):
+    res = run_experiment(ExperimentConfig(**overrides))
+    got = (res.final_train_loss, res.final_test_acc, float(np.linalg.norm(res.final_w)))
+    assert got == pytest.approx(expected, rel=1e-12, nan_ok=True)
 
 
 class TestLocalEpochs:
-    def test_e1_bit_identical_to_base_engine(self):
-        a = run_cyber0(ExperimentConfig(**SYNTH))
-        b = run_cyber0_local_epochs(ExperimentConfig(**SYNTH))
-        assert logs_equal(a.logs, b.logs)
-        assert np.array_equal(a.final_w, b.final_w)
-
     def test_uplink_counts_scale_with_epochs(self):
         cfg = ExperimentConfig(**{**SYNTH, "local_epochs": 3, "steps": 4, "eval_every": 1})
-        res = run_cyber0_local_epochs(cfg)
+        res = run_cyber0(cfg)
         assert res.logs[-1].uplink_scalars == 4 * 3 * cfg.k
 
     def test_fixed_work_budget_accuracy_stable(self):
         # E * T held fixed: final accuracies land close together
         base = {**SYNTH, "synth_samples": 1600, "steps": 40, "eval_every": 40, "k": 8}
-        r1 = run_cyber0_local_epochs(ExperimentConfig(**base))
-        r5 = run_cyber0_local_epochs(ExperimentConfig(**{**base, "steps": 8, "local_epochs": 5,
-                                                         "eval_every": 8}))
+        r1 = run_cyber0(ExperimentConfig(**base))
+        r5 = run_cyber0(ExperimentConfig(**{**base, "steps": 8, "local_epochs": 5,
+                                            "eval_every": 8}))
         assert abs(r1.final_test_acc - r5.final_test_acc) <= 3.0
 
 
@@ -102,7 +138,7 @@ class TestEnginePathsAgree:
     def test_fast_path_matches_literal_zo_coefficient(self):
         # one round, no attack: engine coefficients vs the per-client op
         cfg = ExperimentConfig(**{**SYNTH, "steps": 1, "clients": 3, "k": 4, "eval_every": 1})
-        from cyber0.federation import _Setup, _bracket_variants, _multi_losses, _prepare_logreg_variants
+        from cyber0.federation import _Setup, _bracket_variants
 
         setup = _Setup(cfg)
         batches = setup.batches_for_step()
@@ -111,10 +147,9 @@ class TestEnginePathsAgree:
             make_direction(direction_seed(cfg.root_seed, 0, r, 0), setup.d, zo.direction_mode)
             for r in range(cfg.k)
         ]
-        variants = _bracket_variants(setup.w, cfg.mu, dirs)
-        prepared = _prepare_logreg_variants(setup.model, variants)
+        prepared = setup.model.prepare_variants(_bracket_variants(setup.w, cfg.mu, dirs))
         for i in range(cfg.clients):
-            losses = _multi_losses(setup.model, variants, prepared, batches[i])
+            losses = setup.model.loss_batch_multi(prepared, batches[i])
             fast = zo.scale(setup.d) * (losses[0::2] - losses[1::2]) / (2 * cfg.mu)
             for r in range(cfg.k):
                 literal = zo_coefficient(setup.model, setup.w, batches[i], zo,
@@ -133,7 +168,7 @@ class TestEnginePathsAgree:
 class TestBaselines:
     def test_fedavg_m1_is_centralized_sgd(self):
         cfg = ExperimentConfig(**{**SYNTH, "clients": 1, "algorithm": "fedavg", "steps": 12})
-        res = run_fedavg(cfg)
+        res = run_experiment(cfg)
         # manual trace with the same batch stream
         from cyber0.data import BatchCursor, partition_iid, synth_generate
 
@@ -150,9 +185,9 @@ class TestBaselines:
         assert np.array_equal(res.final_w, w)
 
     def test_coordwise_beta0_bit_identical_to_fedavg(self):
-        a = run_fedavg(ExperimentConfig(**{**SYNTH, "algorithm": "fedavg"}))
-        b = run_coordwise_tm(ExperimentConfig(**{**SYNTH, "algorithm": "coordwise_tm",
-                                                 "beta": 0.0}))
+        a = run_experiment(ExperimentConfig(**{**SYNTH, "algorithm": "fedavg"}))
+        b = run_experiment(ExperimentConfig(**{**SYNTH, "algorithm": "coordwise_tm",
+                                                   "beta": 0.0}))
         assert logs_equal(a.logs, b.logs)
         assert np.array_equal(a.final_w, b.final_w)
 
@@ -164,7 +199,7 @@ class TestBaselines:
     def test_first_order_label_flip_allowed(self):
         cfg = ExperimentConfig(**{**SYNTH, "algorithm": "fedavg", "alpha": 1 / 3,
                                   "attack": "label_flip", "steps": 5})
-        run_fedavg(cfg)
+        run_experiment(cfg)
 
 
 class TestCommAccounting:
@@ -262,17 +297,13 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             ExperimentConfig(**{**SYNTH, "algorithm": "fedavg", "local_epochs": 2})
 
-    def test_run_cyber0_requires_single_epoch(self):
-        with pytest.raises(ValueError):
-            run_cyber0(ExperimentConfig(**{**SYNTH, "local_epochs": 2}))
-
 
 class TestEndToEndSynth:
     def test_cyber0_tracks_fedavg_on_separable_data(self):
         base = {**SYNTH, "synth_samples": 1600, "steps": 120, "k": 16,
                 "eval_every": 120}
         zo = run_cyber0(ExperimentConfig(**base))
-        fo = run_fedavg(ExperimentConfig(**{**base, "algorithm": "fedavg"}))
+        fo = run_experiment(ExperimentConfig(**{**base, "algorithm": "fedavg"}))
         assert fo.final_test_acc >= 95.0
         assert abs(zo.final_test_acc - fo.final_test_acc) <= 3.0
 
@@ -326,7 +357,7 @@ class TestMnistWiring:
             model="logreg", data="mnist", mnist_dir=str(fake_mnist_dir),
             algorithm="fedavg", clients=12, steps=2, batch_size=32, eval_every=1,
         )
-        res = run_fedavg(cfg)
+        res = run_experiment(cfg)
         assert res.logs[-1].uplink_scalars == 2 * 7850
 
 

@@ -108,7 +108,7 @@ class TestLogreg:
     def test_multi_variant_losses_match_eval(self):
         X, y = random_batch(self.rng, 11, 12, 5)
         variants = self.rng.normal(size=(7, self.model.dimension))
-        multi = self.model.loss_batch_multi(variants, (X, y))
+        multi = self.model.loss_batch_multi(self.model.prepare_variants(variants), (X, y))
         single = [self.model.eval(v, (X, y)) for v in variants]
         assert np.allclose(multi, single, rtol=1e-12)
 
@@ -120,6 +120,9 @@ class TestLogreg:
                             (np.zeros((2, 12)), np.array([0, 9])))
         with pytest.raises(ValueError):
             self.model.eval(np.zeros(self.model.dimension), None)
+        prepared = self.model.prepare_variants(np.zeros((2, self.model.dimension)))
+        with pytest.raises(ValueError):
+            self.model.loss_batch_multi(prepared, (np.zeros((3, 7)), np.zeros(3, int)))
 
 
 class TestQuadratic:
@@ -150,7 +153,7 @@ class TestQuadratic:
         rng = np.random.default_rng(2)
         m = QuadraticModel(0.8, rng.normal(size=6))
         variants = rng.normal(size=(5, 6))
-        multi = m.loss_batch_multi(variants, None)
+        multi = m.loss_batch_multi(m.prepare_variants(variants), None)
         assert np.allclose(multi, [m.eval(v) for v in variants], rtol=1e-14)
 
     def test_grad_matches_finite_differences(self):

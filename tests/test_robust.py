@@ -3,13 +3,11 @@ import pytest
 
 from cyber0.robust import (
     AggregationError,
-    AggregationInput,
     coordwise_trimmed_mean,
     mean_aggregate,
     robust_direction_aggregate,
     trimmed_mean,
 )
-from cyber0.zo import ClientReport
 
 
 def brute_trimmed_mean(values, beta):
@@ -92,37 +90,28 @@ class TestTrimmedMean:
 
 class TestDirectionAggregate:
     def test_per_column_hand_trace(self):
-        reports = [
-            ClientReport(0, np.array([1.0, -1.0])),
-            ClientReport(1, np.array([2.0, 0.0])),
-            ClientReport(2, np.array([3.0, 1.0])),
-            ClientReport(3, np.array([4.0, 2.0])),
-        ]
-        agg = robust_direction_aggregate(AggregationInput(reports, 0.25))
+        M = np.array([[1.0, -1.0], [2.0, 0.0], [3.0, 1.0], [4.0, 2.0]])
+        agg = robust_direction_aggregate(M, 0.25)
         assert np.array_equal(agg, [2.5, 0.5])
 
     def test_beta_zero_column_means(self):
         rng = np.random.default_rng(4)
         M = rng.normal(size=(5, 7))
-        reports = [ClientReport(i, M[i]) for i in range(5)]
-        agg = robust_direction_aggregate(AggregationInput(reports, 0.0))
+        agg = robust_direction_aggregate(M, 0.0)
         assert np.allclose(agg, M.mean(axis=0), rtol=1e-14)
 
     def test_matches_scalar_routine_bitwise(self):
         rng = np.random.default_rng(5)
         M = rng.normal(size=(11, 9))
-        reports = [ClientReport(i, M[i]) for i in range(11)]
-        agg = robust_direction_aggregate(AggregationInput(reports, 0.2))
+        agg = robust_direction_aggregate(M, 0.2)
         for col in range(9):
             assert agg[col] == trimmed_mean(M[:, col], 0.2)
 
     def test_client_order_irrelevant(self):
         rng = np.random.default_rng(6)
         M = rng.normal(size=(8, 4))
-        fwd = [ClientReport(i, M[i]) for i in range(8)]
-        rev = list(reversed(fwd))
-        a = robust_direction_aggregate(AggregationInput(fwd, 0.25))
-        b = robust_direction_aggregate(AggregationInput(rev, 0.25))
+        a = robust_direction_aggregate(M, 0.25)
+        b = robust_direction_aggregate(M[::-1], 0.25)
         assert np.array_equal(a, b)
 
     def test_byzantine_containment_per_column(self):
@@ -130,14 +119,15 @@ class TestDirectionAggregate:
         honest = rng.normal(size=(9, 6))
         bad = np.full((3, 6), -1e300)
         M = np.concatenate([honest, bad])
-        reports = [ClientReport(i, M[i]) for i in range(12)]
-        agg = robust_direction_aggregate(AggregationInput(reports, 0.25))
+        agg = robust_direction_aggregate(M, 0.25)
         assert np.all(agg >= honest.min(axis=0)) and np.all(agg <= honest.max(axis=0))
 
     def test_mismatched_counts_rejected(self):
-        reports = [ClientReport(0, np.zeros(3)), ClientReport(1, np.zeros(4))]
+        # rows of differing lengths do not form a matrix
+        with pytest.raises(ValueError):
+            robust_direction_aggregate([np.zeros(3), np.zeros(4)], 0.0)
         with pytest.raises(AggregationError):
-            AggregationInput(reports, 0.0)
+            robust_direction_aggregate(np.zeros(3), 0.0)
 
 
 class TestCoordwise:
