@@ -90,22 +90,26 @@ class ExperimentConfig:
         for name, allowed in _CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
-        if self.clients < 1:
-            raise ValueError("need at least one client")
+        # each message starts with the key it blames, so a config parse
+        # error can point at that key's line
+        for name in ("clients", "k", "steps", "local_epochs", "batch_size", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.alpha < 0.5:
             raise ValueError("alpha must satisfy 0 <= alpha < 1/2")
         if not 0.0 <= self.beta < 0.5:
             raise ValueError("beta must satisfy 0 <= beta < 1/2")
         if self.clients - 2 * int(np.floor(self.beta * self.clients)) < 1:
-            raise ValueError("trimming leaves no survivors for this (clients, beta)")
-        if min(self.k, self.steps, self.local_epochs, self.batch_size, self.eval_every) < 1:
-            raise ValueError("k, steps, local_epochs, batch_size, eval_every must be >= 1")
+            raise ValueError(f"beta = {self.beta!r} leaves no survivors among {self.clients} clients")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-        if self.mu_zero != (self.mu == 0.0):
-            raise ValueError("exactly one of mu > 0 or mu_zero must hold (set mu = 0 with mu_zero)")
-        if not 0 <= self.root_seed < 2**64 or not 0 <= self.data_seed < 2**64:
-            raise ValueError("seeds must be 64-bit unsigned integers")
+        if self.mu_zero and self.mu != 0.0:
+            raise ValueError(f"mu_zero = true requires mu = 0, got mu = {self.mu!r}")
+        if not self.mu_zero and self.mu <= 0.0:
+            raise ValueError(f"mu = {self.mu!r} requires mu > 0, or mu = 0 with mu_zero = true")
+        for name in ("root_seed", "data_seed"):
+            if not 0 <= getattr(self, name) < 2**64:
+                raise ValueError(f"{name} must be a 64-bit unsigned integer")
         self.zo()  # surfaces mu/k problems at construction time
         kind = AttackKind(self.attack)
         if self.algorithm != "cyber0":
@@ -113,7 +117,7 @@ class ExperimentConfig:
                 raise ValueError(f"attack {self.attack!r} targets coefficient reports; "
                                  f"{self.algorithm} baselines only support none/label_flip")
             if self.local_epochs != 1:
-                raise ValueError("local epochs are only defined for the cyber0 algorithm")
+                raise ValueError("local_epochs > 1 is only defined for the cyber0 algorithm")
 
     def zo(self) -> ZoConfig:
         mode = DirectionMode.SPHERE if self.direction_mode == "sphere" else DirectionMode.GAUSSIAN
@@ -328,19 +332,6 @@ class _Setup:
         return self.model.accuracy(w, self.test_X, self.test_y)
 
 
-def _bracket_variants(w: np.ndarray, mu: float, dirs: list[np.ndarray]) -> np.ndarray:
-    """Stack of the 2k evaluation points, mirroring the in-place schedule:
-    v[2r] = w + mu z_r and v[2r+1] = (w + mu z_r) - 2 mu z_r."""
-    k = len(dirs)
-    out = np.empty((2 * k, len(w)))
-    for r, z in enumerate(dirs):
-        np.multiply(z, mu, out=out[2 * r])
-        out[2 * r] += w
-        np.multiply(z, -2.0 * mu, out=out[2 * r + 1])
-        out[2 * r + 1] += out[2 * r]
-    return out
-
-
 def _map_clients(worker, clients: list[int], threads: int) -> dict[int, np.ndarray]:
     """Run per-client work, collecting results keyed by client id so the
     outcome is independent of scheduling order."""
@@ -406,7 +397,14 @@ def _should_log(config: ExperimentConfig, t: int) -> bool:
 
 def run_cyber0(config: ExperimentConfig) -> RunResult:
     """Seed-replay zero-order training: each client runs E local epochs of
-    k directions per step and uploads the E*k coefficients."""
+    k directions per step and uploads the E*k coefficients.
+
+    The step's directions live in one (E, k, d) block allocated once per
+    run. Each epoch's (k, d) slice is laid out once by ``prepare_variants``
+    into a per-run buffer, and every client evaluates its bracket losses
+    against that shared layout at its own w: the synchronized w in epoch 0,
+    its locally drifted copy after that. The same block feeds the mu = 0
+    projection and the replay."""
     setup = _Setup(config)
     threads = _thread_count()
     zo = setup.zo
@@ -415,38 +413,30 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
     replicas = _make_replicas(setup) if config.debug_replicas else None
     logs: list[RoundLog] = []
     started = time.monotonic()
+    dirs = np.empty((E, k, setup.d))
+    layouts = [None] * E
 
     for t in range(config.steps):
         epoch_batches = [setup.batches_for_step() for _ in range(E)]
         do_log = _should_log(config, t)
         tr_loss = setup.train_loss(setup.w, epoch_batches[0]) if do_log else float("nan")
 
-        dirs = [
-            [
-                make_direction(direction_seed(config.root_seed, t, r, e), setup.d, zo.direction_mode)
-                for r in range(k)
-            ]
-            for e in range(E)
-        ]
-        if config.mu_zero:
-            stacked = [np.stack(dirs_e) for dirs_e in dirs]
-            shared = None
-        else:
-            # every client starts the step at the synchronized w, so epoch 0
-            # evaluates one variant block that all clients share
-            shared = setup.model.prepare_variants(_bracket_variants(setup.w, config.mu, dirs[0]))
+        for e in range(E):
+            for r in range(k):
+                dirs[e, r] = make_direction(direction_seed(config.root_seed, t, r, e), setup.d,
+                                            zo.direction_mode)
+            if not config.mu_zero:
+                layouts[e] = setup.model.prepare_variants(dirs[e], layouts[e])
 
-        def coefficients(w: np.ndarray, e: int, batch, prepared=None) -> np.ndarray:
+        def coefficients(w: np.ndarray, e: int, batch) -> np.ndarray:
             if config.mu_zero:
-                return scale * (stacked[e] @ setup.model.grad(w, batch))
-            if prepared is None:
-                prepared = setup.model.prepare_variants(_bracket_variants(w, config.mu, dirs[e]))
-            losses = setup.model.loss_batch_multi(prepared, batch)
-            return scale * (losses[0::2] - losses[1::2]) / (2.0 * config.mu)
+                return scale * (dirs[e] @ setup.model.grad(w, batch))
+            plus, minus = setup.model.loss_batch_multi(layouts[e], batch, w, config.mu)
+            return scale * (plus - minus) / (2.0 * config.mu)
 
         def worker(i: int) -> np.ndarray:
             coeffs = np.empty((E, k))
-            coeffs[0] = coefficients(setup.w, 0, epoch_batches[0][i], shared)
+            coeffs[0] = coefficients(setup.w, 0, epoch_batches[0][i])
             if E > 1:
                 local = setup.w.copy()  # local drift never touches the synchronized w
                 for e in range(1, E):

@@ -1,10 +1,13 @@
 """Loss models: multinomial logistic regression and a strongly convex quadratic.
 
 Both expose the same surface: ``dimension``, ``eval(w, batch)``,
-``grad(w, batch)``, and the engine's multi-variant kernel. That kernel has
-two steps: ``prepare_variants`` lays a stack of S parameter variants out
-once per round, and ``loss_batch_multi(prepared, batch)`` evaluates each
-client batch under all S of them in a single pass.
+``grad(w, batch)``, and the engine's central-difference kernel. That kernel
+has two steps: ``prepare_variants`` lays a (k, d) block of directions out
+once per round and epoch, and ``loss_batch_multi(prepared, batch, w, mu)``
+returns one batch's k losses at w + mu z_r and its k losses at w - mu z_r.
+The logistic kernel never forms a perturbed parameter vector: it computes
+X W + b once and X Z + b_z once, and takes the logits of both brackets as
+their sum and difference.
 
 A batch is a pair ``(X, y)`` of features (rows in [0, 1]) and integer
 labels; the quadratic model ignores it (every sample yields the same loss).
@@ -28,9 +31,11 @@ class LossModel(Protocol):
 
     def grad(self, w: ParamVector, batch: Batch) -> ParamVector: ...
 
-    def prepare_variants(self, variants: np.ndarray) -> object: ...
+    def prepare_variants(self, directions: np.ndarray, out: object = None) -> object: ...
 
-    def loss_batch_multi(self, prepared: object, batch: Batch) -> np.ndarray: ...
+    def loss_batch_multi(
+        self, prepared: object, batch: Batch, w: ParamVector, mu: float
+    ) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 class LogisticRegressionModel:
@@ -90,39 +95,45 @@ class LogisticRegressionModel:
         g[-1] = L.sum(axis=0)
         return g.reshape(-1)
 
-    def prepare_variants(self, variants: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lay S stacked variants out side by side: the (p, S * C) weight
-        block, variant-major within each row, and the (S * C,) biases."""
-        S = len(variants)
-        W = variants.reshape(S, self.input_dim + 1, self.num_classes)
-        Wp = np.ascontiguousarray(
-            W[:, :-1, :].transpose(1, 0, 2).reshape(self.input_dim, S * self.num_classes)
-        )
-        bias = np.ascontiguousarray(W[:, -1, :].reshape(-1))
-        return Wp, bias
+    def prepare_variants(
+        self, directions: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Lay k directions out class-major: the (p, C * k) weight block with
+        column c * k + r holding class c of direction r, and the (C * k,)
+        biases in the same order. ``out`` may be a layout returned earlier
+        for the same k, which is then overwritten instead of reallocated."""
+        k = len(directions)
+        p, C = self.input_dim, self.num_classes
+        Z = directions.reshape(k, p + 1, C)
+        if out is None:
+            out = np.empty((p, C * k)), np.empty(C * k)
+        Zp, bias = out
+        np.copyto(Zp.reshape(p, C, k), Z[:, :-1, :].transpose(1, 2, 0))
+        np.copyto(bias.reshape(C, k), Z[:, -1, :].T)
+        return out
 
-    def loss_batch_multi(self, prepared: tuple[np.ndarray, np.ndarray], batch: Batch) -> np.ndarray:
-        """Losses of one batch under S prepared variants, shape (S,).
+    def loss_batch_multi(
+        self, prepared: tuple[np.ndarray, np.ndarray], batch: Batch, w: ParamVector, mu: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Losses of one batch at w + mu z_r and at w - mu z_r, each (k,).
 
-        The batch is not validated: this runs once per client per round,
-        and the label scan's small temporaries, interleaved with the
-        round's large arrays, measurably raise peak memory. A feature width
-        other than p still fails in the matrix product."""
+        The logits are X W + b +- mu (X Z + b_z): one product with the C
+        columns of w and one with the C * k prepared columns. The batch is
+        not validated: this runs once per client per round, and the label
+        scan's small temporaries, interleaved with the round's large arrays,
+        measurably raise peak memory. A feature width other than p still
+        fails in the matrix product."""
         X, y = batch
-        Wp, bias = prepared
-        S = len(bias) // self.num_classes
-        # (b, S, C) through a single matrix product over the feature axis
-        L = X @ Wp
-        L += bias[None, :]
-        L = L.reshape(len(X), S, self.num_classes)
-        m = L.max(axis=2)
-        true = L[np.arange(len(y)), :, y]
-        L -= m[:, :, None]
-        np.exp(L, out=L)
-        lse = np.log(L.sum(axis=2))
-        lse += m
-        lse -= true
-        return lse.mean(axis=0)
+        Zp, bias = prepared
+        k = len(bias) // self.num_classes
+        step = X @ Zp
+        step += bias
+        step *= mu
+        step = step.reshape(len(X), self.num_classes, k)
+        base = self.logits(w, X)[:, :, None]
+        plus = base + step
+        np.subtract(base, step, out=step)
+        return _mean_nll(plus, y), _mean_nll(step, y)
 
     def accuracy(self, w: ParamVector, X: np.ndarray, y: np.ndarray) -> float:
         """Fraction of correct argmax predictions, in percent."""
@@ -147,9 +158,32 @@ class QuadraticModel:
     def grad(self, w: ParamVector, batch: Batch = None) -> ParamVector:
         return self.lam * (w - self.w_star)
 
-    def prepare_variants(self, variants: np.ndarray) -> np.ndarray:
-        return variants
+    def prepare_variants(self, directions: np.ndarray, out: object = None) -> np.ndarray:
+        return directions
 
-    def loss_batch_multi(self, prepared: np.ndarray, batch: Batch = None) -> np.ndarray:
-        diff = prepared - self.w_star[None, :]
-        return 0.5 * self.lam * np.einsum("sd,sd->s", diff, diff)
+    def loss_batch_multi(
+        self, prepared: np.ndarray, batch: Batch, w: ParamVector, mu: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The 2k bracket points in the in-place schedule, v[2r] = w + mu z_r
+        and v[2r + 1] = (w + mu z_r) - 2 mu z_r, evaluated in one pass."""
+        k = len(prepared)
+        v = np.empty((2 * k, len(w)))
+        np.multiply(prepared, mu, out=v[0::2])
+        v[0::2] += w
+        np.multiply(prepared, -2.0 * mu, out=v[1::2])
+        v[1::2] += v[0::2]
+        v -= self.w_star[None, :]
+        losses = 0.5 * self.lam * np.einsum("sd,sd->s", v, v)
+        return losses[0::2], losses[1::2]
+
+
+def _mean_nll(L: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy per variant of (b, C, k) logits, overwriting them."""
+    m = L.max(axis=1)
+    true = L[np.arange(len(y)), y]
+    L -= m[:, None, :]
+    np.exp(L, out=L)
+    lse = np.log(L.sum(axis=1))
+    lse += m
+    lse -= true
+    return lse.mean(axis=0)

@@ -125,13 +125,13 @@ def apply_update(
     eta: float,
     cfg: ZoConfig,
     root_seed: int,
-    directions: list[np.ndarray] | None = None,
+    directions: np.ndarray | None = None,
 ) -> None:
     """Replay the k aggregated coefficients into w, mutating it.
 
     Directions are applied in ascending r; federator and clients run this
     identical sequence, so their states stay bit-identical. ``directions``
-    may carry the step's cached vectors; without them each one is
+    may carry the step's cached (k, d) block; without it each direction is
     regenerated from (root, step, r, epoch).
     """
     if not np.all(np.isfinite(agg_coeffs)):

@@ -64,6 +64,16 @@ class TestConfigParsing:
             parse_config_text("k = 8\nmu_zero = false\nsteps = 5\nmu = abc\n")
         assert err.value.line == 4
 
+    def test_cross_field_error_reports_its_key_line(self):
+        with pytest.raises(ConfigParseError) as err:
+            parse_config_text("steps = 5\nmu = 0.01\nk = 0\n")
+        assert err.value.line == 3
+
+    def test_mu_zero_mismatch_reports_mu_line(self):
+        with pytest.raises(ConfigParseError) as err:
+            parse_config_text("steps = 5\nk = 4\nmu_zero = false\nmu = 0\n")
+        assert err.value.line == 4
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigParseError):
             parse_config_text("steps = five\n")

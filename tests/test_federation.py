@@ -12,8 +12,8 @@ from cyber0.federation import (
     run_experiment,
 )
 from cyber0.losses import LogisticRegressionModel
-from cyber0.seedstream import make_direction
-from cyber0.zo import NonFiniteLossError, direction_seed, zo_coefficient
+from cyber0.robust import robust_direction_aggregate
+from cyber0.zo import NonFiniteLossError, apply_update, direction_seed, zo_coefficient
 
 
 SYNTH = dict(
@@ -135,27 +135,36 @@ class TestLocalEpochs:
 
 
 class TestEnginePathsAgree:
-    def test_fast_path_matches_literal_zo_coefficient(self):
-        # one round, no attack: engine coefficients vs the per-client op
-        cfg = ExperimentConfig(**{**SYNTH, "steps": 1, "clients": 3, "k": 4, "eval_every": 1})
-        from cyber0.federation import _Setup, _bracket_variants
+    @pytest.mark.parametrize("local_epochs", [1, 2])
+    def test_fast_path_matches_literal_zo_coefficient(self, monkeypatch, local_epochs):
+        # one round, no attack: the engine's coefficients vs the per-client
+        # op, at the synchronized w in epoch 0 and at each client's drifted
+        # w in later epochs
+        cfg = ExperimentConfig(**{**SYNTH, "steps": 1, "clients": 3, "k": 4, "eval_every": 1,
+                                  "local_epochs": local_epochs})
+        from cyber0 import federation
 
-        setup = _Setup(cfg)
-        batches = setup.batches_for_step()
-        zo = cfg.zo()
-        dirs = [
-            make_direction(direction_seed(cfg.root_seed, 0, r, 0), setup.d, zo.direction_mode)
-            for r in range(cfg.k)
-        ]
-        prepared = setup.model.prepare_variants(_bracket_variants(setup.w, cfg.mu, dirs))
+        seen = []
+
+        def spy(matrix, beta):
+            seen.append(matrix.copy())
+            return robust_direction_aggregate(matrix, beta)
+
+        monkeypatch.setattr(federation, "robust_direction_aggregate", spy)
+        run_cyber0(cfg)
+        (matrix,) = seen
+        setup = federation._Setup(cfg)
+        epoch_batches = [setup.batches_for_step() for _ in range(cfg.local_epochs)]
+        zo, k = cfg.zo(), cfg.k
         for i in range(cfg.clients):
-            losses = setup.model.loss_batch_multi(prepared, batches[i])
-            fast = zo.scale(setup.d) * (losses[0::2] - losses[1::2]) / (2 * cfg.mu)
-            for r in range(cfg.k):
-                literal = zo_coefficient(setup.model, setup.w, batches[i], zo,
-                                         direction_seed(cfg.root_seed, 0, r, 0),
-                                         direction=dirs[r])
-                assert fast[r] == pytest.approx(literal, rel=1e-9, abs=1e-12)
+            w = setup.w.copy()
+            for e in range(cfg.local_epochs):
+                fast = matrix[i, e * k : (e + 1) * k]
+                for r in range(k):
+                    literal = zo_coefficient(setup.model, w, epoch_batches[e][i], zo,
+                                             direction_seed(cfg.root_seed, 0, r, e))
+                    assert fast[r] == pytest.approx(literal, rel=1e-9, abs=1e-12)
+                apply_update(w, fast, 0, e, cfg.eta, zo, cfg.root_seed)
 
     def test_mu_zero_engine_matches_mu_positive_on_quadratic(self):
         # quadratic: the finite difference is exact, so the two modes coincide

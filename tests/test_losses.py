@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyber0.losses import LogisticRegressionModel, QuadraticModel
 
@@ -107,10 +109,19 @@ class TestLogreg:
 
     def test_multi_variant_losses_match_eval(self):
         X, y = random_batch(self.rng, 11, 12, 5)
-        variants = self.rng.normal(size=(7, self.model.dimension))
-        multi = self.model.loss_batch_multi(self.model.prepare_variants(variants), (X, y))
-        single = [self.model.eval(v, (X, y)) for v in variants]
-        assert np.allclose(multi, single, rtol=1e-12)
+        w = self.rng.normal(size=self.model.dimension)
+        dirs = self.rng.normal(size=(7, self.model.dimension))
+        mu = 0.1
+        plus, minus = self.model.loss_batch_multi(self.model.prepare_variants(dirs), (X, y), w, mu)
+        assert np.allclose(plus, [self.model.eval(w + mu * z, (X, y)) for z in dirs], rtol=1e-12)
+        assert np.allclose(minus, [self.model.eval(w - mu * z, (X, y)) for z in dirs], rtol=1e-12)
+
+    def test_layout_buffer_is_reused(self):
+        dirs = self.rng.normal(size=(3, self.model.dimension))
+        first = self.model.prepare_variants(dirs)
+        again = self.model.prepare_variants(2.0 * dirs, first)
+        assert again is first
+        assert np.array_equal(first[0], 2.0 * self.model.prepare_variants(dirs)[0])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -122,7 +133,29 @@ class TestLogreg:
             self.model.eval(np.zeros(self.model.dimension), None)
         prepared = self.model.prepare_variants(np.zeros((2, self.model.dimension)))
         with pytest.raises(ValueError):
-            self.model.loss_batch_multi(prepared, (np.zeros((3, 7)), np.zeros(3, int)))
+            self.model.loss_batch_multi(prepared, (np.zeros((3, 7)), np.zeros(3, int)),
+                                        np.zeros(self.model.dimension), 0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(1, 9),
+    C=st.integers(2, 6),
+    k=st.integers(1, 5),
+    b=st.integers(1, 7),
+    mu=st.floats(1e-6, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_logreg_kernel_matches_eval_at_both_brackets(p, C, k, b, mu, seed):
+    model = LogisticRegressionModel(input_dim=p, num_classes=C)
+    rng = np.random.default_rng(seed)
+    X, y = random_batch(rng, b, p, C)
+    w = rng.normal(size=model.dimension)
+    dirs = rng.normal(size=(k, model.dimension))
+    plus, minus = model.loss_batch_multi(model.prepare_variants(dirs), (X, y), w, mu)
+    assert plus.shape == minus.shape == (k,)
+    assert np.allclose(plus, [model.eval(w + mu * z, (X, y)) for z in dirs], rtol=1e-12)
+    assert np.allclose(minus, [model.eval(w - mu * z, (X, y)) for z in dirs], rtol=1e-12)
 
 
 class TestQuadratic:
@@ -152,9 +185,12 @@ class TestQuadratic:
     def test_multi_variant_losses_match_eval(self):
         rng = np.random.default_rng(2)
         m = QuadraticModel(0.8, rng.normal(size=6))
-        variants = rng.normal(size=(5, 6))
-        multi = m.loss_batch_multi(m.prepare_variants(variants), None)
-        assert np.allclose(multi, [m.eval(v) for v in variants], rtol=1e-14)
+        w = rng.normal(size=6)
+        dirs = rng.normal(size=(5, 6))
+        mu = 0.1
+        plus, minus = m.loss_batch_multi(m.prepare_variants(dirs), None, w, mu)
+        assert np.allclose(plus, [m.eval(w + mu * z) for z in dirs], rtol=1e-14)
+        assert np.allclose(minus, [m.eval(w - mu * z) for z in dirs], rtol=1e-14)
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(3)
