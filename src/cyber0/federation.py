@@ -400,10 +400,11 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
     k directions per step and uploads the E*k coefficients.
 
     The step's directions live in one (E, k, d) block allocated once per
-    run. Each epoch's (k, d) slice is laid out once by ``prepare_variants``
-    into a per-run buffer, and every client evaluates its bracket losses
-    against that shared layout at its own w: the synchronized w in epoch 0,
-    its locally drifted copy after that. The same block feeds the mu = 0
+    run. Each epoch's (k, d) slice is filled by one ``make_direction`` call
+    over the epoch's k seeds and laid out once by ``prepare_variants`` into
+    a per-run buffer. Every client evaluates its bracket losses against
+    that shared layout at its own w: the synchronized w in epoch 0, its
+    locally drifted copy after that. The same block feeds the mu = 0
     projection and the replay."""
     setup = _Setup(config)
     threads = _thread_count()
@@ -415,6 +416,7 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
     started = time.monotonic()
     dirs = np.empty((E, k, setup.d))
     layouts = [None] * E
+    samples = np.arange(k)
 
     for t in range(config.steps):
         epoch_batches = [setup.batches_for_step() for _ in range(E)]
@@ -422,9 +424,8 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
         tr_loss = setup.train_loss(setup.w, epoch_batches[0]) if do_log else float("nan")
 
         for e in range(E):
-            for r in range(k):
-                dirs[e, r] = make_direction(direction_seed(config.root_seed, t, r, e), setup.d,
-                                            zo.direction_mode)
+            make_direction(direction_seed(config.root_seed, t, samples, e), setup.d,
+                           zo.direction_mode, out=dirs[e])
             if not config.mu_zero:
                 layouts[e] = setup.model.prepare_variants(dirs[e], layouts[e])
 
@@ -434,9 +435,16 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
             plus, minus = setup.model.loss_batch_multi(layouts[e], batch, w, config.mu)
             return scale * (plus - minus) / (2.0 * config.mu)
 
+        # the quadratic is data-free: in epoch 0 every client brackets the
+        # same points at the synchronized w, so one evaluation serves all
+        shared = coefficients(setup.w, 0, None) if setup.train is None else None
+
         def worker(i: int) -> np.ndarray:
             coeffs = np.empty((E, k))
-            coeffs[0] = coefficients(setup.w, 0, epoch_batches[0][i])
+            if shared is None:
+                coeffs[0] = coefficients(setup.w, 0, epoch_batches[0][i])
+            else:
+                coeffs[0] = shared
             if E > 1:
                 local = setup.w.copy()  # local drift never touches the synchronized w
                 for e in range(1, E):

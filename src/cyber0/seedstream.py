@@ -36,6 +36,16 @@ reproduce every stream bit for bit:
   summation order and so the last bits of every sphere direction. An
   all-zero draw (probability zero) consumes the next d Gaussians from the
   same stream.
+
+``RngStream`` is the reference implementation of these rules. The engine
+derives a step's k seeds with one call (``derive_seeds``) and fills its
+(k, d) direction block with one ``make_direction`` call, which draws the
+first polar batch of many rows in one vectorised pass. A row whose first
+batch holds too few accepted pairs (about one in fifteen at d = 7850, none
+at d = 16) keeps them and continues on its own ``RngStream``, as the
+reference does. Block generation is bit-identical to the per-seed streams
+and is not part of the frozen identity: how rows are grouped and chunked
+(``BLOCK_WORDS``) changes speed and memory only.
 """
 
 from __future__ import annotations
@@ -60,6 +70,13 @@ _U53 = 2.0 ** -53
 # chunk width of the sphere normalizer's per-chunk dot products; part of the
 # frozen identity because it fixes their summation order
 CHUNK = 4096
+
+# raw words per chunk of rows in block direction generation (at least one
+# row per chunk); sets speed and memory, never the output. The theory
+# round's 16 rows at d = 16 (128 words each) share one chunk; at d = 7850
+# (10,108 words) every row is its own chunk, as larger chunks measured
+# slower there and hold more memory.
+BLOCK_WORDS = 4096
 
 
 class StreamKind(IntEnum):
@@ -113,17 +130,49 @@ def derive_seed(t: SeedTuple) -> int:
     return h
 
 
-def _words_at(seed: int, pos: int, n: int) -> np.ndarray:
-    """Raw words at stream positions pos..pos+n-1 (vectorized, in-place ops)."""
-    z = np.arange(pos + 1, pos + n + 1, dtype=np.uint64)
-    z *= _NP_GOLDEN
-    z += np.uint64(seed)
+def derive_seeds(
+    root: int, step: int, samples: np.ndarray, epoch: int, kind: StreamKind
+) -> np.ndarray:
+    """``derive_seed`` over an integer array of samples, as uint64.
+
+    (root, step) are absorbed once with Python integers; the remaining
+    three words run as one numpy fmix64 per word over all samples.
+    """
+    samples = np.asarray(samples)
+    if samples.dtype.kind not in "iu" or (samples.size and samples.min() < 0):
+        raise ValueError("samples must be non-negative integers")
+    if step < 0 or epoch < 0:
+        raise ValueError("step and epoch must be non-negative")
+    h = _fmix64(_fmix64(root & _MASK64) ^ (step & _MASK64))
+    z = samples.astype(np.uint64)
+    z ^= np.uint64(h)
+    for word in (epoch, int(kind)):
+        _fmix64_inplace(z)
+        z ^= np.uint64(word & _MASK64)
+    return _fmix64_inplace(z)
+
+
+def _fmix64_inplace(z: np.ndarray) -> np.ndarray:
     z ^= z >> _S30
     z *= _NP_MIX1
     z ^= z >> _S27
     z *= _NP_MIX2
     z ^= z >> _S31
     return z
+
+
+def _words_at(seed: int, pos: int, n: int) -> np.ndarray:
+    """Raw words at stream positions pos..pos+n-1 (vectorized, in-place ops)."""
+    z = np.arange(pos + 1, pos + n + 1, dtype=np.uint64)
+    z *= _NP_GOLDEN
+    z += np.uint64(seed)
+    return _fmix64_inplace(z)
+
+
+def _polar_batch(want_pairs: int) -> int:
+    """Uniform pairs drawn at once when ``want_pairs`` accepted pairs are
+    still needed: the expected need at acceptance rate pi/4, with slack."""
+    return min(max(want_pairs * 9 // 7 + 8, 64), 1 << 16)
 
 
 class RngStream:
@@ -134,9 +183,9 @@ class RngStream:
     position exactly as the scalar reference algorithm would.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, position: int = 0):
         self._seed = int(seed) & _MASK64
-        self._pos = 0
+        self._pos = position  # word position of the next draw
         self._pending: float | None = None  # second half of an odd polar pair
 
     def words(self, n: int) -> np.ndarray:
@@ -159,7 +208,7 @@ class RngStream:
         while filled < n:
             need = n - filled
             want_pairs = (need + 1) // 2
-            batch = min(max(want_pairs * 9 // 7 + 8, 64), 1 << 16)
+            batch = _polar_batch(want_pairs)
             w = _words_at(self._seed, self._pos, 2 * batch)
             u = (w >> _S11).astype(np.float64)
             u *= _U53
@@ -234,10 +283,91 @@ def sphere_direction(seed: int, d: int) -> np.ndarray:
     return g
 
 
-def make_direction(seed: int, d: int, mode: DirectionMode) -> np.ndarray:
-    if mode == DirectionMode.SPHERE:
-        return sphere_direction(seed, d)
-    return gaussian_direction(seed, d)
+def make_direction(
+    seed: int | np.ndarray, d: int, mode: DirectionMode, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The direction of one seed, (d,), or the (k, d) block of a uint64 seed
+    array, written into ``out`` when given.
+
+    Every row is bit-identical to ``gaussian_direction`` or
+    ``sphere_direction`` of its seed. Rows are generated about BLOCK_WORDS
+    raw words at a time: each chunk draws every row's first polar batch in
+    one pass, and a row whose batch holds too few accepted pairs continues
+    on its own ``RngStream``.
+    """
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if np.ndim(seed) == 0:
+        return make_direction(np.array([int(seed) & _MASK64], dtype=np.uint64), d, mode)[0]
+    seeds = np.asarray(seed, dtype=np.uint64)
+    k = len(seeds)
+    if out is None:
+        out = np.empty((k, d))
+    elif out.shape != (k, d):
+        raise ValueError(f"out must have shape {(k, d)}, got {out.shape}")
+    want = (d + 1) // 2
+    pairs = _polar_batch(want)
+    # (i + 1) * GOLDEN for the first polar batch, split into the first and
+    # the second word of each pair: positions[0, 0, j] is word 2j's
+    positions = np.arange(1, 2 * pairs + 1, dtype=np.uint64).reshape(pairs, 2).T.copy()
+    positions *= _NP_GOLDEN
+    positions = positions[:, None, :]
+    rows = max(1, BLOCK_WORDS // (2 * pairs))
+    for a in range(0, k, rows):
+        block = out[a : a + rows]
+        _gaussian_rows(seeds[a : a + rows], positions, want, block)
+        if mode == DirectionMode.SPHERE:
+            norms = np.sqrt([_chunked_sumsq(row) for row in block])
+            for r in np.flatnonzero(norms == 0.0):  # measure-zero guard, as in sphere_direction
+                block[r] = sphere_direction(int(seeds[a + r]), d)
+                norms[r] = 1.0
+            block /= norms[:, None]
+    return out
+
+
+def _gaussian_rows(seeds: np.ndarray, positions: np.ndarray, want: int, out: np.ndarray) -> None:
+    """Fill out[r] with the first d Gaussians of stream seeds[r].
+
+    ``positions`` is the (2, 1, pairs) grid of (i + 1) * GOLDEN of one
+    polar batch. The accepted pairs of the whole chunk come from one
+    flatnonzero, and a searchsorted at the row starts splits them by row.
+    A row with at least ``want`` accepted pairs takes the first ``want``;
+    a shorter row keeps all of them and continues its own stream after the
+    batch, exactly as ``RngStream.gaussians`` does.
+    """
+    n, d = out.shape
+    pairs = positions.shape[2]
+    z = positions + seeds[:, None]
+    _fmix64_inplace(z)
+    z >>= _S11
+    v = z.astype(np.float64)
+    v *= 2.0 * _U53  # = (u * 2**-53) * 2 exactly: both factors are powers of two
+    v -= 1.0
+    v1, v2 = v[0].reshape(-1), v[1].reshape(-1)
+    s = v1 * v1
+    s += v2 * v2
+    acc = np.flatnonzero((s > 0.0) & (s < 1.0))
+    s = s[acc]
+    f = np.log(s)
+    f *= -2.0
+    f /= s
+    np.sqrt(f, out=f)
+    g1 = v1[acc]
+    g1 *= f
+    g2 = v2[acc]
+    g2 *= f
+    starts = np.searchsorted(acc, np.arange(n + 1) * pairs)
+    full = np.diff(starts) >= want
+    first = starts[:-1][full, None] + np.arange(want)
+    rows = slice(None) if full.all() else full
+    out[rows, 0::2] = g1[first]
+    out[rows, 1::2] = g2[first[:, : d // 2]]
+    for r in np.flatnonzero(~full):
+        a, b = starts[r], starts[r + 1]
+        got = 2 * (b - a)
+        out[r, 0:got:2] = g1[a:b]
+        out[r, 1:got:2] = g2[a:b]
+        out[r, got:] = RngStream(int(seeds[r]), 2 * pairs).gaussians(d - got)
 
 
 def perturb_inplace(

@@ -20,6 +20,7 @@ from .seedstream import (
     SeedTuple,
     StreamKind,
     derive_seed,
+    derive_seeds,
     make_direction,
     perturb_inplace,
 )
@@ -58,8 +59,14 @@ class ZoConfig:
         return float(d) if self.direction_mode == DirectionMode.SPHERE else 1.0
 
 
-def direction_seed(root: int, step: int, sample: int, epoch: int = 0) -> int:
-    return derive_seed(SeedTuple(root, step, sample, epoch, StreamKind.DIRECTION))
+def direction_seed(
+    root: int, step: int, sample: int | np.ndarray, epoch: int = 0
+) -> int | np.ndarray:
+    """Seed of direction ``sample`` at (root, step, epoch); an integer array
+    of samples gives the uint64 array of their seeds."""
+    if np.ndim(sample) == 0:
+        return derive_seed(SeedTuple(root, step, sample, epoch, StreamKind.DIRECTION))
+    return derive_seeds(root, step, sample, epoch, StreamKind.DIRECTION)
 
 
 def zo_coefficient(
@@ -131,17 +138,16 @@ def apply_update(
 
     Directions are applied in ascending r; federator and clients run this
     identical sequence, so their states stay bit-identical. ``directions``
-    may carry the step's cached (k, d) block; without it each direction is
-    regenerated from (root, step, r, epoch).
+    may carry the step's cached (k, d) block; without it the block is
+    regenerated from the seeds (root, step, r, epoch), r = 0..k-1.
     """
     if not np.all(np.isfinite(agg_coeffs)):
         raise NonFiniteLossError(f"non-finite aggregated coefficients at step {step}", step=step)
     k = cfg.k
     if len(agg_coeffs) != k:
         raise ValueError(f"expected {k} aggregated coefficients, got {len(agg_coeffs)}")
+    if directions is None:
+        directions = make_direction(direction_seed(root_seed, step, np.arange(k), epoch), len(w),
+                                    cfg.direction_mode)
     for r in range(k):
-        scale = -(eta * float(agg_coeffs[r]) / k)
-        if directions is None:
-            perturb_inplace(w, scale, direction_seed(root_seed, step, r, epoch), cfg.direction_mode)
-        else:
-            w += scale * directions[r]
+        w += -(eta * float(agg_coeffs[r]) / k) * directions[r]

@@ -1,8 +1,14 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from cyber0.federation import ExperimentConfig, mnist_available
+
+# property tests draw the same examples on every run and keep no example
+# database on disk, so a tier-1 run is as reproducible as the simulator
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 PROFILE_DIR = Path(__file__).resolve().parent.parent / "profiles"
 

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cyber0 import seedstream
 from cyber0.seedstream import (
     CHUNK,
     DirectionMode,
@@ -11,9 +14,11 @@ from cyber0.seedstream import (
     StreamKind,
     derive_seed,
     gaussian_direction,
+    make_direction,
     perturb_inplace,
     sphere_direction,
 )
+from cyber0.zo import direction_seed
 
 MASK = (1 << 64) - 1
 
@@ -137,6 +142,93 @@ class TestDirections:
     def test_determinism(self):
         assert np.array_equal(gaussian_direction(9, 3000), gaussian_direction(9, 3000))
         assert np.array_equal(sphere_direction(9, 3000), sphere_direction(9, 3000))
+
+
+REFERENCE = {DirectionMode.GAUSSIAN: gaussian_direction, DirectionMode.SPHERE: sphere_direction}
+MODES = [DirectionMode.GAUSSIAN, DirectionMode.SPHERE]
+
+
+def assert_rows_match_reference(block, seeds, d, mode):
+    assert block.shape == (len(seeds), d)
+    for row, seed in zip(block, seeds):
+        assert np.array_equal(row, REFERENCE[mode](int(seed), d))
+
+
+class TestDirectionBlock:
+    """The (k, d) block generator against the per-seed RngStream reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, MASK), min_size=1, max_size=70),
+        d=st.integers(1, 9000),
+        mode=st.sampled_from(MODES),
+    )
+    def test_block_equals_per_seed_stream(self, seeds, d, mode):
+        seeds = np.array(seeds, dtype=np.uint64)
+        assert_rows_match_reference(make_direction(seeds, d, mode), seeds, d, mode)
+        one = int(seeds[0])
+        assert np.array_equal(make_direction(one, d, mode), REFERENCE[mode](one, d))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_short_rows_fall_back_to_their_stream(self, mode, monkeypatch):
+        # at d = 7850 about one row in fifteen finds too few accepted pairs
+        # in its first polar batch and continues on its own stream
+        d = 7850
+        seeds = direction_seed(5, 3, np.arange(64), 0)
+        fallback = []
+
+        class CountingStream(RngStream):
+            def __init__(self, seed, position=0):
+                fallback.append(seed)
+                super().__init__(seed, position)
+
+        monkeypatch.setattr(seedstream, "RngStream", CountingStream)
+        block = make_direction(seeds, d, mode)
+        monkeypatch.undo()
+        assert len(fallback) >= 1
+        assert_rows_match_reference(block, seeds, d, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d", [16, 7850])
+    def test_output_does_not_depend_on_chunk_budget(self, mode, d, monkeypatch):
+        # the seeds of the short-row test, so that at d = 7850 short rows
+        # also sit inside a many-row chunk
+        seeds = direction_seed(5, 3, np.arange(64), 0)
+        default = make_direction(seeds, d, mode)
+        for budget in (1, 1 << 62):  # one row per chunk; the whole block in one chunk
+            monkeypatch.setattr(seedstream, "BLOCK_WORDS", budget)
+            assert np.array_equal(make_direction(seeds, d, mode), default)
+
+    def test_fills_out_in_place(self):
+        seeds = direction_seed(1, 2, np.arange(5))
+        out = np.full((5, 33), np.nan)
+        assert make_direction(seeds, 33, DirectionMode.SPHERE, out=out) is out
+        assert_rows_match_reference(out, seeds, 33, DirectionMode.SPHERE)
+        with pytest.raises(ValueError):
+            make_direction(seeds, 33, DirectionMode.SPHERE, out=np.empty((4, 33)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        root=st.integers(0, MASK),
+        step=st.integers(0, MASK),
+        epoch=st.integers(0, MASK),
+        samples=st.lists(st.integers(0, MASK), min_size=1, max_size=40),
+    )
+    def test_vectorised_direction_seed_equals_scalar(self, root, step, epoch, samples):
+        got = direction_seed(root, step, np.array(samples, dtype=np.uint64), epoch)
+        assert got.dtype == np.uint64
+        assert [int(v) for v in got] == [
+            derive_seed(SeedTuple(root, step, r, epoch, StreamKind.DIRECTION)) for r in samples
+        ]
+
+    def test_vectorised_direction_seed_edges(self):
+        big = MASK
+        for root, step, epoch in ((big, 0, 0), (big, big, big), (0, 2**40 + 7, 2**33)):
+            got = direction_seed(root, step, np.arange(70), epoch)
+            assert [int(v) for v in got] == [reference_derive(root, step, r, epoch, 1)
+                                             for r in range(70)]
+        with pytest.raises(ValueError):
+            direction_seed(1, 0, np.array([0, -1]))
 
 
 class TestPerturb:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cyber0.losses import LogisticRegressionModel, QuadraticModel
-from cyber0.seedstream import DirectionMode, RngStream, sphere_direction
+from cyber0.seedstream import DirectionMode, RngStream, gaussian_direction, sphere_direction
 from cyber0.zo import (
     NonFiniteLossError,
     ZoConfig,
@@ -154,8 +154,6 @@ class TestApplyUpdate:
         w = RngStream(6).gaussians(50) * 0.2
         expected = w.copy()
         seed = direction_seed(11, 4, 0, 0)
-        from cyber0.seedstream import gaussian_direction
-
         z = gaussian_direction(seed, 50)
         coeff = 0.37
         expected += (-(0.05 * coeff / 1)) * z
@@ -171,6 +169,20 @@ class TestApplyUpdate:
             apply_update(w_fed, coeffs, t, 0, 0.02, cfg, root_seed=21)
             apply_update(w_cli, coeffs, t, 0, 0.02, cfg, root_seed=21)
         assert np.array_equal(w_fed, w_cli)
+
+    @pytest.mark.parametrize("cfg", [gaussian_cfg(1e-3, k=8), sphere_cfg(1e-3, k=8)])
+    def test_regenerated_block_matches_per_seed_replay(self, cfg):
+        # without cached directions the k directions come from one block
+        # call; the update must equal k per-seed regenerations in ascending r
+        sphere = cfg.direction_mode == DirectionMode.SPHERE
+        make = sphere_direction if sphere else gaussian_direction
+        w = RngStream(9).gaussians(300) * 0.3
+        coeffs = RngStream(10).gaussians(8)
+        expected = w.copy()
+        for r in range(8):
+            expected += -(0.02 * float(coeffs[r]) / 8) * make(direction_seed(21, 6, r, 1), 300)
+        apply_update(w, coeffs, 6, 1, 0.02, cfg, root_seed=21)
+        assert np.array_equal(w, expected)
 
     def test_rejects_nonfinite_and_wrong_length(self):
         cfg = gaussian_cfg(1e-3, k=2)
