@@ -122,14 +122,25 @@ def _execute_run(config: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _read_config(path: str) -> ExperimentConfig | None:
+    """``load_config``, or None after one ``error:`` line when the file is
+    missing, unreadable, not UTF-8 text, or does not parse."""
     try:
-        config = load_config(args.config)
+        return load_config(path)
     except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return 2
+        print(f"error: config file not found: {path}", file=sys.stderr)
+    except OSError as exc:  # a directory, no permission
+        print(f"error: cannot read config file {path}: {exc.strerror}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text (byte {exc.start})", file=sys.stderr)
     except ConfigParseError as exc:
-        print(f"error: {args.config}: {exc}", file=sys.stderr)
+        print(f"error: {path}: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    config = _read_config(args.config)
+    if config is None:
         return 2
     return _execute_run(config, Path(args.out))
 
@@ -148,13 +159,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        base = load_config(args.config)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return 2
-    except ConfigParseError as exc:
-        print(f"error: {args.config}: {exc}", file=sys.stderr)
+    base = _read_config(args.config)
+    if base is None:
         return 2
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
@@ -163,18 +169,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.param not in base.to_mapping():
         print(f"error: unknown sweep parameter {args.param!r}", file=sys.stderr)
         return 2
-    out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
-    summary = ["param,value,final_step,final_train_loss,final_test_acc,"
-               "uplink_scalars,downlink_scalars"]
+    # every value is checked before the first run, so a usage error leaves
+    # no partial output behind
+    configs = []
     for value in values:
         mapping = base.to_mapping()
         mapping[args.param] = value
         try:
-            config = ExperimentConfig.from_mapping(mapping)
+            configs.append(ExperimentConfig.from_mapping(mapping))
         except (KeyError, ValueError) as exc:
             print(f"error: {args.param}={value}: {exc}", file=sys.stderr)
             return 2
+    out_root = Path(args.out)
+    summary = ["param,value,final_step,final_train_loss,final_test_acc,"
+               "uplink_scalars,downlink_scalars"]
+    for value, config in zip(values, configs):
         sub_dir = out_root / f"{args.param}={value}"
         code = _execute_run(config, sub_dir)
         if code != 0:

@@ -24,7 +24,15 @@ from .core import project_ball
 from .data import BatchCursor, Dataset, load_idx, partition_iid, partition_noniid, synth_generate
 from .losses import LogisticRegressionModel, QuadraticModel
 from .robust import coordwise_trimmed_mean, mean_aggregate, robust_direction_aggregate
-from .seedstream import DirectionMode, SeedTuple, StreamKind, derive_seed, make_direction, sphere_direction
+from .seedstream import (
+    WINDOW_VALUES,
+    DirectionMode,
+    SeedTuple,
+    StreamKind,
+    derive_seed,
+    make_direction,
+    sphere_direction,
+)
 from .zo import NonFiniteLossError, ZoConfig, apply_update, direction_seed
 
 THREADS_ENV = "CYBER0_THREADS"
@@ -399,71 +407,77 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
     """Seed-replay zero-order training: each client runs E local epochs of
     k directions per step and uploads the E*k coefficients.
 
-    The step's directions live in one (E, k, d) block allocated once per
-    run. Each epoch's (k, d) slice is filled by one ``make_direction`` call
-    over the epoch's k seeds and laid out once by ``prepare_variants`` into
-    a per-run buffer. Every client evaluates its bracket losses against
-    that shared layout at its own w: the synchronized w in epoch 0, its
-    locally drifted copy after that. The same block feeds the mu = 0
-    projection and the replay."""
+    Directions are generated a window of W rounds at a time into one
+    (W, E, k, d) block allocated once per run, with one ``direction_seed``
+    call over the window's (step, epoch, sample) grid and one
+    ``make_direction`` call; W is the largest count of rounds whose
+    directions fit ``WINDOW_VALUES`` doubles (at least one round), so a
+    theory round at d = 16 shares a window with 255 others while an
+    MNIST-sized round has its own. Directions depend on the seeds alone,
+    so the window changes speed and memory only, never the run. Each
+    epoch's (k, d) slice is laid out once by ``prepare_variants`` into a
+    per-run buffer. Every client evaluates its bracket losses against that
+    shared layout at its own w: the synchronized w in epoch 0, its locally
+    drifted copy after that. The same block feeds the mu = 0 projection and
+    the replay."""
     setup = _Setup(config)
     threads = _thread_count()
     zo = setup.zo
-    E, k = config.local_epochs, config.k
-    scale = zo.scale(setup.d)
+    E, k, d = config.local_epochs, config.k, setup.d
+    scale = zo.scale(d)
     replicas = _make_replicas(setup) if config.debug_replicas else None
     logs: list[RoundLog] = []
     started = time.monotonic()
-    dirs = np.empty((E, k, setup.d))
+    window = max(1, min(config.steps, WINDOW_VALUES // (E * k * d)))
+    dirs = np.empty((window, E, k, d))
     layouts = [None] * E
-    samples = np.arange(k)
+    # the quadratic is data-free: every client starts from the synchronized
+    # w with no batch, so one client's coefficient rows serve all of them
+    workers = setup.computing if setup.train is not None else setup.computing[:1]
 
     for t in range(config.steps):
+        if t % window == 0:
+            n = min(window, config.steps - t)
+            seeds = direction_seed(config.root_seed, np.arange(t, t + n)[:, None, None],
+                                   np.arange(k), np.arange(E)[:, None])
+            make_direction(seeds.reshape(-1), d, zo.direction_mode, out=dirs[:n].reshape(-1, d))
+        step_dirs = dirs[t % window]
         epoch_batches = [setup.batches_for_step() for _ in range(E)]
         do_log = _should_log(config, t)
         tr_loss = setup.train_loss(setup.w, epoch_batches[0]) if do_log else float("nan")
-
-        for e in range(E):
-            make_direction(direction_seed(config.root_seed, t, samples, e), setup.d,
-                           zo.direction_mode, out=dirs[e])
-            if not config.mu_zero:
-                layouts[e] = setup.model.prepare_variants(dirs[e], layouts[e])
+        if not config.mu_zero:
+            for e in range(E):
+                layouts[e] = setup.model.prepare_variants(step_dirs[e], layouts[e])
 
         def coefficients(w: np.ndarray, e: int, batch) -> np.ndarray:
             if config.mu_zero:
-                return scale * (dirs[e] @ setup.model.grad(w, batch))
+                return scale * (step_dirs[e] @ setup.model.grad(w, batch))
             plus, minus = setup.model.loss_batch_multi(layouts[e], batch, w, config.mu)
             return scale * (plus - minus) / (2.0 * config.mu)
 
-        # the quadratic is data-free: in epoch 0 every client brackets the
-        # same points at the synchronized w, so one evaluation serves all
-        shared = coefficients(setup.w, 0, None) if setup.train is None else None
-
         def worker(i: int) -> np.ndarray:
             coeffs = np.empty((E, k))
-            if shared is None:
-                coeffs[0] = coefficients(setup.w, 0, epoch_batches[0][i])
-            else:
-                coeffs[0] = shared
+            coeffs[0] = coefficients(setup.w, 0, epoch_batches[0][i])
             if E > 1:
                 local = setup.w.copy()  # local drift never touches the synchronized w
                 for e in range(1, E):
                     apply_update(local, coeffs[e - 1], t, e - 1, config.eta, zo, config.root_seed,
-                                 directions=dirs[e - 1])
+                                 directions=step_dirs[e - 1])
                     coeffs[e] = coefficients(local, e, epoch_batches[e][i])
             return coeffs.reshape(-1)
 
+        rows = _map_clients(worker, workers, threads)
         matrix = np.zeros((config.clients, E * k))
-        for i, coeffs in _map_clients(worker, setup.computing, threads).items():
-            matrix[i] = coeffs
+        for i in setup.computing:
+            matrix[i] = rows.get(i, rows[workers[0]])
         _check_finite(matrix, t, setup.computing)
         _substitute_byzantine(setup, matrix, t)
         agg = robust_direction_aggregate(matrix, config.beta)
-        _replay(setup, setup.w, agg, dirs, t)
+        _replay(setup, setup.w, agg, step_dirs, t)
         if config.project_radius > 0:
             setup.w = project_ball(setup.w, config.project_radius)
         if replicas is not None:
-            _advance_replicas(setup, replicas, agg, dirs, t)
+            _advance_replicas(setup, replicas, agg, step_dirs, t)
         _finish_round(setup, logs, t, tr_loss, started, do_log)
     return RunResult(config, logs, setup.w)
 

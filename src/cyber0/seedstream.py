@@ -38,14 +38,19 @@ reproduce every stream bit for bit:
   same stream.
 
 ``RngStream`` is the reference implementation of these rules. The engine
-derives a step's k seeds with one call (``derive_seeds``) and fills its
-(k, d) direction block with one ``make_direction`` call, which draws the
-first polar batch of many rows in one vectorised pass. A row whose first
+generates directions a window of rounds at a time: one ``derive_seeds``
+call over the window's (step, epoch, sample) grid, and one
+``make_direction`` call that fills the window's rows, drawing the first
+polar batch of many rows in one vectorised pass. A window holds as many
+rounds as fit ``WINDOW_VALUES`` doubles, at least one. A row whose first
 batch holds too few accepted pairs (about one in fifteen at d = 7850, none
 at d = 16) keeps them and continues on its own ``RngStream``, as the
-reference does. Block generation is bit-identical to the per-seed streams
-and is not part of the frozen identity: how rows are grouped and chunked
-(``BLOCK_WORDS``) changes speed and memory only.
+reference does. Sphere rows are normalised with one stacked matmul per
+CHUNK-wide column slice, which sums each slice with the same dot routine
+and in the same chunk order as ``_chunked_sumsq``. Windowed, block and
+batched-norm generation are bit-identical to the per-seed streams and are
+not part of the frozen identity: how rows are grouped into windows and
+chunks (``WINDOW_VALUES``, ``BLOCK_WORDS``) changes speed and memory only.
 """
 
 from __future__ import annotations
@@ -73,10 +78,15 @@ CHUNK = 4096
 
 # raw words per chunk of rows in block direction generation (at least one
 # row per chunk); sets speed and memory, never the output. The theory
-# round's 16 rows at d = 16 (128 words each) share one chunk; at d = 7850
-# (10,108 words) every row is its own chunk, as larger chunks measured
-# slower there and hold more memory.
-BLOCK_WORDS = 4096
+# round's rows at d = 16 (128 words each) go 128 to a chunk; at d = 7850
+# (10,108 words) every row is its own chunk, as larger chunks measured no
+# faster there and hold more memory.
+BLOCK_WORDS = 16384
+
+# direction values (doubles) the engine generates at once: it fills the
+# directions of as many rounds as fit, and at least one round (256 theory
+# rounds at d = 16, k = 16; one MNIST-sized round at d = 7850, k = 64)
+WINDOW_VALUES = 1 << 16
 
 
 class StreamKind(IntEnum):
@@ -131,24 +141,25 @@ def derive_seed(t: SeedTuple) -> int:
 
 
 def derive_seeds(
-    root: int, step: int, samples: np.ndarray, epoch: int, kind: StreamKind
+    root: int, step: int | np.ndarray, sample: int | np.ndarray, epoch: int | np.ndarray,
+    kind: StreamKind,
 ) -> np.ndarray:
-    """``derive_seed`` over an integer array of samples, as uint64.
+    """``derive_seed`` broadcast over integers or integer arrays of step,
+    sample and epoch, as a uint64 array of the broadcast shape.
 
-    (root, step) are absorbed once with Python integers; the remaining
-    three words run as one numpy fmix64 per word over all samples.
+    The root is absorbed once with Python integers; every other word runs
+    as one numpy fmix64 over the whole broadcast shape.
     """
-    samples = np.asarray(samples)
-    if samples.dtype.kind not in "iu" or (samples.size and samples.min() < 0):
-        raise ValueError("samples must be non-negative integers")
-    if step < 0 or epoch < 0:
-        raise ValueError("step and epoch must be non-negative")
-    h = _fmix64(_fmix64(root & _MASK64) ^ (step & _MASK64))
-    z = samples.astype(np.uint64)
-    z ^= np.uint64(h)
-    for word in (epoch, int(kind)):
+    words = [np.asarray(x) for x in (step, sample, epoch)]
+    for x in words:
+        if x.dtype.kind not in "iu" or (x.size and x.min() < 0):
+            raise ValueError("step, sample and epoch must be non-negative integers")
+    z = np.full(np.broadcast_shapes(*(x.shape for x in words)), _fmix64(root & _MASK64),
+                dtype=np.uint64)
+    for x in words:
+        z ^= x.astype(np.uint64)
         _fmix64_inplace(z)
-        z ^= np.uint64(word & _MASK64)
+    z ^= np.uint64(int(kind))
     return _fmix64_inplace(z)
 
 
@@ -270,6 +281,20 @@ def _chunked_sumsq(vec: np.ndarray) -> float:
     return total
 
 
+def _rows_sumsq(block: np.ndarray) -> np.ndarray:
+    """``_chunked_sumsq`` of every row of an (n, d) block, bit for bit.
+
+    Each CHUNK-wide column slice takes one stacked (1, c) @ (c, 1) matmul,
+    which numpy computes with the same dot routine as ``np.dot`` (einsum
+    takes another summation order), and the slices add up in chunk order.
+    """
+    total = np.zeros(len(block))
+    for a in range(0, block.shape[1], CHUNK):
+        b = block[:, a : a + CHUNK]
+        total += np.matmul(b[:, None, :], b[:, :, None]).reshape(-1)
+    return total
+
+
 def sphere_direction(seed: int, d: int) -> np.ndarray:
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -292,8 +317,9 @@ def make_direction(
     Every row is bit-identical to ``gaussian_direction`` or
     ``sphere_direction`` of its seed. Rows are generated about BLOCK_WORDS
     raw words at a time: each chunk draws every row's first polar batch in
-    one pass, and a row whose batch holds too few accepted pairs continues
-    on its own ``RngStream``.
+    one pass, a row whose batch holds too few accepted pairs continues on
+    its own ``RngStream``, and sphere rows take their norms from
+    ``_rows_sumsq``.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -317,7 +343,7 @@ def make_direction(
         block = out[a : a + rows]
         _gaussian_rows(seeds[a : a + rows], positions, want, block)
         if mode == DirectionMode.SPHERE:
-            norms = np.sqrt([_chunked_sumsq(row) for row in block])
+            norms = np.sqrt(_rows_sumsq(block))
             for r in np.flatnonzero(norms == 0.0):  # measure-zero guard, as in sphere_direction
                 block[r] = sphere_direction(int(seeds[a + r]), d)
                 norms[r] = 1.0

@@ -60,11 +60,12 @@ class ZoConfig:
 
 
 def direction_seed(
-    root: int, step: int, sample: int | np.ndarray, epoch: int = 0
+    root: int, step: int | np.ndarray, sample: int | np.ndarray, epoch: int | np.ndarray = 0
 ) -> int | np.ndarray:
-    """Seed of direction ``sample`` at (root, step, epoch); an integer array
-    of samples gives the uint64 array of their seeds."""
-    if np.ndim(sample) == 0:
+    """Seed of direction ``sample`` at (root, step, epoch). Integer arrays of
+    step, sample or epoch broadcast against each other and give the uint64
+    array of their seeds."""
+    if np.ndim(step) == np.ndim(sample) == np.ndim(epoch) == 0:
         return derive_seed(SeedTuple(root, step, sample, epoch, StreamKind.DIRECTION))
     return derive_seeds(root, step, sample, epoch, StreamKind.DIRECTION)
 
@@ -149,5 +150,14 @@ def apply_update(
     if directions is None:
         directions = make_direction(direction_seed(root_seed, step, np.arange(k), epoch), len(w),
                                     cfg.direction_mode)
-    for r in range(k):
-        w += -(eta * float(agg_coeffs[r]) / k) * directions[r]
+    scales = -(eta * np.asarray(agg_coeffs, dtype=np.float64) / k)
+    if len(w) <= 4 * k:
+        # few columns per row: one cumsum down the rows, which costs per
+        # column, beats k row updates, which cost per row. Both add the
+        # rows to w one at a time in ascending r.
+        rows = directions * scales[:, None]
+        rows[0] += w
+        w[:] = np.cumsum(rows, axis=0, out=rows)[-1]
+    else:
+        for r in range(k):
+            w += scales[r] * directions[r]

@@ -1,7 +1,10 @@
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from cyber0.federation import ExperimentConfig, mnist_available
 
@@ -9,6 +12,24 @@ from cyber0.federation import ExperimentConfig, mnist_available
 # database on disk, so a tier-1 run is as reproducible as the simulator
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+_HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    # hypothesis caches literals scraped from local source files under its
+    # home directory even without an example database; a home that lives
+    # only as long as the session keeps a test run from writing into the
+    # checkout
+    config.stash[_HYPOTHESIS_HOME] = tempfile.mkdtemp(prefix="cyber0-hypothesis-")
+    set_hypothesis_home_dir(config.stash[_HYPOTHESIS_HOME])
+
+
+def pytest_unconfigure(config):
+    home = config.stash.get(_HYPOTHESIS_HOME, None)
+    if home is not None:
+        shutil.rmtree(home, ignore_errors=True)
+
 
 PROFILE_DIR = Path(__file__).resolve().parent.parent / "profiles"
 

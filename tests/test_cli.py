@@ -136,6 +136,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    def test_directory_config_exit_2(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# r\u00e9sum\u00e9\nsteps = 5\n".encode("latin-1"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_divergent_run_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(
@@ -190,6 +203,23 @@ class TestSweep:
         assert main(["sweep", str(cfg), "--param", "k",
                      "--values", "4", "--out", str(tmp_path / "s")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unreadable_config_exit_2(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes("# r\u00e9sum\u00e9\nsteps = 5\n".encode("latin-1"))
+        for config in (tmp_path, latin1):
+            assert main(["sweep", str(config), "--param", "k",
+                         "--values", "4", "--out", str(tmp_path / "s")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_bad_later_value_writes_nothing(self, fast_config, tmp_path, capsys):
+        # a usage error in any value is reported before the first run
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(fast_config), "--param", "steps",
+                     "--values", "2,abc", "--out", str(out)]) == 2
+        assert "steps=abc" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_value_exit_2(self, fast_config, tmp_path):
         assert main(["sweep", str(fast_config), "--param", "alpha",

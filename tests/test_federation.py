@@ -1,8 +1,11 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cyber0 import federation
+from cyber0.cli import csv_lines, load_config
 from cyber0.federation import (
     ExperimentConfig,
     THREADS_ENV,
@@ -11,7 +14,7 @@ from cyber0.federation import (
     run_cyber0,
     run_experiment,
 )
-from cyber0.losses import LogisticRegressionModel
+from cyber0.losses import LogisticRegressionModel, QuadraticModel
 from cyber0.robust import robust_direction_aggregate
 from cyber0.zo import NonFiniteLossError, apply_update, direction_seed, zo_coefficient
 
@@ -142,8 +145,6 @@ class TestEnginePathsAgree:
         # w in later epochs
         cfg = ExperimentConfig(**{**SYNTH, "steps": 1, "clients": 3, "k": 4, "eval_every": 1,
                                   "local_epochs": local_epochs})
-        from cyber0 import federation
-
         seen = []
 
         def spy(matrix, beta):
@@ -172,6 +173,46 @@ class TestEnginePathsAgree:
         b = run_cyber0(ExperimentConfig(**{**QUAD, "mu": 1e-4, "mu_zero": False}))
         for x, y in zip(a.logs, b.logs):
             assert x.train_loss == pytest.approx(y.train_loss, rel=1e-6, abs=1e-12)
+
+
+class TestDirectionWindow:
+    @pytest.mark.parametrize("local_epochs", [1, 3])
+    @pytest.mark.parametrize("base", [QUAD, SYNTH], ids=["quad", "synth"])
+    def test_output_does_not_depend_on_window(self, base, local_epochs, monkeypatch):
+        # the default budget holds the whole run here; 3 rounds per window
+        # leaves a short last window (10 steps), 1 round is a window per step
+        cfg = ExperimentConfig(**{**base, "mu": 1e-3, "mu_zero": False, "steps": 10,
+                                  "eval_every": 3, "local_epochs": local_epochs})
+        per_round = local_epochs * cfg.k * model_dimension(cfg)
+        assert federation.WINDOW_VALUES // per_round >= cfg.steps
+
+        def run(budget):
+            monkeypatch.setattr(federation, "WINDOW_VALUES", budget)
+            res = run_cyber0(cfg)
+            return res.final_w, csv_lines(res.logs)
+
+        default = run(federation.WINDOW_VALUES)
+        for rounds in (1, 3):
+            w, lines = run(rounds * per_round)
+            assert np.array_equal(w, default[0]) and lines == default[1]
+
+
+class TestDataFreeQuadratic:
+    def test_one_worker_serves_every_client(self, profile_dir, monkeypatch):
+        # every client starts from the synchronized w with no batch, so one
+        # client's E epochs are computed once per round, not once per client
+        cfg = replace(load_config(profile_dir / "quad_mu_floor.cfg"), local_epochs=2, steps=5)
+        assert cfg.clients == 4
+        calls = []
+        kernel = QuadraticModel.loss_batch_multi
+
+        def counting(self, *args):
+            calls.append(1)
+            return kernel(self, *args)
+
+        monkeypatch.setattr(QuadraticModel, "loss_batch_multi", counting)
+        run_cyber0(cfg)
+        assert len(calls) == cfg.steps * cfg.local_epochs
 
 
 class TestBaselines:

@@ -210,16 +210,24 @@ class TestDirectionBlock:
     @settings(max_examples=60, deadline=None)
     @given(
         root=st.integers(0, MASK),
-        step=st.integers(0, MASK),
-        epoch=st.integers(0, MASK),
+        steps=st.lists(st.integers(0, MASK), min_size=1, max_size=5),
+        epochs=st.lists(st.integers(0, MASK), min_size=1, max_size=4),
         samples=st.lists(st.integers(0, MASK), min_size=1, max_size=40),
     )
-    def test_vectorised_direction_seed_equals_scalar(self, root, step, epoch, samples):
-        got = direction_seed(root, step, np.array(samples, dtype=np.uint64), epoch)
+    def test_vectorised_direction_seed_equals_scalar(self, root, steps, epochs, samples):
+        # step, epoch and sample arrays broadcast against each other, as the
+        # engine's window of rounds asks for them
+        got = direction_seed(root, np.array(steps, dtype=np.uint64)[:, None, None],
+                             np.array(samples, dtype=np.uint64),
+                             np.array(epochs, dtype=np.uint64)[:, None])
         assert got.dtype == np.uint64
-        assert [int(v) for v in got] == [
-            derive_seed(SeedTuple(root, step, r, epoch, StreamKind.DIRECTION)) for r in samples
-        ]
+        assert got.shape == (len(steps), len(epochs), len(samples))
+        for i, step in enumerate(steps):
+            for e, epoch in enumerate(epochs):
+                assert [int(v) for v in got[i, e]] == [
+                    derive_seed(SeedTuple(root, step, r, epoch, StreamKind.DIRECTION))
+                    for r in samples
+                ]
 
     def test_vectorised_direction_seed_edges(self):
         big = MASK
@@ -227,8 +235,28 @@ class TestDirectionBlock:
             got = direction_seed(root, step, np.arange(70), epoch)
             assert [int(v) for v in got] == [reference_derive(root, step, r, epoch, 1)
                                              for r in range(70)]
-        with pytest.raises(ValueError):
-            direction_seed(1, 0, np.array([0, -1]))
+        # arrays of large steps and epochs, with a scalar sample
+        steps = np.array([big, 2**63, 2**40 + 7], dtype=np.uint64)
+        epochs = np.array([0, 2**33, big], dtype=np.uint64)
+        got = direction_seed(big, steps[:, None], 5, epochs)
+        assert [[int(v) for v in row] for row in got] == [
+            [reference_derive(big, int(t), 5, int(e), 1) for e in epochs] for t in steps
+        ]
+        for bad in ((np.array([0, -1]), 0, 0), (0, np.array([0, -1]), 0),
+                    (0, 0, np.array([-1])), (np.array([0.5]), 0, 0)):
+            with pytest.raises(ValueError):
+                direction_seed(1, *bad)
+
+    def test_batched_sphere_norms_match_chunked_reference(self):
+        # d from 1 to 9000, crossing every CHUNK boundary below it
+        ds = list(range(1, 80)) + [d + j for d in (CHUNK, 2 * CHUNK) for j in (-1, 0, 1)]
+        ds += list(range(97, 9001, 611)) + [7850, 9000]
+        for d in ds:
+            block = RngStream(d).gaussians(5 * d).reshape(5, d)
+            block[1] *= 1e-150  # tiny and huge rows round differently
+            block[2] *= 1e150
+            want = np.array([seedstream._chunked_sumsq(row) for row in block])
+            assert np.array_equal(seedstream._rows_sumsq(block), want), d
 
 
 class TestPerturb:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyber0.losses import LogisticRegressionModel, QuadraticModel
 from cyber0.seedstream import DirectionMode, RngStream, gaussian_direction, sphere_direction
@@ -182,6 +184,29 @@ class TestApplyUpdate:
         for r in range(8):
             expected += -(0.02 * float(coeffs[r]) / 8) * make(direction_seed(21, 6, r, 1), 300)
         apply_update(w, coeffs, 6, 1, 0.02, cfg, root_seed=21)
+        assert np.array_equal(w, expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(1, 70),
+        d=st.integers(1, 600),
+        eta=st.floats(1e-6, 10.0),
+        seed=st.integers(0, 2**32),
+        magnitude=st.sampled_from([1e-8, 1.0, 1e6]),
+    )
+    @example(k=16, d=1, eta=0.07, seed=3, magnitude=1.0)
+    @example(k=64, d=16, eta=0.01, seed=4, magnitude=1e6)
+    def test_update_equals_ascending_axpy_loop(self, k, d, eta, seed, magnitude):
+        # d crosses 4k, so both the cumsum and the row-loop replay run; each
+        # must add the k rows into w one at a time in ascending r
+        cfg = gaussian_cfg(1e-3, k=k)
+        directions = RngStream(seed).gaussians(k * d).reshape(k, d)
+        coeffs = RngStream(seed + 1).gaussians(k) * magnitude  # signed
+        w = RngStream(seed + 2).gaussians(d)
+        expected = w.copy()
+        for r in range(k):
+            expected += -(eta * float(coeffs[r]) / k) * directions[r]
+        apply_update(w, coeffs, 0, 0, eta, cfg, root_seed=1, directions=directions)
         assert np.array_equal(w, expected)
 
     def test_rejects_nonfinite_and_wrong_length(self):
