@@ -74,8 +74,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def csv_lines(logs: list[RoundLog]) -> list[str]:
-    # wall_ms is written as 0: the log must be byte-identical across reruns
-    # and thread counts; measured timing lives in the manifest comments
+    # wall_ms is written as 0: the log must be byte-identical across reruns;
+    # measured timing lives in the manifest comments
     lines = [CSV_HEADER]
     for log in logs:
         lines.append(

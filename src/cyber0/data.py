@@ -1,16 +1,18 @@
-"""Dataset ingestion (IDX files), synthetic data, and client partitioning.
+"""Dataset ingestion (IDX files, the MNIST layout), synthetic data, and
+client partitioning.
 
 The IDX layout is the published big-endian format: a 4-byte magic whose
 third byte gives the element type (0x08 = unsigned byte) and fourth the
 number of dimensions, followed by one big-endian uint32 per dimension and
 the raw payload. Files ending in ``.gz`` are decompressed transparently.
-Nothing here touches the network; see scripts/fetch_mnist.py for the
-download tooling.
+MNIST is the four standard IDX files in one directory. Nothing here touches
+the network; see scripts/fetch_mnist.py for the download tooling.
 """
 
 from __future__ import annotations
 
 import gzip
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +23,13 @@ from .seedstream import RngStream, SeedTuple, StreamKind, derive_seed
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
+
+MNIST_DIR_ENV = "CYBER0_MNIST_DIR"
+# (images, labels) IDX file names of each split, plain or with a .gz suffix
+MNIST_FILES = {
+    "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+    "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
+}
 
 
 class IdxFormatError(ValueError):
@@ -51,17 +60,14 @@ class Dataset:
 
 @dataclass
 class Partition:
-    """Disjoint shards of row indices, one per client."""
+    """Disjoint shards of distinct row indices, one per client."""
 
     shards: list[np.ndarray]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for shard in self.shards:
-            rows = set(int(i) for i in shard)
-            if seen & rows:
-                raise ValueError("shards are not disjoint")
-            seen |= rows
+        rows = np.concatenate(self.shards)
+        if len(np.unique(rows)) < len(rows):
+            raise ValueError("shards are not disjoint")
 
 
 def _read_maybe_gzip(path: str | Path) -> bytes:
@@ -106,17 +112,20 @@ def load_idx(path_images: str | Path, path_labels: str | Path) -> Dataset:
     return Dataset(features=features, labels=labels, num_classes=int(labels.max()) + 1)
 
 
-def write_idx(dataset: Dataset, path_images: str | Path, path_labels: str | Path,
-              rows: int, cols: int) -> None:
-    """Write a dataset back to an IDX pair (inverse of load_idx's 1/255 scaling)."""
-    n = len(dataset)
-    if rows * cols != dataset.features.shape[1]:
-        raise ValueError("rows * cols must equal the feature width")
-    pixels = np.rint(dataset.features * 255.0).astype(np.uint8)
-    img = struct.pack(">IIII", IMAGES_MAGIC, n, rows, cols) + pixels.tobytes()
-    lbl = struct.pack(">II", LABELS_MAGIC, n) + dataset.labels.astype(np.uint8).tobytes()
-    Path(path_images).write_bytes(img)
-    Path(path_labels).write_bytes(lbl)
+def _mnist_files(mnist_dir: str, split: str) -> list[Path]:
+    root = Path(mnist_dir or os.environ.get(MNIST_DIR_ENV, "") or "data/mnist")
+    return [root / name if (root / name).exists() else root / (name + ".gz")
+            for name in MNIST_FILES[split]]
+
+
+def mnist_available(mnist_dir: str) -> bool:
+    return all(p.exists() for split in MNIST_FILES for p in _mnist_files(mnist_dir, split))
+
+
+def load_mnist(mnist_dir: str) -> tuple[Dataset, Dataset]:
+    """The (train, test) splits from ``mnist_dir``, else $CYBER0_MNIST_DIR,
+    else data/mnist."""
+    return load_idx(*_mnist_files(mnist_dir, "train")), load_idx(*_mnist_files(mnist_dir, "test"))
 
 
 def synth_generate(seed: int, n: int, p: int, num_classes: int,

@@ -5,23 +5,20 @@ One round: honest clients compute E*k coefficients on seeded batches, the
 adversary substitutes the Byzantine reports with oracle access to the
 honest values, the federator trims per direction, and every replica
 replays the aggregated coefficients through the same seeds.
-Everything is a pure function of the config: reruns and different client
-thread counts produce byte-identical logs.
+Everything is a pure function of the config: reruns produce byte-identical
+logs.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from .adversary import AttackKind, AttackSpec, adversary_seed, byzantine_value, flip_labels
 from .core import project_ball
-from .data import BatchCursor, Dataset, load_idx, partition_iid, partition_noniid, synth_generate
+from .data import BatchCursor, Dataset, load_mnist, partition_iid, partition_noniid, synth_generate
 from .losses import LogisticRegressionModel, QuadraticModel
 from .robust import coordwise_trimmed_mean, mean_aggregate, robust_direction_aggregate
 from .seedstream import (
@@ -34,16 +31,6 @@ from .seedstream import (
     sphere_direction,
 )
 from .zo import NonFiniteLossError, ZoConfig, apply_update, direction_seed
-
-THREADS_ENV = "CYBER0_THREADS"
-MNIST_DIR_ENV = "CYBER0_MNIST_DIR"
-
-MNIST_FILES = {
-    "train_images": "train-images-idx3-ubyte",
-    "train_labels": "train-labels-idx1-ubyte",
-    "test_images": "t10k-images-idx3-ubyte",
-    "test_labels": "t10k-labels-idx1-ubyte",
-}
 
 _CHOICES = {
     "model": ("logreg", "quadratic"),
@@ -214,33 +201,6 @@ def model_dimension(config: ExperimentConfig) -> int:
     return (config.synth_features + 1) * config.synth_classes
 
 
-def resolve_mnist_dir(config: ExperimentConfig) -> Path:
-    root = config.mnist_dir or os.environ.get(MNIST_DIR_ENV, "") or "data/mnist"
-    return Path(root)
-
-
-def mnist_available(config: ExperimentConfig) -> bool:
-    root = resolve_mnist_dir(config)
-    return all(
-        (root / name).exists() or (root / (name + ".gz")).exists()
-        for name in MNIST_FILES.values()
-    )
-
-
-def _mnist_file(root: Path, name: str) -> Path:
-    plain = root / name
-    return plain if plain.exists() else root / (name + ".gz")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    return max(n, 1)
-
-
 class _Setup:
     """Everything a run needs, built deterministically from the config."""
 
@@ -258,15 +218,7 @@ class _Setup:
             self.labels_eff = None
         else:
             if config.data == "mnist":
-                root = resolve_mnist_dir(config)
-                self.train = load_idx(
-                    _mnist_file(root, MNIST_FILES["train_images"]),
-                    _mnist_file(root, MNIST_FILES["train_labels"]),
-                )
-                test = load_idx(
-                    _mnist_file(root, MNIST_FILES["test_images"]),
-                    _mnist_file(root, MNIST_FILES["test_labels"]),
-                )
+                self.train, test = load_mnist(config.mnist_dir)
             else:
                 self.train = synth_generate(
                     config.data_seed, config.synth_samples, config.synth_features,
@@ -340,17 +292,9 @@ class _Setup:
         return self.model.accuracy(w, self.test_X, self.test_y)
 
 
-def _map_clients(worker, clients: list[int], threads: int) -> dict[int, np.ndarray]:
-    """Run per-client work, collecting results keyed by client id so the
-    outcome is independent of scheduling order."""
-    if threads <= 1 or len(clients) <= 1:
-        return {i: worker(i) for i in clients}
-    out: dict[int, np.ndarray] = {}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {i: pool.submit(worker, i) for i in clients}
-        for i, fut in futures.items():
-            out[i] = fut.result()
-    return out
+def _map_clients(worker, clients: list[int]) -> np.ndarray:
+    """Every client's work row, stacked in client order."""
+    return np.stack([worker(i) for i in clients])
 
 
 def _substitute_byzantine(setup: _Setup, matrix: np.ndarray, step: int) -> None:
@@ -421,7 +365,6 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
     drifted copy after that. The same block feeds the mu = 0 projection and
     the replay."""
     setup = _Setup(config)
-    threads = _thread_count()
     zo = setup.zo
     E, k, d = config.local_epochs, config.k, setup.d
     scale = zo.scale(d)
@@ -432,7 +375,7 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
     dirs = np.empty((window, E, k, d))
     layouts = [None] * E
     # the quadratic is data-free: every client starts from the synchronized
-    # w with no batch, so one client's coefficient rows serve all of them
+    # w with no batch, so one client's coefficient row broadcasts to all
     workers = setup.computing if setup.train is not None else setup.computing[:1]
 
     for t in range(config.steps):
@@ -466,10 +409,8 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
                     coeffs[e] = coefficients(local, e, epoch_batches[e][i])
             return coeffs.reshape(-1)
 
-        rows = _map_clients(worker, workers, threads)
         matrix = np.zeros((config.clients, E * k))
-        for i in setup.computing:
-            matrix[i] = rows.get(i, rows[workers[0]])
+        matrix[setup.computing] = _map_clients(worker, workers)
         _check_finite(matrix, t, setup.computing)
         _substitute_byzantine(setup, matrix, t)
         agg = robust_direction_aggregate(matrix, config.beta)
@@ -513,7 +454,6 @@ def _run_first_order(config: ExperimentConfig) -> RunResult:
     """Clients upload full d-dimensional batch gradients; the federator
     averages them (fedavg) or takes their coordinate-wise trimmed mean."""
     setup = _Setup(config)
-    threads = _thread_count()
     logs: list[RoundLog] = []
     started = time.monotonic()
     use_trim = config.algorithm == "coordwise_tm"
@@ -527,8 +467,7 @@ def _run_first_order(config: ExperimentConfig) -> RunResult:
             return setup.model.grad(setup.w, batches[i])
 
         grads = np.zeros((config.clients, setup.d))
-        for i, g in _map_clients(worker, setup.computing, threads).items():
-            grads[i] = g
+        grads[setup.computing] = _map_clients(worker, setup.computing)
         if not np.all(np.isfinite(grads)):
             raise NonFiniteLossError(f"non-finite gradient at step {t}", step=t)
         agg = coordwise_trimmed_mean(grads, config.beta) if use_trim else mean_aggregate(grads)

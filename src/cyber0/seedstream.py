@@ -43,8 +43,8 @@ call over the window's (step, epoch, sample) grid, and one
 ``make_direction`` call that fills the window's rows, drawing the first
 polar batch of many rows in one vectorised pass. A window holds as many
 rounds as fit ``WINDOW_VALUES`` doubles, at least one. A row whose first
-batch holds too few accepted pairs (about one in fifteen at d = 7850, none
-at d = 16) keeps them and continues on its own ``RngStream``, as the
+batch holds too few accepted pairs (about one in fifteen at d = 7850, one
+in 3,000 at d = 16) keeps them and continues on its own ``RngStream``, as the
 reference does. Sphere rows are normalised with one stacked matmul per
 CHUNK-wide column slice, which sums each slice with the same dot routine
 and in the same chunk order as ``_chunked_sumsq``. Windowed, block and
@@ -78,7 +78,7 @@ CHUNK = 4096
 
 # raw words per chunk of rows in block direction generation (at least one
 # row per chunk); sets speed and memory, never the output. The theory
-# round's rows at d = 16 (128 words each) go 128 to a chunk; at d = 7850
+# round's rows at d = 16 (36 words each) go 455 to a chunk; at d = 7850
 # (10,108 words) every row is its own chunk, as larger chunks measured no
 # faster there and hold more memory.
 BLOCK_WORDS = 16384
@@ -183,7 +183,15 @@ def _words_at(seed: int, pos: int, n: int) -> np.ndarray:
 def _polar_batch(want_pairs: int) -> int:
     """Uniform pairs drawn at once when ``want_pairs`` accepted pairs are
     still needed: the expected need at acceptance rate pi/4, with slack."""
-    return min(max(want_pairs * 9 // 7 + 8, 64), 1 << 16)
+    return min(want_pairs * 9 // 7 + 8, 1 << 16)
+
+
+def _polar_factor(s: np.ndarray) -> np.ndarray:
+    """The polar method's f = sqrt(-2 ln(s) / s) of accepted pairs' s."""
+    f = np.log(s)
+    f *= -2.0
+    f /= s
+    return np.sqrt(f, out=f)
 
 
 class RngStream:
@@ -217,49 +225,29 @@ class RngStream:
             self._pending = None
             filled = 1
         while filled < n:
-            need = n - filled
-            want_pairs = (need + 1) // 2
+            want_pairs = (n - filled + 1) // 2
             batch = _polar_batch(want_pairs)
-            w = _words_at(self._seed, self._pos, 2 * batch)
-            u = (w >> _S11).astype(np.float64)
-            u *= _U53
-            v1 = u[0::2].copy()
-            v2 = u[1::2].copy()
-            v1 *= 2.0
-            v1 -= 1.0
-            v2 *= 2.0
-            v2 -= 1.0
+            v = (_words_at(self._seed, self._pos, 2 * batch) >> _S11).astype(np.float64)
+            v *= 2.0 * _U53  # v = 2u - 1 exactly, as in _gaussian_rows
+            v -= 1.0
+            v1, v2 = v[0::2], v[1::2]
             s = v1 * v1
             s += v2 * v2
-            acc = np.flatnonzero((s > 0.0) & (s < 1.0))
-            if len(acc) >= want_pairs:
-                # consume exactly up to the pair that completes the request,
-                # so chunked and one-shot consumption stay bit-identical
-                sel = acc[:want_pairs]
-                self._pos += 2 * (int(sel[-1]) + 1)
-                f = np.log(s[sel])
-                f *= -2.0
-                f /= s[sel]
-                np.sqrt(f, out=f)
-                g = np.empty(2 * want_pairs, dtype=np.float64)
-                g[0::2] = v1[sel] * f
-                g[1::2] = v2[sel] * f
-                out[filled : filled + need] = g[:need]
-                if need % 2 == 1:
-                    self._pending = float(g[-1])
-                filled = n
-            else:
-                self._pos += 2 * batch
-                if len(acc):
-                    f = np.log(s[acc])
-                    f *= -2.0
-                    f /= s[acc]
-                    np.sqrt(f, out=f)
-                    g = np.empty(2 * len(acc), dtype=np.float64)
-                    g[0::2] = v1[acc] * f
-                    g[1::2] = v2[acc] * f
-                    out[filled : filled + len(g)] = g
-                    filled += len(g)
+            sel = np.flatnonzero((s > 0.0) & (s < 1.0))[:want_pairs]
+            # a completed request consumes exactly up to the pair that
+            # completes it, so chunked and one-shot consumption stay
+            # bit-identical; a short batch is consumed whole
+            done = len(sel) == want_pairs
+            self._pos += 2 * (int(sel[-1]) + 1 if done else batch)
+            f = _polar_factor(s[sel])
+            g = np.empty(2 * len(sel), dtype=np.float64)
+            g[0::2] = v1[sel] * f
+            g[1::2] = v2[sel] * f
+            take = min(len(g), n - filled)
+            out[filled : filled + take] = g[:take]
+            filled += take
+            if take < len(g):
+                self._pending = float(g[-1])
         return out
 
     def permutation(self, n: int) -> np.ndarray:
@@ -373,11 +361,7 @@ def _gaussian_rows(seeds: np.ndarray, positions: np.ndarray, want: int, out: np.
     s = v1 * v1
     s += v2 * v2
     acc = np.flatnonzero((s > 0.0) & (s < 1.0))
-    s = s[acc]
-    f = np.log(s)
-    f *= -2.0
-    f /= s
-    np.sqrt(f, out=f)
+    f = _polar_factor(s[acc])
     g1 = v1[acc]
     g1 *= f
     g2 = v2[acc]

@@ -81,31 +81,24 @@ def _sphere_rows(stream: RngStream, n: int, d: int) -> np.ndarray:
     return g
 
 
-def mc_isotropy(d: int, n_samples: int, seed: int) -> float:
-    """Max absolute entrywise deviation of the empirical E[z z^T] from I/d."""
+def _shard_sizes(n: int, shard: int = _SHARD) -> list[int]:
+    """Sizes of the consecutive shards, at most ``shard`` each, that cover n."""
+    return [min(shard, n - a) for a in range(0, n, shard)]
+
+
+def mc_isotropy(d: int, n_samples: int, seed: int) -> tuple[float, float]:
+    """Max absolute entrywise deviation of the empirical E[z z^T] from I/d,
+    and the empirical mean of ||z||^2 / d, from one pass over the draws."""
     stream = RngStream(seed)
     acc = np.zeros((d, d))
-    done = 0
-    while done < n_samples:
-        take = min(_SHARD, n_samples - done)
+    total = 0.0
+    for take in _shard_sizes(n_samples):
         z = _sphere_rows(stream, take, d)
         acc += z.T @ z
-        done += take
+        total += float(np.einsum("nd,nd->", z, z) / d)
     acc /= n_samples
     acc -= np.eye(d) / d
-    return float(np.max(np.abs(acc)))
-
-
-def isotropy_diag_mean(d: int, n_samples: int, seed: int) -> float:
-    stream = RngStream(seed)
-    total = 0.0
-    done = 0
-    while done < n_samples:
-        take = min(_SHARD, n_samples - done)
-        z = _sphere_rows(stream, take, d)
-        total += float(np.einsum("nd,nd->", z, z) / d)
-        done += take
-    return total / n_samples
+    return float(np.max(np.abs(acc))), total / n_samples
 
 
 def mc_norm_factor(d: int, k: int, n_samples: int, x: np.ndarray, seed: int) -> float:
@@ -120,16 +113,12 @@ def mc_norm_factor(d: int, k: int, n_samples: int, x: np.ndarray, seed: int) -> 
     stream = RngStream(seed)
     xsq = float(np.dot(x, x))
     total = 0.0
-    done = 0
-    shard = max(_SHARD // max(k * d, 1), 1)
-    while done < experiments:
-        take = min(shard, experiments - done)
+    for take in _shard_sizes(experiments, max(_SHARD // max(k * d, 1), 1)):
         z = _sphere_rows(stream, take * k, d).reshape(take, k, d)
         c = z @ x  # (take, k)
         est = np.einsum("ek,ekd->ed", c, z)
         est *= d / k
         total += float(np.einsum("ed,ed->", est, est))
-        done += take
     return total / experiments / xsq
 
 
@@ -142,15 +131,12 @@ def mc_cross_abs_bound(d: int, n_pairs: int, x: np.ndarray, seed: int) -> float:
     x = np.asarray(x, dtype=np.float64)
     stream = RngStream(seed)
     total = 0.0
-    done = 0
-    while done < n_pairs:
-        take = min(_SHARD, n_pairs - done)
+    for take in _shard_sizes(n_pairs):
         z1 = _sphere_rows(stream, take, d)
         z2 = _sphere_rows(stream, take, d)
         inner = np.abs(np.einsum("nd,nd->n", z1, z2))
         proj = z1 @ x
         total += float(np.dot(inner, proj * proj))
-        done += take
     return total / n_pairs
 
 
@@ -172,13 +158,10 @@ def smoothed_gap_quadratic(lam: float, mu: float, d: int, n_samples: int, seed: 
     w = dist * _sphere_rows(stream, 1, d)[0]  # w* = 0
     base = 0.5 * lam * float(np.dot(w, w))
     total = 0.0
-    done = 0
-    while done < n_samples:
-        take = min(_SHARD, n_samples - done)
+    for take in _shard_sizes(n_samples):
         z = _sphere_rows(stream, take, d)
         pts = w[None, :] + mu * z
         total += float(np.sum(0.5 * lam * np.einsum("nd,nd->n", pts, pts) - base))
-        done += take
     gap = total / n_samples
     return abs(gap - 0.5 * lam * mu * mu)
 
@@ -233,8 +216,7 @@ def error_floor(config: ExperimentConfig, n_seeds: int, tail_frac: float = 0.1) 
 # The default parameters below are the acceptance settings.
 
 def check_isotropy(d: int = 10, n: int = 1_000_000, seed: int = 2024) -> CheckResult:
-    est = mc_isotropy(d, n, seed)
-    diag = isotropy_diag_mean(d, n, seed)
+    est, diag = mc_isotropy(d, n, seed)
     return CheckResult(
         name=f"isotropy d={d} N={n}",
         estimate=est,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from cyber0.federation import ExperimentConfig, mnist_available
+from cyber0.data import mnist_available
 
 # property tests draw the same examples on every run and keep no example
 # database on disk, so a tier-1 run is as reproducible as the simulator
@@ -39,12 +39,8 @@ _MNIST_SKIP = (
 )
 
 
-def mnist_present() -> bool:
-    return mnist_available(ExperimentConfig(model="logreg", data="mnist"))
-
-
 def pytest_collection_modifyitems(config, items):
-    if mnist_present():
+    if mnist_available(""):  # $CYBER0_MNIST_DIR, else data/mnist
         return
     skip = pytest.mark.skip(reason=_MNIST_SKIP)
     for item in items:

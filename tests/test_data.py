@@ -5,16 +5,29 @@ import numpy as np
 import pytest
 
 from cyber0.data import (
+    IMAGES_MAGIC,
+    LABELS_MAGIC,
     BatchCursor,
     IdxFormatError,
+    Partition,
     load_idx,
     noniid_label_owners,
     partition_iid,
     partition_noniid,
     synth_generate,
-    write_idx,
 )
 from cyber0.losses import LogisticRegressionModel
+
+
+def write_idx(dataset, path_images, path_labels, rows, cols):
+    """Write a dataset back to an IDX pair (inverse of load_idx's 1/255 scaling)."""
+    n = len(dataset)
+    assert rows * cols == dataset.features.shape[1]
+    pixels = np.rint(dataset.features * 255.0).astype(np.uint8)
+    img = struct.pack(">IIII", IMAGES_MAGIC, n, rows, cols) + pixels.tobytes()
+    lbl = struct.pack(">II", LABELS_MAGIC, n) + dataset.labels.astype(np.uint8).tobytes()
+    path_images.write_bytes(img)
+    path_labels.write_bytes(lbl)
 
 
 def build_idx_pair(tmp_path, pixels, labels, gz=False):
@@ -142,6 +155,11 @@ class TestPartitions:
         for a, b in zip(p1.shards, p2.shards):
             assert np.array_equal(a, b)
         assert len(np.concatenate(p1.shards)) == len(np.unique(np.concatenate(p1.shards)))
+
+    def test_overlapping_shards_rejected(self):
+        Partition([np.array([0, 2]), np.array([1, 3])])
+        with pytest.raises(ValueError, match="shards are not disjoint"):
+            Partition([np.array([0, 2]), np.array([1, 2])])
 
     def test_noniid_bijection_case(self):
         # m = C: client i holds exactly label i

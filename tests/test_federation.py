@@ -1,4 +1,3 @@
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +5,9 @@ import pytest
 
 from cyber0 import federation
 from cyber0.cli import csv_lines, load_config
+from cyber0.data import MNIST_FILES, Dataset
 from cyber0.federation import (
     ExperimentConfig,
-    THREADS_ENV,
     comm_cost,
     model_dimension,
     run_cyber0,
@@ -17,6 +16,7 @@ from cyber0.federation import (
 from cyber0.losses import LogisticRegressionModel, QuadraticModel
 from cyber0.robust import robust_direction_aggregate
 from cyber0.zo import NonFiniteLossError, apply_update, direction_seed, zo_coefficient
+from test_data import write_idx
 
 
 SYNTH = dict(
@@ -82,25 +82,10 @@ def logs_equal(a, b):
 
 class TestDeterminism:
     def test_rerun_identical(self):
-        a = run_cyber0(ExperimentConfig(**SYNTH))
-        b = run_cyber0(ExperimentConfig(**SYNTH))
-        assert logs_equal(a.logs, b.logs)
-        assert np.array_equal(a.final_w, b.final_w)
-
-    def test_thread_count_invariance(self):
         for cfg in (ExperimentConfig(**SYNTH),
                     ExperimentConfig(**{**SYNTH, "local_epochs": 3, "steps": 8})):
-            old = os.environ.get(THREADS_ENV)
-            try:
-                os.environ[THREADS_ENV] = "1"
-                a = run_experiment(cfg)
-                os.environ[THREADS_ENV] = "8"
-                b = run_experiment(cfg)
-            finally:
-                if old is None:
-                    os.environ.pop(THREADS_ENV, None)
-                else:
-                    os.environ[THREADS_ENV] = old
+            a = run_cyber0(cfg)
+            b = run_cyber0(cfg)
             assert logs_equal(a.logs, b.logs)
             assert np.array_equal(a.final_w, b.final_w)
 
@@ -373,20 +358,12 @@ class TestMnistWiring:
 
     @pytest.fixture
     def fake_mnist_dir(self, tmp_path):
-        import struct
-
         rng = np.random.default_rng(0)
-
-        def write_pair(n, stem):
-            pixels = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
-            labels = rng.integers(0, 10, size=n).astype(np.uint8)
-            img = struct.pack(">IIII", 0x803, n, 28, 28) + pixels.tobytes()
-            lbl = struct.pack(">II", 0x801, n) + labels.tobytes()
-            (tmp_path / f"{stem}-images-idx3-ubyte").write_bytes(img)
-            (tmp_path / f"{stem}-labels-idx1-ubyte").write_bytes(lbl)
-
-        write_pair(2000, "train")
-        write_pair(400, "t10k")
+        for n, split in ((2000, "train"), (400, "test")):
+            pixels = rng.integers(0, 256, size=(n, 28 * 28), dtype=np.uint8)
+            ds = Dataset(pixels / 255.0, rng.integers(0, 10, size=n), num_classes=10)
+            images, labels = MNIST_FILES[split]
+            write_idx(ds, tmp_path / images, tmp_path / labels, rows=28, cols=28)
         return tmp_path
 
     def test_mnist_config_runs_end_to_end(self, fake_mnist_dir):

@@ -169,12 +169,16 @@ class TestDirectionBlock:
         one = int(seeds[0])
         assert np.array_equal(make_direction(one, d, mode), REFERENCE[mode](one, d))
 
+    # seeds per d that hold short rows: a row whose first polar batch has
+    # too few accepted pairs is about one in fifteen at d = 7850 and one in
+    # 3,000 at d = 16
+    SHORT_ROW_SEEDS = {16: 4096, 7850: 64}
+
     @pytest.mark.parametrize("mode", MODES)
-    def test_short_rows_fall_back_to_their_stream(self, mode, monkeypatch):
-        # at d = 7850 about one row in fifteen finds too few accepted pairs
-        # in its first polar batch and continues on its own stream
-        d = 7850
-        seeds = direction_seed(5, 3, np.arange(64), 0)
+    @pytest.mark.parametrize("d", sorted(SHORT_ROW_SEEDS))
+    def test_short_rows_fall_back_to_their_stream(self, mode, d, monkeypatch):
+        # a short row keeps its accepted pairs and continues on its own stream
+        seeds = direction_seed(5, 3, np.arange(self.SHORT_ROW_SEEDS[d]), 0)
         fallback = []
 
         class CountingStream(RngStream):
@@ -189,11 +193,11 @@ class TestDirectionBlock:
         assert_rows_match_reference(block, seeds, d, mode)
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("d", [16, 7850])
+    @pytest.mark.parametrize("d", sorted(SHORT_ROW_SEEDS))
     def test_output_does_not_depend_on_chunk_budget(self, mode, d, monkeypatch):
-        # the seeds of the short-row test, so that at d = 7850 short rows
-        # also sit inside a many-row chunk
-        seeds = direction_seed(5, 3, np.arange(64), 0)
+        # the seeds of the short-row test, so that short rows also sit
+        # inside a many-row chunk
+        seeds = direction_seed(5, 3, np.arange(self.SHORT_ROW_SEEDS[d]), 0)
         default = make_direction(seeds, d, mode)
         for budget in (1, 1 << 62):  # one row per chunk; the whole block in one chunk
             monkeypatch.setattr(seedstream, "BLOCK_WORDS", budget)

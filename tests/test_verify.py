@@ -11,7 +11,6 @@ from cyber0.verify import (
     contraction_rate,
     cross_bound_value,
     error_floor,
-    isotropy_diag_mean,
     mc_cross_abs_bound,
     mc_isotropy,
     mc_norm_factor,
@@ -41,11 +40,11 @@ class TestTheoryParams:
 
 class TestIsotropy:
     def test_d1_exact(self):
-        assert mc_isotropy(1, 500, seed=3) == 0.0
-        assert isotropy_diag_mean(1, 500, seed=3) == 1.0
+        assert mc_isotropy(1, 500, seed=3) == (0.0, 1.0)
 
     def test_small_budget_estimate(self):
-        assert mc_isotropy(10, 50_000, seed=4) < 0.01
+        dev, diag = mc_isotropy(10, 50_000, seed=4)
+        assert dev < 0.01 and diag == pytest.approx(0.1)
 
     def test_seed_deterministic(self):
         assert mc_isotropy(6, 10_000, seed=5) == mc_isotropy(6, 10_000, seed=5)
