@@ -1,0 +1,54 @@
+#!/usr/bin/env python3
+"""Print sha256 digests of the golden runs' outputs, for bit-identity checks.
+
+For every ``GOLDEN`` config in tests/test_federation.py, plus
+profiles/synth_demo.cfg and profiles/quad_mu_floor.cfg cut to 200 steps,
+prints one line
+
+    name sha256(final_w)[:16] sha256(log.csv bytes)[:16]
+
+where the log bytes are built exactly as ``cyber0 run`` writes log.csv.
+A change meant to keep outputs bit-identical prints the same lines before
+and after; diff the two outputs.
+
+Usage:
+    python3 scripts/golden_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from cyber0.cli import csv_lines, load_config  # noqa: E402
+from cyber0.federation import ExperimentConfig, run_experiment  # noqa: E402
+from test_federation import GOLDEN  # noqa: E402
+
+PROFILES = ("synth_demo.cfg", "quad_mu_floor.cfg")
+PROFILE_STEPS = 200
+
+
+def digest(config: ExperimentConfig) -> str:
+    """``sha256(final_w)[:16] sha256(log.csv)[:16]`` of one run."""
+    result = run_experiment(config)
+    log_bytes = ("\n".join(csv_lines(result.logs)) + "\n").encode("utf-8")
+    return " ".join(hashlib.sha256(b).hexdigest()[:16]
+                    for b in (result.final_w.tobytes(), log_bytes))
+
+
+def main() -> int:
+    runs = [(name, ExperimentConfig(**overrides)) for name, overrides, _ in GOLDEN]
+    runs += [(name, replace(load_config(ROOT / "profiles" / name), steps=PROFILE_STEPS))
+             for name in PROFILES]
+    for name, config in runs:
+        print(name, digest(config), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

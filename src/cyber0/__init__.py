@@ -17,7 +17,7 @@ from .federation import (
     run_experiment,
 )
 from .losses import LogisticRegressionModel, QuadraticModel
-from .robust import coordwise_trimmed_mean, mean_aggregate, robust_direction_aggregate, trimmed_mean
+from .robust import coordwise_trimmed_mean, robust_direction_aggregate, trimmed_mean
 from .seedstream import (
     DirectionMode,
     RngStream,

@@ -1,9 +1,10 @@
 """Byzantine behaviors with oracle access to the honest coefficients.
 
 The coefficient attacks substitute one colluding value per direction for
-every Byzantine client, computed after all honest coefficients for the
-step are in. Label flipping instead poisons the Byzantine clients' local
-data once; those clients then follow the protocol honestly.
+every Byzantine client: one oracle call per round over the round's whole
+honest coefficient block, made once all of it is in. Label flipping
+instead poisons the Byzantine clients' local data once; those clients
+then follow the protocol honestly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .robust import trim_count
-from .seedstream import RngStream, SeedTuple, StreamKind, derive_seed
+from .seedstream import StreamKind, derive_seeds, first_uniforms
 
 
 class AttackKind(str, Enum):
@@ -49,82 +50,48 @@ class AttackSpec:
         return AttackSpec(kind, frozenset(range(m - count, m)))
 
 
-def _order_stat_index(beta: float, m: int) -> int:
-    # the "floor(beta m)-th smallest/largest"; degenerate floor(beta m) = 0
-    # falls back to the extreme order statistic so tiny setups stay defined
-    return max(trim_count(beta, m), 1)
-
-
-def _checked(honest_values) -> np.ndarray:
-    v = np.asarray(honest_values, dtype=np.float64)
-    if v.ndim != 1 or len(v) == 0:
-        raise ValueError("attack oracle needs a nonempty honest coefficient set")
-    return v
-
-
-def _jth_smallest(sorted_vals: np.ndarray, j: int) -> float:
-    return float(sorted_vals[j - 1])
-
-
-def _jth_largest(sorted_vals: np.ndarray, j: int) -> float:
-    return float(sorted_vals[len(sorted_vals) - j])
-
-
-def full_knowledge(honest_values, beta: float, m: int) -> float:
-    """Push the aggregate against the sign of the honest mean.
-
-    The reference mean divides the honest sum by m (not by the honest
-    count); only its sign is consumed, so the denominator is harmless.
-    """
-    v = _checked(honest_values)
-    j = _order_stat_index(beta, m)
-    s = np.sort(v)
-    g_true = float(np.cumsum(v)[-1]) / m
-    return _jth_smallest(s, j) if g_true >= 0.0 else _jth_largest(s, j)
-
-
-def always_small(honest_values, beta: float, m: int) -> float:
-    v = _checked(honest_values)
-    return _jth_smallest(np.sort(v), _order_stat_index(beta, m))
-
-
-def always_large(honest_values, beta: float, m: int) -> float:
-    v = _checked(honest_values)
-    return _jth_largest(np.sort(v), _order_stat_index(beta, m))
-
-
-def random_choice(honest_values, beta: float, m: int, seed: int) -> float:
-    """Seeded fair pick between the always-small and always-large values."""
-    v = _checked(honest_values)
-    j = _order_stat_index(beta, m)
-    s = np.sort(v)
-    u = float(RngStream(seed).uniforms(1)[0])
-    return _jth_smallest(s, j) if u < 0.5 else _jth_largest(s, j)
-
-
-def adversary_seed(root: int, step: int, sample: int, epoch: int = 0) -> int:
-    """Dedicated randomness stream, independent of direction streams."""
-    return derive_seed(SeedTuple(root, step, sample, epoch, StreamKind.ADVERSARY))
+def adversary_seed(
+    root: int, step: int | np.ndarray, sample: int | np.ndarray, epoch: int | np.ndarray = 0
+) -> np.ndarray:
+    """Seeds of the adversary's own streams, independent of direction streams:
+    ``derive_seeds`` under the ADVERSARY tag, broadcast over integers or
+    integer arrays of step, sample and epoch."""
+    return derive_seeds(root, step, sample, epoch, StreamKind.ADVERSARY)
 
 
 def byzantine_value(
     kind: AttackKind,
-    honest_values,
+    honest: np.ndarray,
     beta: float,
     m: int,
-    rc_seed: int | None = None,
-) -> float:
-    """The single colluding value all Byzantine clients submit for one direction."""
+    rc_seeds: np.ndarray | None = None,
+) -> np.ndarray:
+    """The (n,) colluding row every Byzantine client submits, from the (h, n)
+    block of honest coefficients: one column per direction.
+
+    Each column gets its j-th smallest or j-th largest honest value, with
+    j = floor(beta m), or 1 when beta m < 1 so tiny setups stay defined.
+    full_knowledge pushes against the sign of the honest sum divided by m
+    (only the sign is used, so the denominator is harmless); random_choice
+    takes the small value when the first uniform of the column's adversary
+    stream in ``rc_seeds`` is below 1/2.
+    """
+    honest = np.asarray(honest, dtype=np.float64)
+    if honest.ndim != 2 or len(honest) == 0:
+        raise ValueError("attack oracle needs a nonempty (h, n) honest coefficient block")
+    j = max(trim_count(beta, m), 1)
+    s = np.sort(honest, axis=0)
+    small, large = s[j - 1], s[len(s) - j]
     if kind == AttackKind.FULL_KNOWLEDGE:
-        return full_knowledge(honest_values, beta, m)
+        return np.where(np.cumsum(honest, axis=0)[-1] / m >= 0.0, small, large)
     if kind == AttackKind.ALWAYS_SMALL:
-        return always_small(honest_values, beta, m)
+        return small
     if kind == AttackKind.ALWAYS_LARGE:
-        return always_large(honest_values, beta, m)
+        return large
     if kind == AttackKind.RANDOM_CHOICE:
-        if rc_seed is None:
-            raise ValueError("random_choice needs its adversary seed")
-        return random_choice(honest_values, beta, m, rc_seed)
+        if rc_seeds is None:
+            raise ValueError("random_choice needs its adversary seeds")
+        return np.where(first_uniforms(rc_seeds) < 0.5, small, large)
     raise ValueError(f"{kind} does not substitute coefficients")
 
 

@@ -147,7 +147,8 @@ def synth_generate(seed: int, n: int, p: int, num_classes: int,
     stream = RngStream(derive_seed(SeedTuple(seed, 0, 1 + split, 0, StreamKind.INIT)))
     features = stream.gaussians(n * p).reshape(n, p)
     features *= noise
-    features += centroids[labels]
+    for c in range(num_classes):  # no (n, p) gather: each row still gets one add
+        features[c::num_classes] += centroids[c]
     np.clip(features, 0.0, 1.0, out=features)
     return Dataset(features=features, labels=labels, num_classes=num_classes)
 

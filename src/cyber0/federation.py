@@ -20,7 +20,7 @@ from .adversary import AttackKind, AttackSpec, adversary_seed, byzantine_value, 
 from .core import project_ball
 from .data import BatchCursor, Dataset, load_mnist, partition_iid, partition_noniid, synth_generate
 from .losses import LogisticRegressionModel, QuadraticModel
-from .robust import coordwise_trimmed_mean, mean_aggregate, robust_direction_aggregate
+from .robust import coordwise_trimmed_mean, robust_direction_aggregate
 from .seedstream import (
     WINDOW_VALUES,
     DirectionMode,
@@ -298,23 +298,19 @@ def _map_clients(worker, clients: list[int]) -> np.ndarray:
 
 
 def _substitute_byzantine(setup: _Setup, matrix: np.ndarray, step: int) -> None:
-    """Overwrite Byzantine rows column by column, after all honest values
-    for the step are known (oracle ordering). Column e*k + r holds epoch e,
-    direction r."""
+    """Overwrite every Byzantine row with the colluding row that one oracle
+    call computes from the step's whole honest block (oracle ordering: all
+    honest values are in first). Column e*k + r holds epoch e, direction r,
+    and random_choice draws from that column's adversary seed (step, r, e)."""
     cfg = setup.config
     kind = setup.attack.kind
     if not kind.substitutes_coefficients or not setup.byz:
         return
-    honest_rows = setup.honest
-    for col in range(matrix.shape[1]):
-        honest_vals = matrix[honest_rows, col]
-        e, r = divmod(col, cfg.k)
-        rc_seed = (
-            adversary_seed(cfg.root_seed, step, r, e)
-            if kind == AttackKind.RANDOM_CHOICE
-            else None
-        )
-        matrix[setup.byz, col] = byzantine_value(kind, honest_vals, cfg.beta, cfg.clients, rc_seed)
+    rc_seeds = None
+    if kind == AttackKind.RANDOM_CHOICE:
+        rc_seeds = adversary_seed(cfg.root_seed, step, np.arange(cfg.k),
+                                  np.arange(cfg.local_epochs)[:, None]).reshape(-1)
+    matrix[setup.byz] = byzantine_value(kind, matrix[setup.honest], cfg.beta, cfg.clients, rc_seeds)
 
 
 def _check_finite(matrix: np.ndarray, step: int, clients: list[int]) -> None:
@@ -456,7 +452,7 @@ def _run_first_order(config: ExperimentConfig) -> RunResult:
     setup = _Setup(config)
     logs: list[RoundLog] = []
     started = time.monotonic()
-    use_trim = config.algorithm == "coordwise_tm"
+    beta = config.beta if config.algorithm == "coordwise_tm" else 0.0
 
     for t in range(config.steps):
         batches = setup.batches_for_step()
@@ -470,7 +466,7 @@ def _run_first_order(config: ExperimentConfig) -> RunResult:
         grads[setup.computing] = _map_clients(worker, setup.computing)
         if not np.all(np.isfinite(grads)):
             raise NonFiniteLossError(f"non-finite gradient at step {t}", step=t)
-        agg = coordwise_trimmed_mean(grads, config.beta) if use_trim else mean_aggregate(grads)
+        agg = coordwise_trimmed_mean(grads, beta)
         setup.w += (-config.eta) * agg
         if config.project_radius > 0:
             setup.w = project_ball(setup.w, config.project_radius)

@@ -64,8 +64,3 @@ def coordwise_trimmed_mean(grads: np.ndarray, beta: float) -> np.ndarray:
     if grads.ndim != 2:
         raise AggregationError("expected an (m, n) matrix, one row per client")
     return _columnwise_trimmed_mean(grads, beta)
-
-
-def mean_aggregate(grads: np.ndarray) -> np.ndarray:
-    """Coordinate-wise mean; by construction the beta = 0 trimmed mean."""
-    return coordwise_trimmed_mean(grads, 0.0)

@@ -180,6 +180,13 @@ def _words_at(seed: int, pos: int, n: int) -> np.ndarray:
     return _fmix64_inplace(z)
 
 
+def first_uniforms(seeds: np.ndarray) -> np.ndarray:
+    """``RngStream(s).uniforms(1)[0]`` for every seed of a uint64 array."""
+    z = np.asarray(seeds, dtype=np.uint64) + _NP_GOLDEN
+    z = _fmix64_inplace(z) >> _S11
+    return z.astype(np.float64) * _U53
+
+
 def _polar_batch(want_pairs: int) -> int:
     """Uniform pairs drawn at once when ``want_pairs`` accepted pairs are
     still needed: the expected need at acceptance rate pi/4, with slack."""

@@ -1,82 +1,126 @@
 import numpy as np
 import pytest
 
+from cyber0 import federation
 from cyber0.adversary import (
     AttackKind,
     AttackSpec,
     adversary_seed,
-    always_large,
-    always_small,
     byzantine_value,
     flip_labels,
-    full_knowledge,
-    random_choice,
 )
-from cyber0.robust import trimmed_mean
+from cyber0.federation import ExperimentConfig
+from cyber0.robust import robust_direction_aggregate, trimmed_mean
+from cyber0.seedstream import SeedTuple, StreamKind, derive_seed
+
+FK = AttackKind.FULL_KNOWLEDGE
+SMALL = AttackKind.ALWAYS_SMALL
+LARGE = AttackKind.ALWAYS_LARGE
+RC = AttackKind.RANDOM_CHOICE
+COEFFICIENT_ATTACKS = (FK, SMALL, LARGE, RC)
+
+
+def reference_seed(root, step, sample, epoch=0):
+    return derive_seed(SeedTuple(root, step, sample, epoch, StreamKind.ADVERSARY))
+
+
+def col(values):
+    """One honest column: an (h, 1) block."""
+    return np.asarray(values, dtype=np.float64)[:, None]
 
 
 class TestFullKnowledge:
     def test_negative_mean_sends_largest(self):
-        assert full_knowledge([-3.0, -1.0, 2.0], beta=0.25, m=4) == 2.0
+        assert byzantine_value(FK, col([-3.0, -1.0, 2.0]), beta=0.25, m=4)[0] == 2.0
 
     def test_positive_mean_sends_smallest(self):
-        assert full_knowledge([1.0, 2.0, 3.0], beta=0.25, m=4) == 1.0
+        assert byzantine_value(FK, col([1.0, 2.0, 3.0]), beta=0.25, m=4)[0] == 1.0
 
     def test_inert_on_constant_honest_values(self):
-        honest = [0.7] * 9
-        v = full_knowledge(honest, beta=0.25, m=12)
-        assert v == 0.7
-        assert trimmed_mean(honest + [v] * 3, 0.25) == 0.7
+        # every attack submits the column's constant, which the trim keeps
+        honest = np.tile([0.7, -2.5, 0.0], (9, 1))
+        for kind in COEFFICIENT_ATTACKS:
+            v = byzantine_value(kind, honest, 0.25, 12, rc_seeds=np.arange(3, dtype=np.uint64))
+            assert np.array_equal(v, honest[0])
+            agg = robust_direction_aggregate(np.vstack([honest, np.tile(v, (3, 1))]), 0.25)
+            assert np.array_equal(agg, honest[0])
 
     def test_order_statistic_index(self):
-        # m=16, beta=0.25 -> 4th smallest / largest
-        honest = list(range(12))
-        assert full_knowledge(honest, beta=0.25, m=16) == 3.0  # mean >= 0
-        assert full_knowledge([-v for v in honest], beta=0.25, m=16) == -3.0
+        # m=16, beta=0.25 -> 4th smallest / largest, per column
+        honest = np.arange(12.0)
+        v = byzantine_value(FK, np.column_stack([honest, -honest]), beta=0.25, m=16)
+        assert v.tolist() == [3.0, -3.0]  # mean >= 0 sends the small one, < 0 the large
 
     def test_empty_honest_rejected(self):
         with pytest.raises(ValueError):
-            full_knowledge([], beta=0.25, m=4)
+            byzantine_value(FK, np.empty((0, 3)), beta=0.25, m=4)
+        with pytest.raises(ValueError):  # one direction's values, not a block
+            byzantine_value(FK, [1.0, 2.0], beta=0.25, m=4)
+
+    def test_kind_and_seeds_checked(self):
+        with pytest.raises(ValueError):
+            byzantine_value(AttackKind.LABEL_FLIPPING, col([1.0]), beta=0.25, m=4)
+        with pytest.raises(ValueError):
+            byzantine_value(RC, col([1.0]), beta=0.25, m=4)
 
 
 class TestOtherCoefficientAttacks:
     def test_always_small_large_hand_trace(self):
-        assert always_small([5.0, 6.0, 7.0], beta=0.25, m=4) == 5.0
-        assert always_large([5.0, 6.0, 7.0], beta=0.25, m=4) == 7.0
+        assert byzantine_value(SMALL, col([5.0, 6.0, 7.0]), beta=0.25, m=4)[0] == 5.0
+        assert byzantine_value(LARGE, col([5.0, 6.0, 7.0]), beta=0.25, m=4)[0] == 7.0
 
     def test_single_honest_value(self):
-        for fn in (always_small, always_large):
-            assert fn([4.25], beta=0.25, m=4) == 4.25
-        assert full_knowledge([4.25], beta=0.25, m=4) == 4.25
-        assert random_choice([4.25], beta=0.25, m=4, seed=1) == 4.25
+        honest = np.array([[4.25, -1.5]])
+        for kind in COEFFICIENT_ATTACKS:
+            v = byzantine_value(kind, honest, beta=0.25, m=4, rc_seeds=np.array([1, 2], np.uint64))
+            assert np.array_equal(v, honest[0])
 
     def test_random_choice_frequency(self):
-        honest = [1.0, 2.0, 3.0]
-        picks = [
-            random_choice(honest, beta=0.25, m=4, seed=adversary_seed(5, t, 0))
-            for t in range(10_000)
-        ]
-        small = sum(1 for p in picks if p == 1.0)
-        assert {1.0, 3.0} == set(picks)
-        assert abs(small / 10_000 - 0.5) < 0.02
+        # 10,000 directions of the same honest column, one seed per step
+        honest = np.tile(col([1.0, 2.0, 3.0]), (1, 10_000))
+        picks = byzantine_value(RC, honest, beta=0.25, m=4,
+                                rc_seeds=adversary_seed(5, np.arange(10_000), 0))
+        assert {1.0, 3.0} == set(picks.tolist())
+        assert abs(np.mean(picks == 1.0) - 0.5) < 0.02
 
     def test_random_choice_deterministic_per_seed(self):
-        honest = [1.0, 2.0, 3.0]
-        s = adversary_seed(5, 3, 2)
-        assert random_choice(honest, 0.25, 4, s) == random_choice(honest, 0.25, 4, s)
+        honest = col([1.0, 2.0, 3.0])
+        s = adversary_seed(5, 3, [2])
+        assert byzantine_value(RC, honest, 0.25, 4, s) == byzantine_value(RC, honest, 0.25, 4, s)
 
     def test_degenerate_trim_count_uses_extreme(self):
         # beta m < 1: fall back to the 1st order statistic
-        assert always_small([9.0, 4.0, 6.0], beta=0.1, m=3) == 4.0
-        assert always_large([9.0, 4.0, 6.0], beta=0.1, m=3) == 9.0
+        assert byzantine_value(SMALL, col([9.0, 4.0, 6.0]), beta=0.1, m=3)[0] == 4.0
+        assert byzantine_value(LARGE, col([9.0, 4.0, 6.0]), beta=0.1, m=3)[0] == 9.0
 
     def test_collusion_single_value_per_direction(self):
-        honest = np.array([0.3, -0.5, 1.2, 0.9])
-        for kind in (AttackKind.FULL_KNOWLEDGE, AttackKind.ALWAYS_SMALL,
-                     AttackKind.ALWAYS_LARGE, AttackKind.RANDOM_CHOICE):
-            v1 = byzantine_value(kind, honest, 0.25, 8, rc_seed=7)
-            v2 = byzantine_value(kind, honest, 0.25, 8, rc_seed=7)
-            assert v1 == v2  # all Byzantine clients submit this same value
+        # the engine writes one colluding row, the oracle's, into every
+        # Byzantine row; column e*k + r draws on adversary seed (step, r, e)
+        seeds = np.array([reference_seed(11, 6, c % 4, c // 4) for c in range(8)], np.uint64)
+        before = np.random.default_rng(0).normal(size=(8, 8))
+        for kind in COEFFICIENT_ATTACKS:
+            cfg = ExperimentConfig(synth_samples=240, clients=8, alpha=0.375, beta=0.375, k=4,
+                                   local_epochs=2, attack=kind.value, root_seed=11)
+            setup = federation._Setup(cfg)
+            matrix = before.copy()
+            federation._substitute_byzantine(setup, matrix, 6)
+            want = byzantine_value(kind, before[setup.honest], 0.375, 8, seeds)
+            assert setup.byz == [5, 6, 7]
+            assert np.array_equal(matrix[setup.byz], np.tile(want, (3, 1)))
+            assert np.array_equal(matrix[setup.honest], before[setup.honest])
+
+    @pytest.mark.parametrize("kind", COEFFICIENT_ATTACKS)
+    def test_block_matches_per_column(self, kind):
+        rng = np.random.default_rng(3)
+        honest = rng.normal(size=(9, 40))
+        honest[:, :5] = rng.integers(-2, 3, size=(9, 5))  # ties and zero sums
+        seeds = adversary_seed(5, 3, np.arange(40))
+        row = byzantine_value(kind, honest, beta=0.25, m=12, rc_seeds=seeds)
+        assert row.shape == (40,)
+        for c in range(40):
+            assert seeds[c] == reference_seed(5, 3, c)
+            one = byzantine_value(kind, honest[:, [c]], beta=0.25, m=12, rc_seeds=seeds[[c]])
+            assert row[c] == one[0]
 
 
 class TestLabelFlip:
@@ -121,7 +165,7 @@ class TestAttackTrimInterplay:
         # m=40, alpha=beta=0.125: five colluders duplicate the 5th smallest
         # honest value; survivors are 5 copies of h_(5) plus h_(6..30)
         honest = np.arange(1.0, 36.0)
-        v = full_knowledge(honest, beta=0.125, m=40)
+        v = byzantine_value(FK, col(honest), beta=0.125, m=40)[0]
         assert v == 5.0
         agg = trimmed_mean(np.concatenate([honest, [v] * 5]), 0.125)
         assert agg == (5 * 5.0 + sum(range(6, 31))) / 30
@@ -129,7 +173,7 @@ class TestAttackTrimInterplay:
     def test_large_alpha_collapses_to_single_order_statistic(self):
         # m=40, alpha=beta=0.375: survivors are exactly ten copies of h_(15)
         honest = np.arange(1.0, 26.0)
-        v = full_knowledge(honest, beta=0.375, m=40)
+        v = byzantine_value(FK, col(honest), beta=0.375, m=40)[0]
         assert v == 15.0
         agg = trimmed_mean(np.concatenate([honest, [v] * 15]), 0.375)
         assert agg == 15.0
@@ -140,9 +184,7 @@ class TestAttackTrimInterplay:
             m = int(rng.integers(4, 41))
             beta = float(rng.choice([0.125, 0.25, 0.375, 0.45]))
             n_byz = int(np.floor(beta * m))
-            honest = rng.normal(size=m - n_byz)
-            if len(honest) == 0:
-                continue
-            v = full_knowledge(honest, beta, m)
-            agg = trimmed_mean(np.concatenate([honest, [v] * n_byz]), beta)
-            assert honest.min() <= agg <= honest.max()
+            honest = rng.normal(size=(m - n_byz, 8))
+            v = byzantine_value(FK, honest, beta, m)
+            agg = robust_direction_aggregate(np.vstack([honest, np.tile(v, (n_byz, 1))]), beta)
+            assert np.all(honest.min(axis=0) <= agg) and np.all(agg <= honest.max(axis=0))

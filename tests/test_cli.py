@@ -161,6 +161,20 @@ class TestRun:
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
+    def test_divergent_first_order_run_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(
+            "model = quadratic\nquad_dim = 8\nclients = 2\nbeta = 0.0\n"
+            "algorithm = fedavg\neta = 1e300\nsteps = 40\neval_every = 40\n"
+            "init = sphere\n"
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "diverged" in err and "non-finite gradient" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestVerifyCommand:
     def test_unknown_suite_exit_2(self, capsys):

@@ -17,6 +17,7 @@ from cyber0.data import (
     synth_generate,
 )
 from cyber0.losses import LogisticRegressionModel
+from cyber0.seedstream import RngStream, SeedTuple, StreamKind, derive_seed
 
 
 def write_idx(dataset, path_images, path_labels, rows, cols):
@@ -97,6 +98,17 @@ class TestSynth:
         b = synth_generate(5, 100, 8, 3)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("n", [12, 13, 101])
+    def test_features_match_gathered_centroids(self, n):
+        # adding the centroids class by class gives the bits of the one-shot
+        # centroids[labels] gather, also when C = 3 does not divide n
+        ds = synth_generate(9, n, 5, 3, split=1)
+        cstream = RngStream(derive_seed(SeedTuple(9, 0, 0, 0, StreamKind.INIT)))
+        centroids = cstream.uniforms(15).reshape(3, 5) * 0.6 + (1.0 - 0.6) / 2.0
+        stream = RngStream(derive_seed(SeedTuple(9, 0, 2, 0, StreamKind.INIT)))
+        features = stream.gaussians(n * 5).reshape(n, 5) * 0.08 + centroids[np.arange(n) % 3]
+        assert np.array_equal(ds.features, np.clip(features, 0.0, 1.0))
 
     def test_single_class(self):
         ds = synth_generate(5, 30, 4, 1)

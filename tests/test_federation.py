@@ -318,6 +318,16 @@ class TestFailureModes:
                 run_cyber0(cfg)
         assert err.value.step >= 0
 
+    def test_first_order_nonfinite_gradient_aborts(self):
+        # no logged round before the end, so the overflowed gradient is
+        # caught before any train loss is
+        cfg = ExperimentConfig(**{**QUAD, "algorithm": "fedavg", "eta": 1e300, "steps": 50,
+                                  "eval_every": 50})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteLossError, match="non-finite gradient at step") as err:
+                run_experiment(cfg)
+        assert err.value.step >= 0
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(**{**SYNTH, "alpha": 0.5})

@@ -13,6 +13,7 @@ from cyber0.seedstream import (
     SeedTuple,
     StreamKind,
     derive_seed,
+    first_uniforms,
     gaussian_direction,
     make_direction,
     perturb_inplace,
@@ -100,6 +101,12 @@ class TestStream:
         assert np.array_equal(st2.words(2), w1[:2])
         u = RngStream(5).uniforms(1000)
         assert np.all((u >= 0) & (u < 1))
+
+    def test_first_uniforms_match_each_stream(self):
+        derived = [derive_seed(SeedTuple(9, t, 0, 0, StreamKind.ADVERSARY)) for t in range(60)]
+        seeds = np.array([0, 5, 2**63, 2**64 - 1] + derived, dtype=np.uint64)
+        want = [RngStream(int(s)).uniforms(1)[0] for s in seeds]
+        assert first_uniforms(seeds).tolist() == want
 
     def test_gaussian_moments(self):
         g = RngStream(7).gaussians(1_000_000)
