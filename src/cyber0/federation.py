@@ -256,11 +256,11 @@ class _Setup:
         self.d = self.model.dimension
         self.zo = config.zo()
         self.w = self._initial_w()
-        # clients that actually execute the protocol this run
+        # indices of the clients that actually execute the protocol this run
         if self.attack.kind.substitutes_coefficients:
-            self.computing = self.honest
+            self.computing = np.array(self.honest, dtype=np.intp)
         else:
-            self.computing = list(range(config.clients))
+            self.computing = np.arange(config.clients)
 
     def _initial_w(self) -> np.ndarray:
         if self.config.init == "zeros":
@@ -268,19 +268,17 @@ class _Setup:
         seed = derive_seed(SeedTuple(self.config.root_seed, 2, 0, 0, StreamKind.INIT))
         return self.config.init_radius * sphere_direction(seed, self.d)
 
-    def batch(self, client: int) -> tuple[np.ndarray, np.ndarray] | None:
-        if self.train is None:
-            return None
-        if self.cursors is None:
-            rows = self.shards[client]
-        else:
-            rows = self.cursors[client].next_rows()
-        return self.train.features[rows], self.labels_eff[rows]
-
     def batches_for_step(self) -> list[tuple[np.ndarray, np.ndarray] | None]:
-        # every client consumes its stream each step, so honest batches do
-        # not depend on which attack is configured
-        return [self.batch(i) for i in range(self.config.clients)]
+        """Every client's batch for one step, in client order (None for the
+        data-free quadratic). Every client consumes its stream each step, so
+        honest batches do not depend on which attack is configured."""
+        if self.train is None:
+            return [None] * self.config.clients
+        if self.cursors is None:
+            rows = self.shards
+        else:
+            rows = [cursor.next_rows() for cursor in self.cursors]
+        return [(self.train.features[r], self.labels_eff[r]) for r in rows]
 
     def train_loss(self, w: np.ndarray, batches) -> float:
         losses = [self.model.eval(w, batches[i]) for i in self.honest]
@@ -292,9 +290,9 @@ class _Setup:
         return self.model.accuracy(w, self.test_X, self.test_y)
 
 
-def _map_clients(worker, clients: list[int]) -> np.ndarray:
+def _map_clients(worker, clients: np.ndarray) -> np.ndarray:
     """Every client's work row, stacked in client order."""
-    return np.stack([worker(i) for i in clients])
+    return np.array([worker(i) for i in clients])
 
 
 def _substitute_byzantine(setup: _Setup, matrix: np.ndarray, step: int) -> None:
@@ -313,14 +311,20 @@ def _substitute_byzantine(setup: _Setup, matrix: np.ndarray, step: int) -> None:
     matrix[setup.byz] = byzantine_value(kind, matrix[setup.honest], cfg.beta, cfg.clients, rc_seeds)
 
 
-def _check_finite(matrix: np.ndarray, step: int, clients: list[int]) -> None:
-    bad = np.argwhere(~np.isfinite(matrix[clients]))
-    if len(bad):
-        row, col = bad[0]
-        raise NonFiniteLossError(
-            f"non-finite coefficient at step {step}, direction {col}, client {clients[row]}",
-            step=step, direction=int(col), client=int(clients[row]),
-        )
+def _check_finite(matrix: np.ndarray, step: int, clients: np.ndarray) -> None:
+    """Raise NonFiniteLossError naming the step, direction and client of the
+    first non-finite coefficient of the computing ``clients``' rows.
+
+    Rows of clients that do not compute are still zeros here, so one
+    isfinite over the whole matrix decides; the first bad entry is searched
+    for only when that check fails."""
+    if np.isfinite(matrix).all():
+        return
+    row, col = np.argwhere(~np.isfinite(matrix[clients]))[0]
+    raise NonFiniteLossError(
+        f"non-finite coefficient at step {step}, direction {col}, client {clients[row]}",
+        step=step, direction=int(col), client=int(clients[row]),
+    )
 
 
 def _finish_round(setup, logs, t, tr_loss, started, do_log):
@@ -363,7 +367,7 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
     setup = _Setup(config)
     zo = setup.zo
     E, k, d = config.local_epochs, config.k, setup.d
-    scale = zo.scale(d)
+    scale, denom = zo.scale(d), 2.0 * config.mu
     replicas = _make_replicas(setup) if config.debug_replicas else None
     logs: list[RoundLog] = []
     started = time.monotonic()
@@ -392,17 +396,22 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
             if config.mu_zero:
                 return scale * (step_dirs[e] @ setup.model.grad(w, batch))
             plus, minus = setup.model.loss_batch_multi(layouts[e], batch, w, config.mu)
-            return scale * (plus - minus) / (2.0 * config.mu)
+            plus -= minus  # scale * (plus - minus) / (2 mu), in place
+            plus *= scale
+            plus /= denom
+            return plus
 
         def worker(i: int) -> np.ndarray:
+            first = coefficients(setup.w, 0, epoch_batches[0][i])
+            if E == 1:
+                return first
             coeffs = np.empty((E, k))
-            coeffs[0] = coefficients(setup.w, 0, epoch_batches[0][i])
-            if E > 1:
-                local = setup.w.copy()  # local drift never touches the synchronized w
-                for e in range(1, E):
-                    apply_update(local, coeffs[e - 1], t, e - 1, config.eta, zo, config.root_seed,
-                                 directions=step_dirs[e - 1])
-                    coeffs[e] = coefficients(local, e, epoch_batches[e][i])
+            coeffs[0] = first
+            local = setup.w.copy()  # local drift never touches the synchronized w
+            for e in range(1, E):
+                apply_update(local, coeffs[e - 1], t, e - 1, config.eta, zo, config.root_seed,
+                             directions=step_dirs[e - 1])
+                coeffs[e] = coefficients(local, e, epoch_batches[e][i])
             return coeffs.reshape(-1)
 
         matrix = np.zeros((config.clients, E * k))

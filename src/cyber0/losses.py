@@ -164,17 +164,24 @@ class QuadraticModel:
     def loss_batch_multi(
         self, prepared: np.ndarray, batch: Batch, w: ParamVector, mu: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The 2k bracket points in the in-place schedule, v[2r] = w + mu z_r
-        and v[2r + 1] = (w + mu z_r) - 2 mu z_r, evaluated in one pass."""
+        """The 2k bracket points in the in-place schedule, plus[r] = w + mu z_r
+        and minus[r] = (w + mu z_r) - 2 mu z_r, evaluated in one pass.
+
+        plus and minus are the two contiguous (k, d) halves of one (2k, d)
+        buffer, so each step of the schedule is one numpy call over a whole
+        side and the squared norms are one einsum over the buffer; a row's
+        einsum sum does not depend on where the row sits."""
         k = len(prepared)
         v = np.empty((2 * k, len(w)))
-        np.multiply(prepared, mu, out=v[0::2])
-        v[0::2] += w
-        np.multiply(prepared, -2.0 * mu, out=v[1::2])
-        v[1::2] += v[0::2]
-        v -= self.w_star[None, :]
-        losses = 0.5 * self.lam * np.einsum("sd,sd->s", v, v)
-        return losses[0::2], losses[1::2]
+        plus, minus = v[:k], v[k:]
+        np.multiply(prepared, mu, out=plus)
+        plus += w
+        np.multiply(prepared, -2.0 * mu, out=minus)
+        minus += plus
+        v -= self.w_star
+        losses = np.einsum("sd,sd->s", v, v)
+        losses *= 0.5 * self.lam
+        return losses[:k], losses[k:]
 
 
 def _mean_nll(L: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -27,8 +27,11 @@ def trim_count(beta: float, m: int) -> int:
 def _columnwise_trimmed_mean(matrix: np.ndarray, beta: float) -> np.ndarray:
     """Trimmed mean down each column of an (m, n) matrix.
 
-    Columns are sorted and the survivor sums accumulate left to right
-    (cumsum), matching the scalar routine bit for bit.
+    Columns are sorted and the survivors of each column are added one at a
+    time in ascending order, then divided by their count. The sum stays a
+    ``cumsum`` down axis 0: where the summed values lie contiguous, as in
+    an (m, 1) block, ``np.add.reduce`` and ``np.sum`` add them pairwise in
+    eight partial sums, which rounds differently from the ascending order.
     """
     m = matrix.shape[0]
     g = trim_count(beta, m)
@@ -37,11 +40,11 @@ def _columnwise_trimmed_mean(matrix: np.ndarray, beta: float) -> np.ndarray:
         raise AggregationError(f"trimming {g} from each end of {m} values leaves nothing")
     s = np.sort(matrix, axis=0)
     kept = s[g : m - g]
-    out = np.cumsum(kept, axis=0)[-1] / survivors
+    out = kept.cumsum(axis=0)[-1]
+    out /= survivors
     # a constant survivor set means the exact answer is that constant; the
     # sum/divide route can be one ulp off (n * c / n need not round to c)
-    const = kept[0] == kept[-1]
-    out[const] = kept[0][const]
+    np.copyto(out, kept[0], where=kept[0] == kept[-1])
     return out
 
 
@@ -52,11 +55,6 @@ def trimmed_mean(values, beta: float) -> float:
     return float(_columnwise_trimmed_mean(x[:, None], beta)[0])
 
 
-def robust_direction_aggregate(matrix: np.ndarray, beta: float) -> np.ndarray:
-    """Per-direction trimmed mean of the (m, k) client coefficient matrix."""
-    return coordwise_trimmed_mean(matrix, beta)
-
-
 def coordwise_trimmed_mean(grads: np.ndarray, beta: float) -> np.ndarray:
     """Trimmed mean applied independently per column of an (m, n) matrix,
     e.g. per coordinate of m full gradients."""
@@ -64,3 +62,7 @@ def coordwise_trimmed_mean(grads: np.ndarray, beta: float) -> np.ndarray:
     if grads.ndim != 2:
         raise AggregationError("expected an (m, n) matrix, one row per client")
     return _columnwise_trimmed_mean(grads, beta)
+
+
+# the per-direction trimmed mean of the (m, k) client coefficient matrix
+robust_direction_aggregate = coordwise_trimmed_mean

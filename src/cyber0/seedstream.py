@@ -83,6 +83,11 @@ CHUNK = 4096
 # faster there and hold more memory.
 BLOCK_WORDS = 16384
 
+# uniform pairs one ``RngStream.gaussians`` batch draws at most: 16 Ki words
+# (128 KB), so a long request such as a synthetic feature matrix runs in
+# cache-sized passes; batching sets speed and memory, never the stream
+GAUSSIAN_BATCH_PAIRS = 8192
+
 # direction values (doubles) the engine generates at once: it fills the
 # directions of as many rounds as fit, and at least one round (256 theory
 # rounds at d = 16, k = 16; one MNIST-sized round at d = 7850, k = 64)
@@ -233,7 +238,7 @@ class RngStream:
             filled = 1
         while filled < n:
             want_pairs = (n - filled + 1) // 2
-            batch = _polar_batch(want_pairs)
+            batch = min(_polar_batch(want_pairs), GAUSSIAN_BATCH_PAIRS)
             v = (_words_at(self._seed, self._pos, 2 * batch) >> _S11).astype(np.float64)
             v *= 2.0 * _U53  # v = 2u - 1 exactly, as in _gaussian_rows
             v -= 1.0

@@ -142,7 +142,7 @@ def apply_update(
     may carry the step's cached (k, d) block; without it the block is
     regenerated from the seeds (root, step, r, epoch), r = 0..k-1.
     """
-    if not np.all(np.isfinite(agg_coeffs)):
+    if not np.isfinite(agg_coeffs).all():
         raise NonFiniteLossError(f"non-finite aggregated coefficients at step {step}", step=step)
     k = cfg.k
     if len(agg_coeffs) != k:
@@ -150,14 +150,16 @@ def apply_update(
     if directions is None:
         directions = make_direction(direction_seed(root_seed, step, np.arange(k), epoch), len(w),
                                     cfg.direction_mode)
-    scales = -(eta * np.asarray(agg_coeffs, dtype=np.float64) / k)
+    # -(eta * a / k), bit for bit: rounding is symmetric under negation
+    scales = np.multiply(agg_coeffs, -eta, dtype=np.float64)
+    scales /= k
     if len(w) <= 4 * k:
         # few columns per row: one cumsum down the rows, which costs per
         # column, beats k row updates, which cost per row. Both add the
         # rows to w one at a time in ascending r.
         rows = directions * scales[:, None]
         rows[0] += w
-        w[:] = np.cumsum(rows, axis=0, out=rows)[-1]
+        w[:] = rows.cumsum(axis=0, out=rows)[-1]
     else:
         for r in range(k):
             w += scales[r] * directions[r]

@@ -318,6 +318,27 @@ class TestFailureModes:
                 run_cyber0(cfg)
         assert err.value.step >= 0
 
+    def test_check_finite_names_first_bad_entry(self):
+        # computing clients 0, 2, 3, 4; client 1 does not compute and its row
+        # stays zero. The first bad entry in client order is the NaN of
+        # client 2 at direction 5, ahead of the inf at an earlier direction
+        matrix = np.zeros((5, 8))
+        matrix[[0, 2, 3, 4]] = np.arange(32.0).reshape(4, 8)
+        clean = matrix.copy()
+        federation._check_finite(clean, 7, np.array([0, 2, 3, 4]))
+        assert np.array_equal(clean, matrix)
+        matrix[2, 5] = np.nan
+        matrix[3, 1] = np.inf
+        with pytest.raises(NonFiniteLossError,
+                           match="step 7, direction 5, client 2$") as err:
+            federation._check_finite(matrix, 7, np.array([0, 2, 3, 4]))
+        assert (err.value.step, err.value.direction, err.value.client) == (7, 5, 2)
+        matrix[2, 5] = -np.inf
+        matrix[0, 6] = np.nan
+        with pytest.raises(NonFiniteLossError) as err:
+            federation._check_finite(matrix, 0, np.array([0, 2, 3, 4]))
+        assert (err.value.step, err.value.direction, err.value.client) == (0, 6, 0)
+
     def test_first_order_nonfinite_gradient_aborts(self):
         # no logged round before the end, so the overflowed gradient is
         # caught before any train loss is

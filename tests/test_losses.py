@@ -193,6 +193,22 @@ class TestQuadratic:
         assert np.allclose(plus, [m.eval(w + mu * z) for z in dirs], rtol=1e-14)
         assert np.allclose(minus, [m.eval(w - mu * z) for z in dirs], rtol=1e-14)
 
+    @pytest.mark.parametrize("k, d", [(1, 1), (3, 5), (16, 16), (7, 33), (4, 100)])
+    def test_multi_variant_follows_in_place_schedule_bitwise(self, k, d):
+        # direction by direction: w + mu z, then that point minus 2 mu z, each
+        # squared norm one einsum row
+        rng = np.random.default_rng(k * 1000 + d)
+        m = QuadraticModel(0.7, rng.normal(size=d))
+        w = rng.normal(size=d)
+        dirs = rng.normal(size=(k, d))
+        mu = 1e-3
+        plus, minus = m.loss_batch_multi(m.prepare_variants(dirs), None, w, mu)
+        for r, z in enumerate(dirs):
+            vp = z * mu + w
+            vm = z * (-2.0 * mu) + vp
+            for got, v in ((plus[r], vp - m.w_star), (minus[r], vm - m.w_star)):
+                assert got == 0.5 * m.lam * np.einsum("d,d->", v, v)
+
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         m = QuadraticModel(1.3, rng.normal(size=5))

@@ -121,6 +121,20 @@ class TestDirectionAggregate:
         agg = robust_direction_aggregate(M, 0.25)
         assert np.all(agg >= honest.min(axis=0)) and np.all(agg <= honest.max(axis=0))
 
+    @pytest.mark.parametrize("shape", [(40, 64), (9, 1), (24, 1), (40, 1)])
+    @pytest.mark.parametrize("beta", [0.0, 0.125, 0.25])
+    def test_ascending_sum_at_engine_shapes(self, shape, beta):
+        # byz_m40's (40, 64) coefficient block and single-direction blocks;
+        # an (m, 1) column is contiguous, so a pairwise np.add.reduce / np.sum
+        # would round differently from the ascending sum of the oracle
+        rng = np.random.default_rng(shape[0] * 100 + shape[1] + int(beta * 1000))
+        for _ in range(40):
+            M = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+            agg = robust_direction_aggregate(M, beta)
+            for col in range(shape[1]):
+                assert agg[col] == trimmed_mean(M[:, col], beta)
+                assert agg[col] == brute_trimmed_mean(M[:, col], beta)
+
     def test_mismatched_counts_rejected(self):
         # rows of differing lengths do not form a matrix
         with pytest.raises(ValueError):

@@ -42,6 +42,19 @@ def reference_derive(root, step, sample, epoch, kind):
 GOLDEN_ZERO_DIRECTION = 0x5692161D100B05E5  # frozen once from the reference
 
 
+def reference_gaussians(seed, n):
+    """The first n Gaussians of a stream by the polar rule over its raw
+    words, all pairs at once: accepted pairs in stream order, v1 f then v2 f."""
+    v = RngStream(seed).uniforms(2 * n) * 2.0 - 1.0  # n pairs: about 1.57 n values
+    v1, v2 = v[0::2], v[1::2]
+    s = v1 * v1 + v2 * v2
+    ok = (s > 0.0) & (s < 1.0)
+    f = np.sqrt(-2.0 * np.log(s[ok]) / s[ok])
+    out = np.stack([v1[ok] * f, v2[ok] * f], axis=1).reshape(-1)
+    assert len(out) >= n
+    return out[:n]
+
+
 class TestDeriveSeed:
     def test_golden_value(self):
         t = SeedTuple(0, 0, 0, 0, StreamKind.DIRECTION)
@@ -93,6 +106,16 @@ class TestStream:
         st = RngStream(42)
         parts = [st.gaussians(n) for n in (1, CHUNK, 3, 5000, 901)]
         assert np.array_equal(one, np.concatenate(parts))
+        # a request of several capped batches, against small requests and
+        # against the polar rule applied to the raw words
+        cap = seedstream.GAUSSIAN_BATCH_PAIRS
+        n = 3 * 2 * cap + 1001
+        big = RngStream(42).gaussians(n)
+        assert np.array_equal(big[:10001], one)
+        st = RngStream(42)
+        assert np.array_equal(big, np.concatenate([st.gaussians(m) for m in
+                                                   (cap - 1, 2 * cap, 3, n - 3 * cap - 2)]))
+        assert np.array_equal(big, reference_gaussians(42, n))
 
     def test_words_uniforms_positions(self):
         st = RngStream(5)
