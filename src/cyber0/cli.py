@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -33,8 +34,38 @@ class ConfigParseError(ValueError):
         self.column = column
 
 
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
+def _parse_value(key: str, text: str) -> object:
+    """The value of config key ``key`` spelled as ``text``: true/false, an
+    integer, a Python float literal, or a bare string."""
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
+        raise ValueError(f"unknown config key {key!r}")
+    if kind == "bool":
+        if text.lower() not in ("true", "false"):
+            raise ValueError(f"{key}: expected true/false, got {text!r}")
+        return text.lower() == "true"
+    if kind == "str":
+        return text
+    try:
+        return int(text) if kind == "int" else float(text)
+    except ValueError:
+        raise ValueError(f"{key}: expected {'an integer' if kind == 'int' else 'a number'}, "
+                         f"got {text!r}") from None
+
+
+def config_lines(config: ExperimentConfig) -> list[str]:
+    """Every field as a ``key = value`` line that ``_parse_value`` reads back
+    exactly (a float prints as its repr), sorted by key."""
+    return [f"{key} = {str(value).lower() if isinstance(value, bool) else value}"
+            for key, value in sorted(vars(config).items())]
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
-    raw: dict[str, str] = {}
+    values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -44,29 +75,20 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if not key:
             raise ConfigParseError("empty key", lineno)
-        if key in raw:
+        if key in lines:
             raise ConfigParseError(f"duplicate key {key!r}", lineno)
-        raw[key] = value
+        try:
+            values[key] = _parse_value(key, value)
+        except ValueError as exc:
+            raise ConfigParseError(str(exc), lineno) from exc
+        lines[key] = lineno
     try:
-        return ExperimentConfig.from_mapping(raw)
-    except KeyError as exc:
-        key = str(exc).strip("'\"")
-        raise ConfigParseError(str(exc).strip("'\""), _key_line(text, key)) from exc
+        return ExperimentConfig(**values)
     except ValueError as exc:
-        raise ConfigParseError(str(exc), _value_line(text, str(exc))) from exc
-
-
-def _key_line(text: str, message: str) -> int:
-    key = message.split("'")[1] if "'" in message else message.split()[-1]
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.split("#", 1)[0].split("=", 1)[0].strip() == key:
-            return lineno
-    return 1
-
-
-def _value_line(text: str, message: str) -> int:
-    first = message.split(":")[0].split()[0] if message else ""
-    return _key_line(text, first) if first else 1
+        # every validation message starts with the key it blames; a key
+        # left at its default has no line of its own
+        blamed = str(exc).split(" ", 1)[0]
+        raise ConfigParseError(str(exc), lines.get(blamed, 1)) from exc
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -96,7 +118,7 @@ def write_manifest(config: ExperimentConfig, out_dir: Path, wall_seconds: float,
         f"# wall_seconds: {wall_seconds:.3f}",
     ]
     lines += [f"# output: {name}" for name in outputs]
-    lines += [f"{key} = {value}" for key, value in sorted(config.to_mapping().items())]
+    lines += config_lines(config)
     (out_dir / "manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -166,18 +188,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         print("error: empty sweep value list", file=sys.stderr)
         return 2
-    if args.param not in base.to_mapping():
+    if args.param not in _FIELD_TYPES:
         print(f"error: unknown sweep parameter {args.param!r}", file=sys.stderr)
         return 2
     # every value is checked before the first run, so a usage error leaves
     # no partial output behind
     configs = []
     for value in values:
-        mapping = base.to_mapping()
-        mapping[args.param] = value
         try:
-            configs.append(ExperimentConfig.from_mapping(mapping))
-        except (KeyError, ValueError) as exc:
+            configs.append(replace(base, **{args.param: _parse_value(args.param, value)}))
+        except ValueError as exc:
             print(f"error: {args.param}={value}: {exc}", file=sys.stderr)
             return 2
     out_root = Path(args.out)

@@ -1,5 +1,5 @@
-"""Dataset ingestion (IDX files, the MNIST layout), synthetic data, and
-client partitioning.
+"""Dataset ingestion (IDX files, the MNIST layout), synthetic data, client
+partitioning, and the clients' batches (label poisoning, batch cursors).
 
 The IDX layout is the published big-endian format: a 4-byte magic whose
 third byte gives the element type (0x08 = unsigned byte) and fourth the
@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .adversary import flip_labels
 from .seedstream import RngStream, SeedTuple, StreamKind, derive_seed
 
 IMAGES_MAGIC = 0x00000803
@@ -223,3 +224,30 @@ class BatchCursor:
         rows = self._perm[self.offset : self.offset + self.batch_size]
         self.offset += self.batch_size
         return rows
+
+
+class ClientData:
+    """Every client's training data: its shard of ``train``, with the labels
+    of the ``flipped`` clients' shards flipped once, read as one batch per
+    step from its own cursor, or whole when ``whole_shard`` is set."""
+
+    def __init__(self, train: Dataset, shards: list[np.ndarray], batch_size: int, seed: int,
+                 whole_shard: bool, flipped):
+        self.features = train.features
+        self.labels = train.labels.copy()
+        for i in flipped:
+            self.labels[shards[i]] = flip_labels(train.labels[shards[i]], train.num_classes)
+        self.shards = shards
+        self.cursors = None if whole_shard else [BatchCursor(shard, batch_size, seed, i)
+                                                 for i, shard in enumerate(shards)]
+
+    def batches(self, readers) -> list[tuple[np.ndarray, np.ndarray] | None]:
+        """One step's batch of each client in ``readers``, indexed by client
+        id, None for the others. Only the readers' cursors advance; each
+        cursor is its own stream, so a client's batches do not depend on
+        which other clients read."""
+        out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(self.shards)
+        for i in readers:
+            rows = self.shards[i] if self.cursors is None else self.cursors[i].next_rows()
+            out[i] = (self.features[rows], self.labels[rows])
+        return out

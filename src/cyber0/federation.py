@@ -1,5 +1,7 @@
 """Round engines: seed-replay zero-order training with E local epochs,
-first-order baselines, and communication accounting.
+first-order baselines, the experiment config schema, and communication
+accounting. Clients' batches come from ``data.ClientData``; a config
+file's text format lives in ``cli``.
 
 One round: honest clients compute E*k coefficients on seeded batches, the
 adversary substitutes the Byzantine reports with oracle access to the
@@ -12,13 +14,13 @@ logs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import AttackKind, AttackSpec, adversary_seed, byzantine_value, flip_labels
+from .adversary import AttackKind, AttackSpec, adversary_seed, byzantine_value
 from .core import project_ball
-from .data import BatchCursor, Dataset, load_mnist, partition_iid, partition_noniid, synth_generate
+from .data import ClientData, Dataset, load_mnist, partition_iid, partition_noniid, synth_generate
 from .losses import LogisticRegressionModel, QuadraticModel
 from .robust import coordwise_trimmed_mean, robust_direction_aggregate
 from .seedstream import (
@@ -87,21 +89,25 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         # each message starts with the key it blames, so a config parse
         # error can point at that key's line
-        for name in ("clients", "k", "steps", "local_epochs", "batch_size", "eval_every"):
+        for name in ("clients", "k", "steps", "local_epochs", "batch_size", "eval_every",
+                     "quad_dim", "synth_samples", "synth_features"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.synth_classes < 2:
+            raise ValueError(f"synth_classes must be >= 2, got {self.synth_classes}")
+        for name in ("quad_lambda", "eta"):  # also rejects nan and inf
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         if not 0.0 <= self.alpha < 0.5:
             raise ValueError("alpha must satisfy 0 <= alpha < 1/2")
         if not 0.0 <= self.beta < 0.5:
             raise ValueError("beta must satisfy 0 <= beta < 1/2")
         if self.clients - 2 * int(np.floor(self.beta * self.clients)) < 1:
             raise ValueError(f"beta = {self.beta!r} leaves no survivors among {self.clients} clients")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
         if self.mu_zero and self.mu != 0.0:
             raise ValueError(f"mu_zero = true requires mu = 0, got mu = {self.mu!r}")
-        if not self.mu_zero and self.mu <= 0.0:
-            raise ValueError(f"mu = {self.mu!r} requires mu > 0, or mu = 0 with mu_zero = true")
+        if not self.mu_zero and not 0.0 < self.mu < np.inf:
+            raise ValueError(f"mu = {self.mu!r} requires 0 < mu < inf, or 0 with mu_zero = true")
         for name in ("root_seed", "data_seed"):
             if not 0 <= getattr(self, name) < 2**64:
                 raise ValueError(f"{name} must be a 64-bit unsigned integer")
@@ -117,38 +123,6 @@ class ExperimentConfig:
     def zo(self) -> ZoConfig:
         mode = DirectionMode.SPHERE if self.direction_mode == "sphere" else DirectionMode.GAUSSIAN
         return ZoConfig(mu=self.mu, k=self.k, direction_mode=mode, mu_zero=self.mu_zero)
-
-    def to_mapping(self) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool):
-                out[f.name] = "true" if v else "false"
-            else:
-                out[f.name] = repr(v) if isinstance(v, float) else str(v)
-        return out
-
-    @staticmethod
-    def from_mapping(raw: dict[str, str]) -> "ExperimentConfig":
-        kwargs: dict[str, object] = {}
-        types = {f.name: f.type for f in fields(ExperimentConfig)}
-        for key, text in raw.items():
-            if key not in types:
-                raise KeyError(f"unknown config key {key!r}")
-            t = types[key]
-            if t == "bool":
-                if text.lower() not in ("true", "false"):
-                    raise ValueError(f"{key}: expected true/false, got {text!r}")
-                kwargs[key] = text.lower() == "true"
-            elif t in ("int", "float"):
-                try:
-                    kwargs[key] = int(text) if t == "int" else float(text)
-                except ValueError:
-                    raise ValueError(f"{key}: expected {'an integer' if t == 'int' else 'a number'}, "
-                                     f"got {text!r}") from None
-            else:
-                kwargs[key] = text
-        return ExperimentConfig(**kwargs)
 
 
 @dataclass
@@ -210,48 +184,31 @@ class _Setup:
         self.byz = sorted(self.attack.byzantine_ids)
         self.honest = [i for i in range(config.clients) if i not in self.attack.byzantine_ids]
 
+        self.data: ClientData | None = None
+        self.test: Dataset | None = None  # both stay None for the data-free quadratic
         if config.model == "quadratic":
             self.model = QuadraticModel(config.quad_lambda, np.zeros(config.quad_dim))
-            self.train: Dataset | None = None
-            self.test_X = self.test_y = None
-            self.cursors: list[BatchCursor] | None = None
-            self.labels_eff = None
         else:
             if config.data == "mnist":
-                self.train, test = load_mnist(config.mnist_dir)
+                train, self.test = load_mnist(config.mnist_dir)
             else:
-                self.train = synth_generate(
+                train = synth_generate(
                     config.data_seed, config.synth_samples, config.synth_features,
                     config.synth_classes, split=0,
                 )
-                test = synth_generate(
+                self.test = synth_generate(
                     config.data_seed, max(config.synth_samples // 4, config.synth_classes),
                     config.synth_features, config.synth_classes, split=1,
                 )
-            self.test_X, self.test_y = test.features, test.labels
-            self.model = LogisticRegressionModel(
-                self.train.features.shape[1], self.train.num_classes
-            )
+            self.model = LogisticRegressionModel(train.features.shape[1], train.num_classes)
             part = (
-                partition_iid(self.train, config.clients, config.data_seed)
+                partition_iid(train, config.clients, config.data_seed)
                 if config.distribution == "iid"
-                else partition_noniid(self.train, config.clients, config.data_seed)
+                else partition_noniid(train, config.clients, config.data_seed)
             )
-            self.shards = part.shards
-            self.labels_eff = self.train.labels.copy()
-            if self.attack.kind == AttackKind.LABEL_FLIPPING:
-                for i in self.byz:
-                    rows = self.shards[i]
-                    self.labels_eff[rows] = flip_labels(
-                        self.train.labels[rows], self.train.num_classes
-                    )
-            if config.full_local_data:
-                self.cursors = None
-            else:
-                self.cursors = [
-                    BatchCursor(self.shards[i], config.batch_size, config.data_seed, i)
-                    for i in range(config.clients)
-                ]
+            flipped = self.byz if self.attack.kind == AttackKind.LABEL_FLIPPING else ()
+            self.data = ClientData(train, part.shards, config.batch_size, config.data_seed,
+                                   config.full_local_data, flipped)
 
         self.d = self.model.dimension
         self.zo = config.zo()
@@ -269,25 +226,20 @@ class _Setup:
         return self.config.init_radius * sphere_direction(seed, self.d)
 
     def batches_for_step(self) -> list[tuple[np.ndarray, np.ndarray] | None]:
-        """Every client's batch for one step, in client order (None for the
-        data-free quadratic). Every client consumes its stream each step, so
-        honest batches do not depend on which attack is configured."""
-        if self.train is None:
+        """One step's batch of every computing client, indexed by client id
+        (None for the others, and for every client of the quadratic)."""
+        if self.data is None:
             return [None] * self.config.clients
-        if self.cursors is None:
-            rows = self.shards
-        else:
-            rows = [cursor.next_rows() for cursor in self.cursors]
-        return [(self.train.features[r], self.labels_eff[r]) for r in rows]
+        return self.data.batches(self.computing)
 
     def train_loss(self, w: np.ndarray, batches) -> float:
         losses = [self.model.eval(w, batches[i]) for i in self.honest]
         return float(np.mean(losses))
 
     def test_acc(self, w: np.ndarray) -> float:
-        if self.test_X is None:
+        if self.test is None:
             return float("nan")
-        return self.model.accuracy(w, self.test_X, self.test_y)
+        return self.model.accuracy(w, self.test.features, self.test.labels)
 
 
 def _map_clients(worker, clients: np.ndarray) -> np.ndarray:
@@ -376,7 +328,7 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
     layouts = [None] * E
     # the quadratic is data-free: every client starts from the synchronized
     # w with no batch, so one client's coefficient row broadcasts to all
-    workers = setup.computing if setup.train is not None else setup.computing[:1]
+    workers = setup.computing if setup.data is not None else setup.computing[:1]
 
     for t in range(config.steps):
         if t % window == 0:

@@ -6,6 +6,7 @@ import pytest
 from cyber0.cli import (
     CSV_HEADER,
     ConfigParseError,
+    config_lines,
     load_config,
     main,
     parse_config_text,
@@ -78,6 +79,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigParseError):
             parse_config_text("steps = five\n")
 
+    @pytest.mark.parametrize("key,value", [
+        ("quad_dim", "0"), ("eta", "nan"), ("mu", "nan"), ("quad_lambda", "nan"),
+        ("quad_lambda", "inf"), ("quad_lambda", "0"), ("synth_classes", "1"),
+        ("synth_samples", "0"), ("synth_features", "0"),
+    ])
+    def test_out_of_range_value_reports_its_key_line(self, key, value):
+        with pytest.raises(ConfigParseError) as err:
+            parse_config_text(f"steps = 5\nmu_zero = false\n{key} = {value}\nk = 4\n")
+        assert err.value.line == 3
+        assert str(err.value).startswith(f"line 3, column 1: {key} ")
+
+    def test_config_mapping_round_trip(self):
+        # every field type: str, int (a full 64-bit seed), float, bool
+        cfg = ExperimentConfig(model="quadratic", quad_dim=7, alpha=1 / 3, beta=1 / 3,
+                               eta=0.1 + 0.2, full_local_data=True, root_seed=2**64 - 1)
+        lines = config_lines(cfg)
+        assert "full_local_data = true" in lines and "eta = 0.30000000000000004" in lines
+        assert parse_config_text("\n".join(lines)) == cfg
+
     def test_bundled_profiles_parse(self):
         for profile in sorted(PROFILE_DIR.glob("*.cfg")):
             cfg = load_config(profile)
@@ -147,6 +167,14 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_out_of_range_value_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "quad.cfg"
+        cfg.write_text("model = quadratic\nquad_dim = 0\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: line 2, column 1: quad_dim must be >= 1, got 0\n"
         assert not (tmp_path / "o").exists()
 
     def test_divergent_run_exit_3(self, tmp_path, capsys):
@@ -232,9 +260,15 @@ class TestSweep:
         out = tmp_path / "sweep"
         assert main(["sweep", str(fast_config), "--param", "steps",
                      "--values", "2,abc", "--out", str(out)]) == 2
-        assert "steps=abc" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: steps=abc: steps: expected an integer, got 'abc'\n")
         assert not out.exists()
 
-    def test_bad_value_exit_2(self, fast_config, tmp_path):
+    def test_bad_value_exit_2(self, fast_config, tmp_path, capsys):
         assert main(["sweep", str(fast_config), "--param", "alpha",
                      "--values", "0.9", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: alpha=0.9: alpha must satisfy 0 <= alpha < 1/2\n")
+        assert main(["sweep", str(fast_config), "--param", "k",
+                     "--values", "2,0", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: k=0: k must be >= 1, got 0\n"

@@ -8,6 +8,7 @@ from cyber0.data import (
     IMAGES_MAGIC,
     LABELS_MAGIC,
     BatchCursor,
+    ClientData,
     IdxFormatError,
     Partition,
     load_idx,
@@ -251,3 +252,40 @@ class TestBatchCursor:
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError):
             BatchCursor(np.empty(0, dtype=int), 8, 1, 0)
+
+
+class TestClientData:
+    @pytest.fixture
+    def parts(self):
+        train = synth_generate(5, 240, 6, 4)
+        return train, partition_iid(train, 4, seed=5).shards
+
+    def test_whole_shard_every_step(self, parts):
+        train, shards = parts
+        data = ClientData(train, shards, batch_size=8, seed=5, whole_shard=True, flipped=())
+        for _ in range(3):
+            for i, (X, y) in enumerate(data.batches(range(4))):
+                assert np.array_equal(X, train.features[shards[i]])
+                assert np.array_equal(y, train.labels[shards[i]])
+
+    def test_only_flipped_clients_labels_change(self, parts):
+        train, shards = parts
+        data = ClientData(train, shards, batch_size=8, seed=5, whole_shard=True, flipped=(1, 3))
+        for i, (_, y) in enumerate(data.batches(range(4))):
+            want = train.labels[shards[i]]
+            assert np.array_equal(y, 3 - want if i in (1, 3) else want)
+        assert np.array_equal(data.labels[shards[0]], train.labels[shards[0]])
+
+    def test_batches_do_not_depend_on_other_readers(self, parts):
+        train, shards = parts
+        together = ClientData(train, shards, batch_size=8, seed=5, whole_shard=False,
+                              flipped=())
+        alone = [ClientData(train, shards, batch_size=8, seed=5, whole_shard=False, flipped=())
+                 for _ in range(4)]
+        for _ in range(20):  # several passes over each 60-row shard
+            step = together.batches(range(4))
+            for i in range(4):
+                mine = alone[i].batches([i])
+                assert all(b is None for j, b in enumerate(mine) if j != i)
+                assert np.array_equal(mine[i][0], step[i][0])
+                assert np.array_equal(mine[i][1], step[i][1])

@@ -5,7 +5,7 @@ import pytest
 
 from cyber0 import federation
 from cyber0.cli import csv_lines, load_config
-from cyber0.data import MNIST_FILES, Dataset
+from cyber0.data import MNIST_FILES, BatchCursor, Dataset
 from cyber0.federation import (
     ExperimentConfig,
     comm_cost,
@@ -66,6 +66,13 @@ GOLDEN = [
      (1.3048061715413752, 82.33333333333334, 0.3881557475947562)),
     ("quad_projection", {**QUAD, "project_radius": 0.5, "steps": 10},
      (0.0022809247201371207, NAN, 0.0536821877526723)),
+    ("full_local_label_flip", {**BYZ, "attack": "label_flip", "full_local_data": True,
+                               "synth_samples": 240, "steps": 10},
+     (1.357930259324307, 35.0, 0.1826083128252486)),
+    ("coordwise_tm_noniid_label_flip", {**BYZ, "algorithm": "coordwise_tm",
+                                        "distribution": "noniid", "attack": "label_flip",
+                                        "clients": 8, "alpha": 0.25, "beta": 0.25},
+     (1.283802280733976, 50.0, 0.8124607243762099)),
 ]
 
 
@@ -182,6 +189,35 @@ class TestDirectionWindow:
             assert np.array_equal(w, default[0]) and lines == default[1]
 
 
+class TestClientBatches:
+    def test_byzantine_batches_are_never_gathered(self, monkeypatch):
+        # under a coefficient attack the Byzantine clients never compute, so
+        # their cursors stay put and no rows of theirs are gathered
+        cfg = ExperimentConfig(**{**BYZ, "attack": "full_knowledge", "steps": 4,
+                                  "local_epochs": 2})
+        readers, steps = set(), []
+        next_rows = BatchCursor.next_rows
+        batches_for_step = federation._Setup.batches_for_step
+
+        def spy_rows(self):
+            readers.add(self.client_id)
+            return next_rows(self)
+
+        def spy_step(self):
+            steps.append(batches_for_step(self))
+            return steps[-1]
+
+        monkeypatch.setattr(BatchCursor, "next_rows", spy_rows)
+        monkeypatch.setattr(federation._Setup, "batches_for_step", spy_step)
+        run_cyber0(cfg)
+        setup = federation._Setup(cfg)
+        assert setup.byz and readers == set(setup.honest)
+        assert len(steps) == cfg.steps * cfg.local_epochs
+        for batches in steps:
+            assert all(batches[i] is None for i in setup.byz)
+            assert all(batches[i] is not None for i in setup.honest)
+
+
 class TestDataFreeQuadratic:
     def test_one_worker_serves_every_client(self, profile_dir, monkeypatch):
         # every client starts from the synchronized w with no batch, so one
@@ -205,7 +241,7 @@ class TestBaselines:
         cfg = ExperimentConfig(**{**SYNTH, "clients": 1, "algorithm": "fedavg", "steps": 12})
         res = run_experiment(cfg)
         # manual trace with the same batch stream
-        from cyber0.data import BatchCursor, partition_iid, synth_generate
+        from cyber0.data import partition_iid, synth_generate
 
         train = synth_generate(cfg.data_seed, cfg.synth_samples, cfg.synth_features,
                                cfg.synth_classes, split=0)
@@ -378,10 +414,6 @@ class TestEndToEndSynth:
         res = run_cyber0(cfg)
         assert np.linalg.norm(res.final_w) <= 0.5 * (1 + 1e-12)
 
-    def test_config_mapping_round_trip(self):
-        cfg = ExperimentConfig(**SYNTH)
-        assert ExperimentConfig.from_mapping(cfg.to_mapping()) == cfg
-
 
 class TestMnistWiring:
     """The data=mnist path exercised against small hand-built IDX files;
@@ -428,7 +460,7 @@ def test_full_local_data_uses_whole_shard_every_step():
     first = setup.batches_for_step()
     second = setup.batches_for_step()
     for i in range(3):
-        assert len(first[i][0]) == len(setup.shards[i])
+        assert len(first[i][0]) == len(setup.data.shards[i])
         assert np.array_equal(first[i][0], second[i][0])
     run_cyber0(cfg)  # engine runs end to end in this mode
 
