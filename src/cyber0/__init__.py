@@ -24,8 +24,7 @@ from .seedstream import (
     SeedTuple,
     StreamKind,
     derive_seed,
-    gaussian_direction,
-    perturb_inplace,
+    make_direction,
     sphere_direction,
 )
-from .zo import NonFiniteLossError, ZoConfig, apply_update, zo_coefficient, zo_coefficient_mu0
+from .zo import NonFiniteLossError, apply_update, direction_seed, zo_coefficient

@@ -21,10 +21,13 @@ def project_ball(w: ParamVector, radius: float) -> ParamVector:
         raise ValueError("radius must be positive")
     if not np.all(np.isfinite(w)):
         raise ValueError("project_ball: non-finite input vector")
-    norm = float(np.linalg.norm(w))
-    if norm <= radius:
+    norm, peak = float(np.linalg.norm(w)), 1.0
+    if norm == np.inf:  # w is finite, so only its squared norm overflowed
+        peak = float(np.max(np.abs(w)))
+        norm = float(np.linalg.norm(w / peak))  # ||w|| / peak
+    if norm * peak <= radius:
         return w
-    out = w * (radius / norm)
+    out = (w if peak == 1.0 else w / peak) * (radius / norm)
     # rescaling can round the norm a hair above the radius; nudge until the
     # inside test holds so projection is exactly idempotent
     for _ in range(4):

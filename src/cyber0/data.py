@@ -229,7 +229,9 @@ class BatchCursor:
 class ClientData:
     """Every client's training data: its shard of ``train``, with the labels
     of the ``flipped`` clients' shards flipped once, read as one batch per
-    step from its own cursor, or whole when ``whole_shard`` is set."""
+    step from its own cursor, or whole when ``whole_shard`` is set: a whole
+    shard is gathered on its client's first read and every later read
+    returns the same read-only arrays."""
 
     def __init__(self, train: Dataset, shards: list[np.ndarray], batch_size: int, seed: int,
                  whole_shard: bool, flipped):
@@ -240,6 +242,7 @@ class ClientData:
         self.shards = shards
         self.cursors = None if whole_shard else [BatchCursor(shard, batch_size, seed, i)
                                                  for i, shard in enumerate(shards)]
+        self._whole: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(shards)
 
     def batches(self, readers) -> list[tuple[np.ndarray, np.ndarray] | None]:
         """One step's batch of each client in ``readers``, indexed by client
@@ -248,6 +251,13 @@ class ClientData:
         which other clients read."""
         out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(self.shards)
         for i in readers:
-            rows = self.shards[i] if self.cursors is None else self.cursors[i].next_rows()
-            out[i] = (self.features[rows], self.labels[rows])
+            if self.cursors is not None:
+                rows = self.cursors[i].next_rows()
+                out[i] = (self.features[rows], self.labels[rows])
+                continue
+            if self._whole[i] is None:
+                self._whole[i] = (self.features[self.shards[i]], self.labels[self.shards[i]])
+                for a in self._whole[i]:
+                    a.setflags(write=False)
+            out[i] = self._whole[i]
         return out

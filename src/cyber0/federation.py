@@ -32,7 +32,7 @@ from .seedstream import (
     make_direction,
     sphere_direction,
 )
-from .zo import NonFiniteLossError, ZoConfig, apply_update, direction_seed
+from .zo import NonFiniteLossError, apply_update, direction_seed
 
 _CHOICES = {
     "model": ("logreg", "quadratic"),
@@ -111,7 +111,6 @@ class ExperimentConfig:
         for name in ("root_seed", "data_seed"):
             if not 0 <= getattr(self, name) < 2**64:
                 raise ValueError(f"{name} must be a 64-bit unsigned integer")
-        self.zo()  # surfaces mu/k problems at construction time
         kind = AttackKind(self.attack)
         if self.algorithm != "cyber0":
             if kind.substitutes_coefficients:
@@ -119,10 +118,6 @@ class ExperimentConfig:
                                  f"{self.algorithm} baselines only support none/label_flip")
             if self.local_epochs != 1:
                 raise ValueError("local_epochs > 1 is only defined for the cyber0 algorithm")
-
-    def zo(self) -> ZoConfig:
-        mode = DirectionMode.SPHERE if self.direction_mode == "sphere" else DirectionMode.GAUSSIAN
-        return ZoConfig(mu=self.mu, k=self.k, direction_mode=mode, mu_zero=self.mu_zero)
 
 
 @dataclass
@@ -211,7 +206,11 @@ class _Setup:
                                    config.full_local_data, flipped)
 
         self.d = self.model.dimension
-        self.zo = config.zo()
+        sphere = config.direction_mode == "sphere"
+        self.direction_mode = DirectionMode.SPHERE if sphere else DirectionMode.GAUSSIAN
+        # the coefficient's factor c: sphere directions need the dimension,
+        # Gaussian ones do not
+        self.scale = float(self.d) if sphere else 1.0
         self.w = self._initial_w()
         # indices of the clients that actually execute the protocol this run
         if self.attack.kind.substitutes_coefficients:
@@ -279,6 +278,14 @@ def _check_finite(matrix: np.ndarray, step: int, clients: np.ndarray) -> None:
     )
 
 
+def _project(w: np.ndarray, radius: float, step: int) -> np.ndarray:
+    """``project_ball`` of the step's updated w; a w that the update drove
+    to inf or nan is a diverged run, not a bad input."""
+    if not np.isfinite(w).all():
+        raise NonFiniteLossError(f"non-finite parameters at step {step}", step=step)
+    return project_ball(w, radius)
+
+
 def _finish_round(setup, logs, t, tr_loss, started, do_log):
     if do_log:
         acc = setup.test_acc(setup.w)
@@ -317,9 +324,8 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
     drifted copy after that. The same block feeds the mu = 0 projection and
     the replay."""
     setup = _Setup(config)
-    zo = setup.zo
     E, k, d = config.local_epochs, config.k, setup.d
-    scale, denom = zo.scale(d), 2.0 * config.mu
+    scale, denom = setup.scale, 2.0 * config.mu
     replicas = _make_replicas(setup) if config.debug_replicas else None
     logs: list[RoundLog] = []
     started = time.monotonic()
@@ -335,7 +341,7 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
             n = min(window, config.steps - t)
             seeds = direction_seed(config.root_seed, np.arange(t, t + n)[:, None, None],
                                    np.arange(k), np.arange(E)[:, None])
-            make_direction(seeds.reshape(-1), d, zo.direction_mode, out=dirs[:n].reshape(-1, d))
+            make_direction(seeds.reshape(-1), d, setup.direction_mode, out=dirs[:n].reshape(-1, d))
         step_dirs = dirs[t % window]
         epoch_batches = [setup.batches_for_step() for _ in range(E)]
         do_log = _should_log(config, t)
@@ -361,8 +367,7 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
             coeffs[0] = first
             local = setup.w.copy()  # local drift never touches the synchronized w
             for e in range(1, E):
-                apply_update(local, coeffs[e - 1], t, e - 1, config.eta, zo, config.root_seed,
-                             directions=step_dirs[e - 1])
+                apply_update(local, coeffs[e - 1], step_dirs[e - 1], config.eta, t)
                 coeffs[e] = coefficients(local, e, epoch_batches[e][i])
             return coeffs.reshape(-1)
 
@@ -373,7 +378,7 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
         agg = robust_direction_aggregate(matrix, config.beta)
         _replay(setup, setup.w, agg, step_dirs, t)
         if config.project_radius > 0:
-            setup.w = project_ball(setup.w, config.project_radius)
+            setup.w = _project(setup.w, config.project_radius, t)
         if replicas is not None:
             _advance_replicas(setup, replicas, agg, step_dirs, t)
         _finish_round(setup, logs, t, tr_loss, started, do_log)
@@ -388,10 +393,9 @@ def _make_replicas(setup: _Setup) -> dict[str, np.ndarray]:
 
 def _replay(setup: _Setup, w: np.ndarray, agg: np.ndarray, dirs, t: int) -> None:
     """Apply the step's E*k aggregated coefficients to w, epoch by epoch."""
-    cfg = setup.config
+    k = setup.config.k
     for e, dirs_e in enumerate(dirs):
-        apply_update(w, agg[e * cfg.k : (e + 1) * cfg.k], t, e, cfg.eta, setup.zo, cfg.root_seed,
-                     directions=dirs_e)
+        apply_update(w, agg[e * k : (e + 1) * k], dirs_e, setup.config.eta, t)
 
 
 def _advance_replicas(setup, replicas: dict[str, np.ndarray], agg, dirs, t: int) -> None:
@@ -430,7 +434,7 @@ def _run_first_order(config: ExperimentConfig) -> RunResult:
         agg = coordwise_trimmed_mean(grads, beta)
         setup.w += (-config.eta) * agg
         if config.project_radius > 0:
-            setup.w = project_ball(setup.w, config.project_radius)
+            setup.w = _project(setup.w, config.project_radius, t)
         _finish_round(setup, logs, t, tr_loss, started, do_log)
     return RunResult(config, logs, setup.w)
 

@@ -267,12 +267,6 @@ class RngStream:
         return np.argsort(self.words(n), kind="stable")
 
 
-def gaussian_direction(seed: int, d: int) -> np.ndarray:
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return RngStream(seed).gaussians(d)
-
-
 def _chunked_sumsq(vec: np.ndarray) -> float:
     total = 0.0
     for a in range(0, len(vec), CHUNK):
@@ -314,8 +308,8 @@ def make_direction(
     """The direction of one seed, (d,), or the (k, d) block of a uint64 seed
     array, written into ``out`` when given.
 
-    Every row is bit-identical to ``gaussian_direction`` or
-    ``sphere_direction`` of its seed. Rows are generated about BLOCK_WORDS
+    Every row is bit-identical to ``RngStream(seed).gaussians(d)`` or
+    ``sphere_direction(seed, d)``. Rows are generated about BLOCK_WORDS
     raw words at a time: each chunk draws every row's first polar batch in
     one pass, a row whose batch holds too few accepted pairs continues on
     its own ``RngStream``, and sphere rows take their norms from
@@ -390,20 +384,3 @@ def _gaussian_rows(seeds: np.ndarray, positions: np.ndarray, want: int, out: np.
         out[r, 0:got:2] = g1[a:b]
         out[r, 1:got:2] = g2[a:b]
         out[r, got:] = RngStream(int(seeds[r]), 2 * pairs).gaussians(d - got)
-
-
-def perturb_inplace(
-    w: np.ndarray,
-    scale: float,
-    seed: int,
-    mode: DirectionMode = DirectionMode.GAUSSIAN,
-    direction: np.ndarray | None = None,
-) -> None:
-    """w <- w + scale * z(seed), mutating w.
-
-    ``direction`` may carry the cached z for this seed; callers are
-    responsible for the cache actually matching (seed, mode). Without it,
-    z is regenerated by ``make_direction``.
-    """
-    z = make_direction(seed, len(w), mode) if direction is None else direction
-    w += scale * z

@@ -21,7 +21,7 @@ from cyber0.federation import (
 )
 from cyber0.losses import LogisticRegressionModel
 from cyber0.robust import trimmed_mean
-from cyber0.seedstream import DirectionMode, RngStream, gaussian_direction, perturb_inplace
+from cyber0.seedstream import DirectionMode, RngStream, make_direction
 from cyber0.verify import (
     TheoryParams,
     check_cross_bound,
@@ -211,9 +211,9 @@ class TestPropertySuites:
         # add/subtract cycle restores every coordinate to within one ulp
         w0 = RngStream(8).gaussians(4096) * 0.3
         w = w0.copy()
-        z = gaussian_direction(99, 4096)
-        perturb_inplace(w, 1e-3, 99, DirectionMode.GAUSSIAN)
-        perturb_inplace(w, -1e-3, 99, DirectionMode.GAUSSIAN)
+        z = make_direction(99, 4096, DirectionMode.GAUSSIAN)
+        w += 1e-3 * z
+        w += -1e-3 * make_direction(99, 4096, DirectionMode.GAUSSIAN)  # regenerated
         limit = 2 * np.spacing(np.maximum(np.abs(w0), np.abs(1e-3 * z)))
         replay_ok = bool(np.all(np.abs(w - w0) <= limit))
 

@@ -189,6 +189,24 @@ class TestRun:
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine", ["", "algorithm = fedavg\nquad_lambda = 1e10\n"],
+                             ids=["cyber0", "fedavg"])
+    def test_divergent_projected_run_exit_3(self, tmp_path, capsys, engine):
+        # the update overflows w, which must end the run as diverged, not
+        # as a projection input error
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(
+            "model = quadratic\nquad_dim = 16\nclients = 4\nalpha = 0\nbeta = 0\n"
+            "mu = 0\nmu_zero = true\nk = 4\neta = 1e308\nsteps = 5\n"
+            "direction_mode = sphere\ninit = sphere\nproject_radius = 1.0\n" + engine
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: run diverged: non-finite parameters at step 0\n"
+        assert not (tmp_path / "o").exists()
+
     def test_divergent_first_order_run_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(

@@ -13,6 +13,17 @@ class TestProjectBall:
         out = project_ball(np.array([3.0, 4.0]), 1.0)
         assert np.allclose(out, [0.6, 0.8], rtol=0, atol=1e-15)
 
+    def test_overflowing_norm(self):
+        # finite w whose squared norm overflows float64
+        with np.errstate(over="ignore"):
+            out = project_ball(np.array([3e200, 4e200]), 1.0)
+            assert np.allclose(out, [0.6, 0.8], rtol=0, atol=1e-15)
+            assert np.linalg.norm(out) <= 1.0
+            big = np.array([1.7e308, -1.7e308, 1e300])
+            assert np.allclose(project_ball(big, 2.0), [np.sqrt(2), -np.sqrt(2), 0.0])
+            inside = np.array([3e160])
+            assert project_ball(inside, 1e200) is inside
+
     def test_zero_fixed_point(self):
         z = np.zeros(5)
         assert np.array_equal(project_ball(z, 0.25), z)

@@ -268,6 +268,17 @@ class TestClientData:
                 assert np.array_equal(X, train.features[shards[i]])
                 assert np.array_equal(y, train.labels[shards[i]])
 
+    def test_whole_shard_gathered_once_read_only(self, parts):
+        train, shards = parts
+        data = ClientData(train, shards, batch_size=8, seed=5, whole_shard=True, flipped=())
+        first, second = data.batches([0, 2]), data.batches([0, 2])
+        assert first[1] is None and first[3] is None
+        for i in (0, 2):
+            for a, b, want in zip(first[i], second[i], (train.features, train.labels)):
+                assert a is b and not a.flags.writeable
+                assert np.array_equal(a, want[shards[i]])
+        assert data._whole[1] is None and data._whole[3] is None  # no reads, no gathers
+
     def test_only_flipped_clients_labels_change(self, parts):
         train, shards = parts
         data = ClientData(train, shards, batch_size=8, seed=5, whole_shard=True, flipped=(1, 3))

@@ -15,6 +15,7 @@ from cyber0.federation import (
 )
 from cyber0.losses import LogisticRegressionModel, QuadraticModel
 from cyber0.robust import robust_direction_aggregate
+from cyber0.seedstream import make_direction
 from cyber0.zo import NonFiniteLossError, apply_update, direction_seed, zo_coefficient
 from test_data import write_idx
 
@@ -148,16 +149,18 @@ class TestEnginePathsAgree:
         (matrix,) = seen
         setup = federation._Setup(cfg)
         epoch_batches = [setup.batches_for_step() for _ in range(cfg.local_epochs)]
-        zo, k = cfg.zo(), cfg.k
+        k, d, mode = cfg.k, setup.d, setup.direction_mode
         for i in range(cfg.clients):
             w = setup.w.copy()
             for e in range(cfg.local_epochs):
                 fast = matrix[i, e * k : (e + 1) * k]
                 for r in range(k):
-                    literal = zo_coefficient(setup.model, w, epoch_batches[e][i], zo,
-                                             direction_seed(cfg.root_seed, 0, r, e))
+                    z = make_direction(direction_seed(cfg.root_seed, 0, r, e), d, mode)
+                    literal = zo_coefficient(setup.model, w, epoch_batches[e][i], z, cfg.mu,
+                                             setup.scale)
                     assert fast[r] == pytest.approx(literal, rel=1e-9, abs=1e-12)
-                apply_update(w, fast, 0, e, cfg.eta, zo, cfg.root_seed)
+                seeds = direction_seed(cfg.root_seed, 0, np.arange(k), e)
+                apply_update(w, fast, make_direction(seeds, d, mode), cfg.eta, 0)
 
     def test_mu_zero_engine_matches_mu_positive_on_quadratic(self):
         # quadratic: the finite difference is exact, so the two modes coincide
@@ -392,6 +395,8 @@ class TestFailureModes:
             ExperimentConfig(**{**SYNTH, "beta": 0.6})
         with pytest.raises(ValueError):
             ExperimentConfig(**{**SYNTH, "mu": 0.0})
+        with pytest.raises(ValueError, match="mu_zero = true requires mu = 0"):
+            ExperimentConfig(**{**SYNTH, "mu_zero": True})
         with pytest.raises(ValueError):
             ExperimentConfig(**{**SYNTH, "eta": -1.0})
         with pytest.raises(ValueError):

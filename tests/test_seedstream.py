@@ -14,9 +14,7 @@ from cyber0.seedstream import (
     StreamKind,
     derive_seed,
     first_uniforms,
-    gaussian_direction,
     make_direction,
-    perturb_inplace,
     sphere_direction,
 )
 from cyber0.zo import direction_seed
@@ -139,8 +137,8 @@ class TestStream:
     def test_cross_process_style_agreement(self):
         # two independent engine instances derive identical directions
         t = SeedTuple(77, 12, 4, 0, StreamKind.DIRECTION)
-        a = gaussian_direction(derive_seed(t), 512)
-        b = gaussian_direction(derive_seed(SeedTuple(77, 12, 4, 0, StreamKind.DIRECTION)), 512)
+        a = RngStream(derive_seed(t)).gaussians(512)
+        b = RngStream(derive_seed(SeedTuple(77, 12, 4, 0, StreamKind.DIRECTION))).gaussians(512)
         assert np.array_equal(a, b)
 
     def test_permutation_is_a_permutation(self):
@@ -170,11 +168,12 @@ class TestDirections:
         assert vals <= {1.0, -1.0} and len(vals) == 2
 
     def test_determinism(self):
-        assert np.array_equal(gaussian_direction(9, 3000), gaussian_direction(9, 3000))
+        assert np.array_equal(RngStream(9).gaussians(3000), RngStream(9).gaussians(3000))
         assert np.array_equal(sphere_direction(9, 3000), sphere_direction(9, 3000))
 
 
-REFERENCE = {DirectionMode.GAUSSIAN: gaussian_direction, DirectionMode.SPHERE: sphere_direction}
+REFERENCE = {DirectionMode.GAUSSIAN: lambda seed, d: RngStream(seed).gaussians(d),
+             DirectionMode.SPHERE: sphere_direction}
 MODES = [DirectionMode.GAUSSIAN, DirectionMode.SPHERE]
 
 
@@ -294,16 +293,10 @@ class TestDirectionBlock:
 
 
 class TestPerturb:
+    """The round protocol's in-place perturbation ``w += s * z``."""
+
     def setup_method(self):
         self.w = RngStream(123).gaussians(9000) * 0.3
-
-    @pytest.mark.parametrize("mode", [DirectionMode.GAUSSIAN, DirectionMode.SPHERE])
-    def test_streamed_equals_cached_direction(self, mode):
-        make = sphere_direction if mode == DirectionMode.SPHERE else gaussian_direction
-        w1, w2 = self.w.copy(), self.w.copy()
-        perturb_inplace(w1, -0.73, 555, mode)
-        perturb_inplace(w2, -0.73, 555, mode, direction=make(555, len(w2)))
-        assert np.array_equal(w1, w2)
 
     @pytest.mark.parametrize("mode", [DirectionMode.GAUSSIAN, DirectionMode.SPHERE])
     @pytest.mark.parametrize("mu", [1e-5, 1e-3, 0.1])
@@ -311,24 +304,22 @@ class TestPerturb:
         # fl(w + a) is not injective in w, so an in-place add/subtract cycle
         # can land one ulp off per coordinate; the inverse must never do
         # worse than that
-        make = sphere_direction if mode == DirectionMode.SPHERE else gaussian_direction
-        delta = mu * make(321, len(self.w))
+        z = make_direction(321, len(self.w), mode)
         w = self.w.copy()
-        perturb_inplace(w, mu, 321, mode)
-        perturb_inplace(w, -mu, 321, mode)
+        w += mu * z
+        w += -mu * z
         err = np.abs(w - self.w)
-        limit = 2 * np.spacing(np.maximum(np.abs(self.w), np.abs(delta)))
+        limit = 2 * np.spacing(np.maximum(np.abs(self.w), np.abs(mu * z)))
         assert np.all(err <= limit)
 
     @pytest.mark.parametrize("mode", [DirectionMode.GAUSSIAN, DirectionMode.SPHERE])
     def test_bracket_schedule_within_one_ulp(self, mode):
-        make = sphere_direction if mode == DirectionMode.SPHERE else gaussian_direction
-        delta = 1e-3 * make(77, len(self.w))
+        z = make_direction(77, len(self.w), mode)
         w = self.w.copy()
         for scale in (1e-3, -2e-3, 1e-3):
-            perturb_inplace(w, scale, 77, mode)
+            w += scale * z
         err = np.abs(w - self.w)
-        limit = 4 * np.spacing(np.maximum(np.abs(self.w), np.abs(delta)))
+        limit = 4 * np.spacing(np.maximum(np.abs(self.w), np.abs(1e-3 * z)))
         assert np.all(err <= limit)
 
     def test_replay_is_deterministic(self):
@@ -336,12 +327,11 @@ class TestPerturb:
         # identical op sequences leave identical states, bit for bit
         w1, w2 = self.w.copy(), self.w.copy()
         for w in (w1, w2):
-            perturb_inplace(w, 1e-3, 90, DirectionMode.GAUSSIAN)
-            perturb_inplace(w, -2e-3, 90, DirectionMode.GAUSSIAN)
-            perturb_inplace(w, 1e-3, 90, DirectionMode.GAUSSIAN)
+            for scale in (1e-3, -2e-3, 1e-3):
+                w += scale * make_direction(90, len(w), DirectionMode.GAUSSIAN)
         assert np.array_equal(w1, w2)
 
     def test_zero_scale_is_identity(self):
         w = self.w.copy()
-        perturb_inplace(w, 0.0, 4, DirectionMode.GAUSSIAN)
+        w += 0.0 * make_direction(4, len(w), DirectionMode.GAUSSIAN)
         assert np.array_equal(w, self.w)

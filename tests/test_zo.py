@@ -3,37 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cyber0.federation import ExperimentConfig, _Setup, run_cyber0
 from cyber0.losses import LogisticRegressionModel, QuadraticModel
-from cyber0.seedstream import DirectionMode, RngStream, gaussian_direction, sphere_direction
-from cyber0.zo import (
-    NonFiniteLossError,
-    ZoConfig,
-    apply_update,
-    direction_seed,
-    zo_coefficient,
-    zo_coefficient_mu0,
-)
+from cyber0.seedstream import DirectionMode, RngStream, make_direction, sphere_direction
+from cyber0.zo import NonFiniteLossError, apply_update, direction_seed, zo_coefficient
 
 
-def sphere_cfg(mu, k=1, mu_zero=False):
-    return ZoConfig(mu=mu, k=k, direction_mode=DirectionMode.SPHERE, mu_zero=mu_zero)
-
-
-def gaussian_cfg(mu, k=1, mu_zero=False):
-    return ZoConfig(mu=mu, k=k, direction_mode=DirectionMode.GAUSSIAN, mu_zero=mu_zero)
-
-
-class TestZoConfig:
-    def test_mu_xor_mu_zero(self):
-        with pytest.raises(ValueError):
-            ZoConfig(mu=0.0, k=1)
-        with pytest.raises(ValueError):
-            ZoConfig(mu=0.1, k=1, mu_zero=True)
-        assert ZoConfig(mu=0.0, k=1, mu_zero=True).scale(5) == 1.0
-
-    def test_scale_factor(self):
-        assert sphere_cfg(0.1).scale(7) == 7.0
-        assert gaussian_cfg(0.1).scale(7) == 1.0
+def gaussian_reference(seed, d):
+    return RngStream(seed).gaussians(d)
 
 
 class TestCoefficient:
@@ -42,30 +19,34 @@ class TestCoefficient:
         # 2 * ((0.605 - 0.405) / 0.2) = 2.0
         model = QuadraticModel(1.0, np.zeros(2))
         w = np.array([1.0, 0.0])
-        c = zo_coefficient(model, w, None, sphere_cfg(0.1), seed=0,
-                           direction=np.array([1.0, 0.0]))
+        c = zo_coefficient(model, w, None, np.array([1.0, 0.0]), 0.1, 2.0)
         assert c == pytest.approx(2.0, abs=1e-12)
 
     def test_orthogonal_direction_gives_zero(self):
         model = QuadraticModel(1.0, np.zeros(2))
         w = np.array([1.0, 0.0])
-        c = zo_coefficient(model, w, None, sphere_cfg(0.1), seed=0,
-                           direction=np.array([0.0, 1.0]))
+        c = zo_coefficient(model, w, None, np.array([0.0, 1.0]), 0.1, 2.0)
         assert abs(c) <= 4 * np.finfo(float).eps * 2.0
 
     def test_gaussian_mode_drops_dimension_factor(self):
+        base = dict(model="quadratic", quad_dim=4, mu=0.05)
+        sphere = _Setup(ExperimentConfig(**base, direction_mode="sphere"))
+        gaussian = _Setup(ExperimentConfig(**base, direction_mode="gaussian"))
+        assert (sphere.scale, gaussian.scale) == (4.0, 1.0)
+        assert (sphere.direction_mode, gaussian.direction_mode) == (
+            DirectionMode.SPHERE, DirectionMode.GAUSSIAN)
         model = QuadraticModel(1.0, np.zeros(4))
         w = np.array([0.5, -0.2, 0.1, 0.9])
         z = sphere_direction(99, 4)
-        cs = zo_coefficient(model, w, None, sphere_cfg(0.05), seed=99, direction=z)
-        cg = zo_coefficient(model, w, None, gaussian_cfg(0.05), seed=99, direction=z)
+        cs = zo_coefficient(model, w, None, z, 0.05, sphere.scale)
+        cg = zo_coefficient(model, w, None, z, 0.05, gaussian.scale)
         assert cs == pytest.approx(4.0 * cg, rel=1e-12)
 
     def test_caller_w_untouched(self):
         model = QuadraticModel(1.0, np.zeros(64))
         w = RngStream(3).gaussians(64) * 0.4
         snapshot = w.copy()
-        zo_coefficient(model, w, None, sphere_cfg(1e-3), seed=5)
+        zo_coefficient(model, w, None, sphere_direction(5, 64), 1e-3, 64.0)
         assert np.array_equal(w, snapshot)
 
     def test_mu_independence_on_quadratic(self):
@@ -73,19 +54,19 @@ class TestCoefficient:
         rng = np.random.default_rng(0)
         model = QuadraticModel(1.4, rng.normal(size=10))
         w = rng.normal(size=10)
-        vals = [
-            zo_coefficient(model, w, None, sphere_cfg(mu), seed=12)
-            for mu in (1e-4, 1e-2, 0.3)
-        ]
-        mu0 = zo_coefficient_mu0(model, w, None, sphere_cfg(0.0, mu_zero=True), seed=12)
+        z = sphere_direction(12, 10)
+        vals = [zo_coefficient(model, w, None, z, mu, 10.0) for mu in (1e-4, 1e-2, 0.3)]
+        mu0 = 10.0 * (z @ model.grad(w))  # the engine's mu = 0 coefficient
         for v in vals:
             assert v == pytest.approx(mu0, rel=1e-9, abs=1e-11)
 
     def test_mu0_zero_gradient_gives_zero(self):
-        model = QuadraticModel(2.0, np.zeros(6))
-        cfg = sphere_cfg(0.0, mu_zero=True)
-        for seed in range(10):
-            assert zo_coefficient_mu0(model, model.w_star, None, cfg, seed) == 0.0
+        # the engine's mu = 0 coefficients at the minimiser are exact zeros,
+        # so w = w* = 0 never moves
+        cfg = ExperimentConfig(model="quadratic", quad_dim=6, quad_lambda=2.0, clients=4,
+                               alpha=0.0, mu=0.0, mu_zero=True, k=10, steps=3,
+                               direction_mode="sphere", init="zeros")
+        assert np.array_equal(run_cyber0(cfg).final_w, np.zeros(6))
 
     def test_logreg_halving_mu_shrinks_gap(self):
         # |mu>0 coefficient - mu=0 coefficient| = O(mu): Richardson-style check
@@ -94,11 +75,12 @@ class TestCoefficient:
         X = rng.uniform(0, 1, size=(12, 6))
         y = rng.integers(0, 3, size=12)
         w = rng.normal(size=model.dimension) * 0.3
-        seed = 77
-        exact = zo_coefficient_mu0(model, w, (X, y), sphere_cfg(0.0, mu_zero=True), seed)
+        d = model.dimension
+        z = sphere_direction(77, d)
+        exact = d * (z @ model.grad(w, (X, y)))
         gaps = []
         for mu in (1e-2, 5e-3, 2.5e-3):
-            c = zo_coefficient(model, w, (X, y), sphere_cfg(mu), seed)
+            c = zo_coefficient(model, w, (X, y), z, mu, float(d))
             gaps.append(abs(c - exact))
         # the gap is O(mu^2) for central differences; demand at least O(mu)
         assert gaps[1] <= gaps[0] / 1.9 + 1e-12
@@ -112,12 +94,13 @@ class TestCoefficient:
                 return float("inf")
 
         with pytest.raises(NonFiniteLossError):
-            zo_coefficient(ExplodingModel(), np.zeros(3), None, sphere_cfg(0.1), seed=1)
+            zo_coefficient(ExplodingModel(), np.zeros(3), None, np.ones(3), 0.1, 3.0)
 
     def test_mu0_requires_mu0_config(self):
+        # mu = 0 has no bracket: it takes the engine's projection path
         model = QuadraticModel(1.0, np.zeros(2))
-        with pytest.raises(ValueError):
-            zo_coefficient(model, np.zeros(2), None, sphere_cfg(0.0, mu_zero=True), seed=1)
+        with pytest.raises(ValueError, match="mu > 0"):
+            zo_coefficient(model, np.zeros(2), None, np.array([1.0, 0.0]), 0.0, 2.0)
 
 
 class TestUnbiasedness:
@@ -128,8 +111,6 @@ class TestUnbiasedness:
         model = QuadraticModel(1.0, rng.normal(size=d))
         w = rng.normal(size=d)
         grad = model.grad(w)
-        cfg = sphere_cfg(0.0, k=1, mu_zero=True)
-        acc = np.zeros(d)
         stream = RngStream(4242)
         g = stream.gaussians(n * d).reshape(n, d)
         g /= np.sqrt(np.einsum("nd,nd->n", g, g))[:, None]
@@ -137,53 +118,49 @@ class TestUnbiasedness:
         acc = (coeffs[:, None] * g).mean(axis=0)
         rel = np.linalg.norm(acc - grad) / np.linalg.norm(grad)
         assert rel < 0.03
-        # spot check the scalar op matches the vectorized oracle on a few rows
-        for j in range(5):
-            c = zo_coefficient_mu0(model, w, None, cfg, seed=0, direction=g[j])
-            assert c == pytest.approx(coeffs[j], rel=1e-12)
 
 
 class TestApplyUpdate:
     def test_zero_coefficients_no_change(self):
-        cfg = gaussian_cfg(1e-3, k=4)
+        directions = make_direction(direction_seed(9, 3, np.arange(4)), 32, DirectionMode.GAUSSIAN)
         w = RngStream(5).gaussians(32)
         before = w.copy()
-        apply_update(w, np.zeros(4), step=3, epoch=0, eta=0.1, cfg=cfg, root_seed=9)
+        apply_update(w, np.zeros(4), directions, eta=0.1, step=3)
         assert np.array_equal(w, before)
 
     def test_k1_matches_dense_vector_arithmetic(self):
-        cfg = gaussian_cfg(1e-3, k=1)
         w = RngStream(6).gaussians(50) * 0.2
         expected = w.copy()
         seed = direction_seed(11, 4, 0, 0)
-        z = gaussian_direction(seed, 50)
         coeff = 0.37
-        expected += (-(0.05 * coeff / 1)) * z
-        apply_update(w, np.array([coeff]), step=4, epoch=0, eta=0.05, cfg=cfg, root_seed=11)
+        expected += (-(0.05 * coeff / 1)) * gaussian_reference(seed, 50)
+        directions = make_direction(np.array([seed], dtype=np.uint64), 50, DirectionMode.GAUSSIAN)
+        apply_update(w, np.array([coeff]), directions, eta=0.05, step=4)
         assert np.array_equal(w, expected)
 
     def test_federator_and_client_replicas_agree_bitwise(self):
-        cfg = sphere_cfg(1e-3, k=8)
         w_fed = RngStream(7).gaussians(128) * 0.1
         w_cli = w_fed.copy()
         coeffs = RngStream(8).gaussians(8)
         for t in range(5):
-            apply_update(w_fed, coeffs, t, 0, 0.02, cfg, root_seed=21)
-            apply_update(w_cli, coeffs, t, 0, 0.02, cfg, root_seed=21)
+            seeds = direction_seed(21, t, np.arange(8))
+            apply_update(w_fed, coeffs, make_direction(seeds, 128, DirectionMode.SPHERE), 0.02, t)
+            apply_update(w_cli, coeffs, make_direction(seeds, 128, DirectionMode.SPHERE), 0.02, t)
         assert np.array_equal(w_fed, w_cli)
 
-    @pytest.mark.parametrize("cfg", [gaussian_cfg(1e-3, k=8), sphere_cfg(1e-3, k=8)])
+    @pytest.mark.parametrize("cfg", [(DirectionMode.GAUSSIAN, gaussian_reference),
+                                     (DirectionMode.SPHERE, sphere_direction)])
     def test_regenerated_block_matches_per_seed_replay(self, cfg):
-        # without cached directions the k directions come from one block
-        # call; the update must equal k per-seed regenerations in ascending r
-        sphere = cfg.direction_mode == DirectionMode.SPHERE
-        make = sphere_direction if sphere else gaussian_direction
+        # the k directions come from one block call; the update must equal
+        # k per-seed regenerations in ascending r
+        mode, make = cfg
         w = RngStream(9).gaussians(300) * 0.3
         coeffs = RngStream(10).gaussians(8)
         expected = w.copy()
         for r in range(8):
             expected += -(0.02 * float(coeffs[r]) / 8) * make(direction_seed(21, 6, r, 1), 300)
-        apply_update(w, coeffs, 6, 1, 0.02, cfg, root_seed=21)
+        directions = make_direction(direction_seed(21, 6, np.arange(8), 1), 300, mode)
+        apply_update(w, coeffs, directions, 0.02, 6)
         assert np.array_equal(w, expected)
 
     @settings(max_examples=80, deadline=None)
@@ -199,20 +176,19 @@ class TestApplyUpdate:
     def test_update_equals_ascending_axpy_loop(self, k, d, eta, seed, magnitude):
         # d crosses 4k, so both the cumsum and the row-loop replay run; each
         # must add the k rows into w one at a time in ascending r
-        cfg = gaussian_cfg(1e-3, k=k)
         directions = RngStream(seed).gaussians(k * d).reshape(k, d)
         coeffs = RngStream(seed + 1).gaussians(k) * magnitude  # signed
         w = RngStream(seed + 2).gaussians(d)
         expected = w.copy()
         for r in range(k):
             expected += -(eta * float(coeffs[r]) / k) * directions[r]
-        apply_update(w, coeffs, 0, 0, eta, cfg, root_seed=1, directions=directions)
+        apply_update(w, coeffs, directions, eta, 0)
         assert np.array_equal(w, expected)
 
     def test_rejects_nonfinite_and_wrong_length(self):
-        cfg = gaussian_cfg(1e-3, k=2)
         w = np.zeros(8)
+        directions = np.ones((2, 8))
         with pytest.raises(NonFiniteLossError):
-            apply_update(w, np.array([1.0, np.nan]), 0, 0, 0.1, cfg, 1)
+            apply_update(w, np.array([1.0, np.nan]), directions, 0.1, 0)
         with pytest.raises(ValueError):
-            apply_update(w, np.zeros(3), 0, 0, 0.1, cfg, 1)
+            apply_update(w, np.zeros(3), directions, 0.1, 0)
