@@ -25,6 +25,16 @@ from .seedstream import RngStream, SeedTuple, StreamKind, derive_seed
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
+# doubles in the (rows, C * k) step block of one client group: the engine
+# evaluates as many clients at once as fit, and at least one (six 64-row
+# clients at C * k = 640). A client's rows of the group's X Z product are
+# the rows of its own product, so the budget changes speed and memory,
+# never the run, wherever the BLAS computes a row of a product apart from
+# the rows beside it. OpenBLAS 0.3.31 does, except that its small-matrix
+# path (rows * C * k * p <= 10**6) rounds differently from its blocked one:
+# at p = 784 and C * k = 10 a row moves in its last bits with the group
+GROUP_VALUES = 1 << 18
+
 MNIST_DIR_ENV = "CYBER0_MNIST_DIR"
 # (images, labels) IDX file names of each split, plain or with a .gz suffix
 MNIST_FILES = {
@@ -228,10 +238,11 @@ class BatchCursor:
 
 class ClientData:
     """Every client's training data: its shard of ``train``, with the labels
-    of the ``flipped`` clients' shards flipped once, read as one batch per
-    step from its own cursor, or whole when ``whole_shard`` is set: a whole
-    shard is gathered on its client's first read and every later read
-    returns the same read-only arrays."""
+    of the ``flipped`` clients' shards flipped once, read one group of
+    clients at a time: ``gather`` advances each reader's own cursor once and
+    takes the whole group's rows with one fancy index, or, when
+    ``whole_shard`` is set, gathers the group's whole shards on its first
+    read and returns the same read-only arrays on every later one."""
 
     def __init__(self, train: Dataset, shards: list[np.ndarray], batch_size: int, seed: int,
                  whole_shard: bool, flipped):
@@ -242,22 +253,48 @@ class ClientData:
         self.shards = shards
         self.cursors = None if whole_shard else [BatchCursor(shard, batch_size, seed, i)
                                                  for i, shard in enumerate(shards)]
-        self._whole: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(shards)
+        self._whole: dict[tuple[int, ...], tuple] = {}
 
-    def batches(self, readers) -> list[tuple[np.ndarray, np.ndarray] | None]:
-        """One step's batch of each client in ``readers``, indexed by client
-        id, None for the others. Only the readers' cursors advance; each
-        cursor is its own stream, so a client's batches do not depend on
-        which other clients read."""
-        out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(self.shards)
-        for i in readers:
-            if self.cursors is not None:
-                rows = self.cursors[i].next_rows()
-                out[i] = (self.features[rows], self.labels[rows])
-                continue
-            if self._whole[i] is None:
-                self._whole[i] = (self.features[self.shards[i]], self.labels[self.shards[i]])
-                for a in self._whole[i]:
-                    a.setflags(write=False)
-            out[i] = self._whole[i]
+    def rows_per_read(self, i: int) -> int:
+        """Rows one read of client ``i`` returns: its batch, or its whole shard."""
+        return len(self.shards[i]) if self.cursors is None else self.cursors[i].batch_size
+
+    def groups(self, readers, width: int) -> list[slice]:
+        """``readers`` cut, in order, into runs whose stacked (rows, width)
+        block fits ``GROUP_VALUES`` doubles, as slices of ``readers``; a
+        reader whose own block does not fit is a run of one."""
+        out, start, used = [], 0, 0
+        for j, i in enumerate(readers):
+            size = self.rows_per_read(i) * width
+            if j > start and used + size > GROUP_VALUES:
+                out.append(slice(start, j))
+                start, used = j, 0
+            used += size
+        out.append(slice(start, len(readers)))
         return out
+
+    def gather(self, readers) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, list]:
+        """One step's batches of ``readers``, stacked in reader order, each
+        reader's row count, and each reader's (X, y) view of the stack. Only
+        the readers' cursors advance; each cursor is its own stream, so a
+        client's batches do not depend on which other clients read, nor on
+        how the readers are grouped."""
+        counts = np.array([self.rows_per_read(i) for i in readers])
+        if self.cursors is not None:
+            rows = np.concatenate([self.cursors[i].next_rows() for i in readers])
+            batch = self.features[rows], self.labels[rows]
+            return batch, counts, _split(batch, counts)
+        key = tuple(int(i) for i in readers)
+        if key not in self._whole:
+            rows = np.concatenate([self.shards[i] for i in readers])
+            batch = self.features[rows], self.labels[rows]
+            for a in batch:
+                a.setflags(write=False)
+            self._whole[key] = batch, counts, _split(batch, counts)
+        return self._whole[key]
+
+
+def _split(batch: tuple[np.ndarray, np.ndarray], counts) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each reader's (X, y) of a gathered ``batch``: views, in reader order."""
+    ends = np.cumsum(counts)[:-1]
+    return list(zip(np.split(batch[0], ends), np.split(batch[1], ends)))

@@ -224,16 +224,17 @@ class _Setup:
         seed = derive_seed(SeedTuple(self.config.root_seed, 2, 0, 0, StreamKind.INIT))
         return self.config.init_radius * sphere_direction(seed, self.d)
 
-    def batches_for_step(self) -> list[tuple[np.ndarray, np.ndarray] | None]:
-        """One step's batch of every computing client, indexed by client id
-        (None for the others, and for every client of the quadratic)."""
-        if self.data is None:
-            return [None] * self.config.clients
-        return self.data.batches(self.computing)
+    def gather(self, rows: slice):
+        """``ClientData.gather`` of the computing clients ``rows``; the
+        quadratic's one computing client gets no batch."""
+        return (None, [1], [None]) if self.data is None else self.data.gather(self.computing[rows])
 
-    def train_loss(self, w: np.ndarray, batches) -> float:
-        losses = [self.model.eval(w, batches[i]) for i in self.honest]
-        return float(np.mean(losses))
+    def train_loss(self, w: np.ndarray, losses: dict) -> float:
+        """Mean over the honest clients of their loss at w: ``losses`` holds
+        those already computed, by client id, and any other is evaluated
+        here without a batch (every client of the data-free quadratic)."""
+        return float(np.mean([losses[i] if i in losses else self.model.eval(w, None)
+                              for i in self.honest]))
 
     def test_acc(self, w: np.ndarray) -> float:
         if self.test is None:
@@ -241,9 +242,27 @@ class _Setup:
         return self.model.accuracy(w, self.test.features, self.test.labels)
 
 
-def _map_clients(worker, clients: np.ndarray) -> np.ndarray:
-    """Every client's work row, stacked in client order."""
-    return np.array([worker(i) for i in clients])
+def _map_clients(setup: _Setup, groups: list[slice], ws: np.ndarray, layout, dirs: np.ndarray,
+                 losses: dict | None, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with one epoch's (n, k) coefficient block of the first n
+    computing clients, each at its row of ``ws``: one gather and one kernel
+    call per group of rows, so one group's batch is alive at a time.
+    ``losses``, in epoch 0 of a logged round, gets each honest client's
+    loss at setup.w."""
+    cfg, model = setup.config, setup.model
+    for rows in groups:
+        batch, counts, views = setup.gather(rows)
+        if losses is not None and batch is not None:
+            losses.update((i, model.eval(setup.w, view))
+                          for i, view in zip(setup.computing[rows], views) if i in setup.honest)
+        if cfg.mu_zero:
+            out[rows] = [setup.scale * (dirs @ model.grad(w, v)) for w, v in zip(ws[rows], views)]
+            continue
+        plus, minus = model.loss_batch_multi(layout, batch, counts, ws[rows], cfg.mu)
+        coeffs = np.subtract(plus, minus, out=out[rows])  # scale * (plus - minus) / (2 mu)
+        coeffs *= setup.scale
+        coeffs /= 2.0 * cfg.mu
+    return out
 
 
 def _substitute_byzantine(setup: _Setup, matrix: np.ndarray, step: int) -> None:
@@ -314,81 +333,67 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
     (W, E, k, d) block allocated once per run, with one ``direction_seed``
     call over the window's (step, epoch, sample) grid and one
     ``make_direction`` call; W is the largest count of rounds whose
-    directions fit ``WINDOW_VALUES`` doubles (at least one round), so a
-    theory round at d = 16 shares a window with 255 others while an
-    MNIST-sized round has its own. Directions depend on the seeds alone,
-    so the window changes speed and memory only, never the run. Each
-    epoch's (k, d) slice is laid out once by ``prepare_variants`` into a
-    per-run buffer. Every client evaluates its bracket losses against that
-    shared layout at its own w: the synchronized w in epoch 0, its locally
-    drifted copy after that. The same block feeds the mu = 0 projection and
-    the replay."""
+    directions fit ``WINDOW_VALUES`` doubles, at least one (256 theory
+    rounds at d = 16 share a window, an MNIST-sized round has its own).
+    The block feeds the mu = 0 projection and the replay. Each epoch's
+    (k, d) slice is laid out by ``prepare_variants`` into one buffer per
+    run, against which the clients are evaluated in row groups of
+    ``data.GROUP_VALUES`` doubles: one gather and one X Z product per
+    group, then each client's brackets at its own w (setup.w in epoch 0,
+    its row of an (n, d) block of drifted copies after that). Both budgets
+    set speed and memory, not the run (see GROUP_VALUES for one BLAS caveat)."""
     setup = _Setup(config)
     E, k, d = config.local_epochs, config.k, setup.d
-    scale, denom = setup.scale, 2.0 * config.mu
-    replicas = _make_replicas(setup) if config.debug_replicas else None
+    names = [f"client{i}" for i in setup.honest] + ["federator"]
+    replicas = {name: setup.w.copy() for name in names} if config.debug_replicas else None
     logs: list[RoundLog] = []
     started = time.monotonic()
     window = max(1, min(config.steps, WINDOW_VALUES // (E * k * d)))
     dirs = np.empty((window, E, k, d))
-    layouts = [None] * E
+    layout = None
     # the quadratic is data-free: every client starts from the synchronized
     # w with no batch, so one client's coefficient row broadcasts to all
-    workers = setup.computing if setup.data is not None else setup.computing[:1]
+    groups = ([slice(0, 1)] if setup.data is None
+              else setup.data.groups(setup.computing, k * setup.model.num_classes))
+    n = groups[-1].stop
+    # every client starts a round at setup.w, which is only ever updated in
+    # place, so one read-only (n, d) view of it serves every round
+    synced = np.broadcast_to(setup.w, (n, d))
 
     for t in range(config.steps):
         if t % window == 0:
-            n = min(window, config.steps - t)
-            seeds = direction_seed(config.root_seed, np.arange(t, t + n)[:, None, None],
+            rounds = min(window, config.steps - t)
+            seeds = direction_seed(config.root_seed, np.arange(t, t + rounds)[:, None, None],
                                    np.arange(k), np.arange(E)[:, None])
-            make_direction(seeds.reshape(-1), d, setup.direction_mode, out=dirs[:n].reshape(-1, d))
+            make_direction(seeds.reshape(-1), d, setup.direction_mode,
+                           out=dirs[:rounds].reshape(-1, d))
         step_dirs = dirs[t % window]
-        epoch_batches = [setup.batches_for_step() for _ in range(E)]
         do_log = _should_log(config, t)
-        tr_loss = setup.train_loss(setup.w, epoch_batches[0]) if do_log else float("nan")
-        if not config.mu_zero:
-            for e in range(E):
-                layouts[e] = setup.model.prepare_variants(step_dirs[e], layouts[e])
-
-        def coefficients(w: np.ndarray, e: int, batch) -> np.ndarray:
-            if config.mu_zero:
-                return scale * (step_dirs[e] @ setup.model.grad(w, batch))
-            plus, minus = setup.model.loss_batch_multi(layouts[e], batch, w, config.mu)
-            plus -= minus  # scale * (plus - minus) / (2 mu), in place
-            plus *= scale
-            plus /= denom
-            return plus
-
-        def worker(i: int) -> np.ndarray:
-            first = coefficients(setup.w, 0, epoch_batches[0][i])
-            if E == 1:
-                return first
-            coeffs = np.empty((E, k))
-            coeffs[0] = first
-            local = setup.w.copy()  # local drift never touches the synchronized w
-            for e in range(1, E):
-                apply_update(local, coeffs[e - 1], step_dirs[e - 1], config.eta, t)
-                coeffs[e] = coefficients(local, e, epoch_batches[e][i])
-            return coeffs.reshape(-1)
+        losses = {} if do_log else None
+        coeffs = np.empty((n, E, k))
+        ws = synced if E == 1 else synced.copy()  # local drift: a row per client
+        for e in range(E):
+            if e > 0:
+                for j in range(n):
+                    apply_update(ws[j], coeffs[j, e - 1], step_dirs[e - 1], config.eta, t)
+            if not config.mu_zero:
+                layout = setup.model.prepare_variants(step_dirs[e], layout)
+            _map_clients(setup, groups, ws, layout, step_dirs[e], losses if e == 0 else None,
+                         coeffs[:, e])
+        tr_loss = setup.train_loss(setup.w, losses) if do_log else float("nan")
 
         matrix = np.zeros((config.clients, E * k))
-        matrix[setup.computing] = _map_clients(worker, workers)
+        matrix[setup.computing] = coeffs.reshape(n, E * k)
         _check_finite(matrix, t, setup.computing)
         _substitute_byzantine(setup, matrix, t)
         agg = robust_direction_aggregate(matrix, config.beta)
         _replay(setup, setup.w, agg, step_dirs, t)
         if config.project_radius > 0:
-            setup.w = _project(setup.w, config.project_radius, t)
+            setup.w[:] = _project(setup.w, config.project_radius, t)
         if replicas is not None:
             _advance_replicas(setup, replicas, agg, step_dirs, t)
         _finish_round(setup, logs, t, tr_loss, started, do_log)
     return RunResult(config, logs, setup.w)
-
-
-def _make_replicas(setup: _Setup) -> dict[str, np.ndarray]:
-    reps = {f"client{i}": setup.w.copy() for i in setup.honest}
-    reps["federator"] = setup.w.copy()
-    return reps
 
 
 def _replay(setup: _Setup, w: np.ndarray, agg: np.ndarray, dirs, t: int) -> None:
@@ -405,7 +410,7 @@ def _advance_replicas(setup, replicas: dict[str, np.ndarray], agg, dirs, t: int)
     for name, w in replicas.items():
         _replay(setup, w, agg, dirs, t)
         if cfg.project_radius > 0:
-            replicas[name] = project_ball(w, cfg.project_radius)
+            replicas[name] = _project(w, cfg.project_radius, t)
     for name, w in replicas.items():
         if not np.array_equal(w, setup.w):
             raise AssertionError(f"replica {name} diverged from the canonical state at step {t}")
@@ -420,15 +425,15 @@ def _run_first_order(config: ExperimentConfig) -> RunResult:
     beta = config.beta if config.algorithm == "coordwise_tm" else 0.0
 
     for t in range(config.steps):
-        batches = setup.batches_for_step()
+        batches = dict(zip(setup.computing, setup.gather(slice(None))[2]))
         do_log = _should_log(config, t)
-        tr_loss = setup.train_loss(setup.w, batches) if do_log else float("nan")
-
-        def worker(i: int) -> np.ndarray:
-            return setup.model.grad(setup.w, batches[i])
-
+        tr_loss = float("nan")
+        if do_log:
+            tr_loss = setup.train_loss(setup.w, {i: setup.model.eval(setup.w, batches.get(i))
+                                                 for i in setup.honest})
         grads = np.zeros((config.clients, setup.d))
-        grads[setup.computing] = _map_clients(worker, setup.computing)
+        for i in setup.computing:
+            grads[i] = setup.model.grad(setup.w, batches.get(i))
         if not np.all(np.isfinite(grads)):
             raise NonFiniteLossError(f"non-finite gradient at step {t}", step=t)
         agg = coordwise_trimmed_mean(grads, beta)

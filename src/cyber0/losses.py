@@ -3,11 +3,13 @@
 Both expose the same surface: ``dimension``, ``eval(w, batch)``,
 ``grad(w, batch)``, and the engine's central-difference kernel. That kernel
 has two steps: ``prepare_variants`` lays a (k, d) block of directions out
-once per round and epoch, and ``loss_batch_multi(prepared, batch, w, mu)``
-returns one batch's k losses at w + mu z_r and its k losses at w - mu z_r.
-The logistic kernel never forms a perturbed parameter vector: it computes
-X W + b once and X Z + b_z once, and takes the logits of both brackets as
-their sum and difference.
+once per round and epoch, and ``loss_batch_multi(prepared, batch, counts,
+ws, mu)`` evaluates a group of clients at once: client j owns the next
+``counts[j]`` rows of the stacked batch and the parameters ``ws[j]``, and
+gets its k losses at w_j + mu z_r and its k losses at w_j - mu z_r. The
+logistic kernel never forms a perturbed parameter vector: it computes
+X Z + b_z once for the whole group and X W_j + b_j once per client, and
+takes the logits of both brackets as their sum and difference.
 
 A batch is a pair ``(X, y)`` of features (rows in [0, 1]) and integer
 labels; the quadratic model ignores it (every sample yields the same loss).
@@ -34,7 +36,7 @@ class LossModel(Protocol):
     def prepare_variants(self, directions: np.ndarray, out: object = None) -> object: ...
 
     def loss_batch_multi(
-        self, prepared: object, batch: Batch, w: ParamVector, mu: float
+        self, prepared: object, batch: Batch, counts: np.ndarray, ws: np.ndarray, mu: float
     ) -> tuple[np.ndarray, np.ndarray]: ...
 
 
@@ -113,16 +115,19 @@ class LogisticRegressionModel:
         return out
 
     def loss_batch_multi(
-        self, prepared: tuple[np.ndarray, np.ndarray], batch: Batch, w: ParamVector, mu: float
+        self, prepared: tuple[np.ndarray, np.ndarray], batch: Batch, counts: np.ndarray,
+        ws: np.ndarray, mu: float,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Losses of one batch at w + mu z_r and at w - mu z_r, each (k,).
+        """Each client's losses at w_j + mu z_r and at w_j - mu z_r, two
+        (len(ws), k) blocks; client j's batch is the next ``counts[j]`` rows.
 
-        The logits are X W + b +- mu (X Z + b_z): one product with the C
-        columns of w and one with the C * k prepared columns. The batch is
-        not validated: this runs once per client per round, and the label
-        scan's small temporaries, interleaved with the round's large arrays,
-        measurably raise peak memory. A feature width other than p still
-        fails in the matrix product."""
+        The logits are X W_j + b_j +- mu (X Z + b_z): one product of the
+        whole stacked batch with the C * k prepared columns, then one with
+        the C columns of w_j and the cross-entropies on each client's rows.
+        The batch is not validated: this runs once per client group per
+        round, and the label scan's small temporaries, interleaved with the
+        round's large arrays, measurably raise peak memory. A feature width
+        other than p still fails in the matrix product."""
         X, y = batch
         Zp, bias = prepared
         k = len(bias) // self.num_classes
@@ -130,10 +135,17 @@ class LogisticRegressionModel:
         step += bias
         step *= mu
         step = step.reshape(len(X), self.num_classes, k)
-        base = self.logits(w, X)[:, :, None]
-        plus = base + step
-        np.subtract(base, step, out=step)
-        return _mean_nll(plus, y), _mean_nll(step, y)
+        plus, minus = np.empty((2, len(ws), k))
+        end = 0
+        for j, (w, n) in enumerate(zip(ws, counts)):
+            rows = slice(end, end + n)
+            end += n
+            base = self.logits(w, X[rows])[:, :, None]
+            mine = step[rows]
+            upper = base + mine
+            np.subtract(base, mine, out=mine)
+            plus[j], minus[j] = _mean_nll(upper, y[rows]), _mean_nll(mine, y[rows])
+        return plus, minus
 
     def accuracy(self, w: ParamVector, X: np.ndarray, y: np.ndarray) -> float:
         """Fraction of correct argmax predictions, in percent."""
@@ -162,26 +174,29 @@ class QuadraticModel:
         return directions
 
     def loss_batch_multi(
-        self, prepared: np.ndarray, batch: Batch, w: ParamVector, mu: float
+        self, prepared: np.ndarray, batch: Batch, counts: np.ndarray, ws: np.ndarray, mu: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The 2k bracket points in the in-place schedule, plus[r] = w + mu z_r
-        and minus[r] = (w + mu z_r) - 2 mu z_r, evaluated in one pass.
+        """The 2k bracket points of the one row w of ``ws`` in the in-place
+        schedule, plus[r] = w + mu z_r and minus[r] = (w + mu z_r) - 2 mu z_r,
+        evaluated in one pass, as two (1, k) blocks. The model is data-free,
+        so the engine evaluates one client, whose row every client shares;
+        the batch and its counts are ignored.
 
         plus and minus are the two contiguous (k, d) halves of one (2k, d)
         buffer, so each step of the schedule is one numpy call over a whole
         side and the squared norms are one einsum over the buffer; a row's
         einsum sum does not depend on where the row sits."""
         k = len(prepared)
-        v = np.empty((2 * k, len(w)))
+        v = np.empty((2 * k, ws.shape[1]))
         plus, minus = v[:k], v[k:]
         np.multiply(prepared, mu, out=plus)
-        plus += w
+        plus += ws  # one row, broadcast over the k directions
         np.multiply(prepared, -2.0 * mu, out=minus)
         minus += plus
         v -= self.w_star
         losses = np.einsum("sd,sd->s", v, v)
         losses *= 0.5 * self.lam
-        return losses[:k], losses[k:]
+        return losses[None, :k], losses[None, k:]
 
 
 def _mean_nll(L: np.ndarray, y: np.ndarray) -> np.ndarray:

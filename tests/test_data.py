@@ -4,6 +4,8 @@ import struct
 import numpy as np
 import pytest
 
+from cyber0 import data as data_module
+
 from cyber0.data import (
     IMAGES_MAGIC,
     LABELS_MAGIC,
@@ -264,39 +266,56 @@ class TestClientData:
         train, shards = parts
         data = ClientData(train, shards, batch_size=8, seed=5, whole_shard=True, flipped=())
         for _ in range(3):
-            for i, (X, y) in enumerate(data.batches(range(4))):
+            for i, (X, y) in enumerate(data.gather(range(4))[2]):
                 assert np.array_equal(X, train.features[shards[i]])
                 assert np.array_equal(y, train.labels[shards[i]])
 
     def test_whole_shard_gathered_once_read_only(self, parts):
         train, shards = parts
         data = ClientData(train, shards, batch_size=8, seed=5, whole_shard=True, flipped=())
-        first, second = data.batches([0, 2]), data.batches([0, 2])
-        assert first[1] is None and first[3] is None
-        for i in (0, 2):
-            for a, b, want in zip(first[i], second[i], (train.features, train.labels)):
-                assert a is b and not a.flags.writeable
+        first, second = data.gather([0, 2]), data.gather([0, 2])
+        assert list(first[1]) == [len(shards[0]), len(shards[2])]
+        for a, b in zip(first[0], second[0]):
+            assert a is b and not a.flags.writeable
+        for i, view in zip((0, 2), first[2]):
+            for a, stack, want in zip(view, first[0], (train.features, train.labels)):
+                assert np.shares_memory(a, stack) and not a.flags.writeable
                 assert np.array_equal(a, want[shards[i]])
-        assert data._whole[1] is None and data._whole[3] is None  # no reads, no gathers
+        assert list(data._whole) == [(0, 2)]  # clients 1 and 3 read nothing: no gathers
 
     def test_only_flipped_clients_labels_change(self, parts):
         train, shards = parts
         data = ClientData(train, shards, batch_size=8, seed=5, whole_shard=True, flipped=(1, 3))
-        for i, (_, y) in enumerate(data.batches(range(4))):
+        for i, (_, y) in enumerate(data.gather(range(4))[2]):
             want = train.labels[shards[i]]
             assert np.array_equal(y, 3 - want if i in (1, 3) else want)
         assert np.array_equal(data.labels[shards[0]], train.labels[shards[0]])
 
     def test_batches_do_not_depend_on_other_readers(self, parts):
         train, shards = parts
-        together = ClientData(train, shards, batch_size=8, seed=5, whole_shard=False,
-                              flipped=())
-        alone = [ClientData(train, shards, batch_size=8, seed=5, whole_shard=False, flipped=())
-                 for _ in range(4)]
+
+        def fresh():
+            return ClientData(train, shards, batch_size=8, seed=5, whole_shard=False, flipped=())
+
+        together, in_pairs, alone = fresh(), fresh(), [fresh() for _ in range(4)]
         for _ in range(20):  # several passes over each 60-row shard
-            step = together.batches(range(4))
+            (X, y), counts, step = together.gather(range(4))
+            assert list(counts) == [8] * 4 and X.shape == (32, 6)
+            pairs = in_pairs.gather([0, 1])[2] + in_pairs.gather([2, 3])[2]
             for i in range(4):
-                mine = alone[i].batches([i])
-                assert all(b is None for j, b in enumerate(mine) if j != i)
-                assert np.array_equal(mine[i][0], step[i][0])
-                assert np.array_equal(mine[i][1], step[i][1])
+                (mine,) = alone[i].gather([i])[2]
+                for a in (pairs[i], mine):
+                    assert np.array_equal(a[0], step[i][0]) and np.array_equal(a[1], step[i][1])
+                assert np.shares_memory(step[i][0], X)  # a view into the group's one gather
+        assert all(c.pass_index == c.offset == 0 for c in alone[0].cursors[1:])
+
+    def test_groups_fit_the_budget(self, parts, monkeypatch):
+        train, shards = parts
+        data = ClientData(train, shards[:3] + [shards[3][:5]], batch_size=8, seed=5,
+                          whole_shard=False, flipped=())
+        readers = [0, 1, 2, 3]  # rows per read 8, 8, 8, 5
+        for budget, want in ((1, [[0], [1], [2], [3]]), (16 * 10, [[0, 1], [2, 3]]),
+                             (24 * 10, [[0, 1, 2], [3]]), (1 << 30, [readers])):
+            monkeypatch.setattr(data_module, "GROUP_VALUES", budget)
+            got = data.groups(readers, width=10)
+            assert [readers[g] for g in got] == want

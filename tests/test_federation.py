@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cyber0 import data as data_module
 from cyber0 import federation
 from cyber0.cli import csv_lines, load_config
-from cyber0.data import MNIST_FILES, BatchCursor, Dataset
+from cyber0.data import MNIST_FILES, BatchCursor, ClientData, Dataset
 from cyber0.federation import (
     ExperimentConfig,
     comm_cost,
@@ -106,6 +107,15 @@ class TestDeterminism:
                                   "debug_replicas": True})
         run_cyber0(cfg)
 
+    def test_debug_replicas_agree_under_projection(self):
+        # replicas project through the same path as the canonical w, and
+        # the radius binds: the projected run is not the unprojected one
+        cfg = ExperimentConfig(**{**SYNTH, "steps": 6, "local_epochs": 2,
+                                  "project_radius": 0.05, "debug_replicas": True})
+        res = run_cyber0(cfg)
+        assert np.linalg.norm(res.final_w) == pytest.approx(cfg.project_radius, rel=1e-12)
+        assert np.array_equal(res.final_w, run_cyber0(replace(cfg, debug_replicas=False)).final_w)
+
 
 @pytest.mark.parametrize("overrides,expected", [g[1:] for g in GOLDEN],
                          ids=[g[0] for g in GOLDEN])
@@ -148,7 +158,7 @@ class TestEnginePathsAgree:
         run_cyber0(cfg)
         (matrix,) = seen
         setup = federation._Setup(cfg)
-        epoch_batches = [setup.batches_for_step() for _ in range(cfg.local_epochs)]
+        epoch_batches = [setup.gather(slice(None))[2] for _ in range(cfg.local_epochs)]
         k, d, mode = cfg.k, setup.d, setup.direction_mode
         for i in range(cfg.clients):
             w = setup.w.copy()
@@ -192,33 +202,76 @@ class TestDirectionWindow:
             assert np.array_equal(w, default[0]) and lines == default[1]
 
 
+# configs whose clients the engine evaluates in row groups: E in {1, 3},
+# k in {1, 8, 64}, unequal batches (non-IID shards of 15 and 30 rows against
+# batch 32), whole shards, computing Byzantine clients (label_flip), mu = 0
+GROUP_CASES = {
+    "iid_k8": {},
+    "iid_e3_k1": {"local_epochs": 3, "k": 1},
+    "iid_k64": {"k": 64},
+    "noniid_small_shards_e3": {"distribution": "noniid", "synth_samples": 120,
+                               "local_epochs": 3},
+    "noniid_small_shards_k1": {"distribution": "noniid", "synth_samples": 120, "k": 1},
+    "full_local_data_e3_k64": {"full_local_data": True, "synth_samples": 240,
+                               "local_epochs": 3, "k": 64},
+    "label_flip_e3": {"alpha": 1 / 3, "beta": 1 / 3, "attack": "label_flip",
+                      "local_epochs": 3},
+    "label_flip_noniid_k64": {"alpha": 1 / 3, "beta": 1 / 3, "attack": "label_flip",
+                              "distribution": "noniid", "synth_samples": 120, "k": 64},
+    "mu_zero_e3": {"mu": 0.0, "mu_zero": True, "local_epochs": 3},
+    "mu_zero_noniid_k1": {"mu": 0.0, "mu_zero": True, "distribution": "noniid",
+                          "synth_samples": 120, "k": 1},
+}
+
+
+class TestClientGroups:
+    @pytest.mark.parametrize("overrides", GROUP_CASES.values(), ids=GROUP_CASES.keys())
+    def test_output_does_not_depend_on_group_budget(self, overrides, monkeypatch):
+        # one client per group, groups of about two clients, the default,
+        # and one group for every client: the same final w and log bytes
+        cfg = ExperimentConfig(**{**SYNTH, "steps": 8, "eval_every": 2, **overrides})
+        setup = federation._Setup(cfg)
+        n, width = len(setup.computing), cfg.k * cfg.synth_classes
+        pair = 2 * width * setup.data.rows_per_read(0)
+        runs, sizes = [], []
+        for budget in (1, pair, data_module.GROUP_VALUES, 1 << 62):
+            monkeypatch.setattr(data_module, "GROUP_VALUES", budget)
+            sizes.append(len(setup.data.groups(setup.computing, width)))
+            res = run_cyber0(cfg)
+            runs.append((res.final_w, csv_lines(res.logs)))
+        assert sizes[0] == n and 1 < sizes[1] < n and sizes[3] == 1
+        for w, lines in runs[1:]:
+            assert np.array_equal(w, runs[0][0]) and lines == runs[0][1]
+
+
 class TestClientBatches:
     def test_byzantine_batches_are_never_gathered(self, monkeypatch):
         # under a coefficient attack the Byzantine clients never compute, so
-        # their cursors stay put and no rows of theirs are gathered
+        # their cursors stay put and no rows of theirs are gathered, while
+        # every honest client reads once per step and epoch
         cfg = ExperimentConfig(**{**BYZ, "attack": "full_knowledge", "steps": 4,
                                   "local_epochs": 2})
-        readers, steps = set(), []
-        next_rows = BatchCursor.next_rows
-        batches_for_step = federation._Setup.batches_for_step
+        cursors, gathers = set(), []
+        next_rows, gather = BatchCursor.next_rows, ClientData.gather
 
         def spy_rows(self):
-            readers.add(self.client_id)
+            cursors.add(self.client_id)
             return next_rows(self)
 
-        def spy_step(self):
-            steps.append(batches_for_step(self))
-            return steps[-1]
+        def spy_gather(self, readers):
+            out = gather(self, readers)
+            gathers.append((list(readers), len(out[0][0])))
+            return out
 
         monkeypatch.setattr(BatchCursor, "next_rows", spy_rows)
-        monkeypatch.setattr(federation._Setup, "batches_for_step", spy_step)
+        monkeypatch.setattr(ClientData, "gather", spy_gather)
         run_cyber0(cfg)
         setup = federation._Setup(cfg)
-        assert setup.byz and readers == set(setup.honest)
-        assert len(steps) == cfg.steps * cfg.local_epochs
-        for batches in steps:
-            assert all(batches[i] is None for i in setup.byz)
-            assert all(batches[i] is not None for i in setup.honest)
+        assert setup.byz and cursors == set(setup.honest)
+        read = [i for readers, _ in gathers for i in readers]
+        assert not set(read) & set(setup.byz)
+        assert all(rows == cfg.batch_size * len(readers) for readers, rows in gathers)
+        assert sorted(read) == sorted(setup.honest * (cfg.steps * cfg.local_epochs))
 
 
 class TestDataFreeQuadratic:
@@ -462,8 +515,8 @@ def test_full_local_data_uses_whole_shard_every_step():
     from cyber0.federation import _Setup
 
     setup = _Setup(cfg)
-    first = setup.batches_for_step()
-    second = setup.batches_for_step()
+    first = setup.gather(slice(None))[2]
+    second = setup.gather(slice(None))[2]
     for i in range(3):
         assert len(first[i][0]) == len(setup.data.shards[i])
         assert np.array_equal(first[i][0], second[i][0])

@@ -20,6 +20,13 @@ def naive_logreg_loss(w, X, y, p, C):
     return total / len(X)
 
 
+def one_client(model, prepared, batch, w, mu):
+    """The kernel on a group of one client: its (k,) losses at both brackets."""
+    counts = [1 if batch is None else len(batch[0])]
+    plus, minus = model.loss_batch_multi(prepared, batch, counts, w[None], mu)
+    return plus[0], minus[0]
+
+
 def random_batch(rng, n, p, C):
     X = rng.uniform(0, 1, size=(n, p))
     y = rng.integers(0, C, size=n)
@@ -112,7 +119,7 @@ class TestLogreg:
         w = self.rng.normal(size=self.model.dimension)
         dirs = self.rng.normal(size=(7, self.model.dimension))
         mu = 0.1
-        plus, minus = self.model.loss_batch_multi(self.model.prepare_variants(dirs), (X, y), w, mu)
+        plus, minus = one_client(self.model, self.model.prepare_variants(dirs), (X, y), w, mu)
         assert np.allclose(plus, [self.model.eval(w + mu * z, (X, y)) for z in dirs], rtol=1e-12)
         assert np.allclose(minus, [self.model.eval(w - mu * z, (X, y)) for z in dirs], rtol=1e-12)
 
@@ -134,8 +141,8 @@ class TestLogreg:
             self.model.eval(np.zeros(self.model.dimension), None)
         prepared = self.model.prepare_variants(np.zeros((2, self.model.dimension)))
         with pytest.raises(ValueError):
-            self.model.loss_batch_multi(prepared, (np.zeros((3, 7)), np.zeros(3, int)),
-                                        np.zeros(self.model.dimension), 0.1)
+            one_client(self.model, prepared, (np.zeros((3, 7)), np.zeros(3, int)),
+                       np.zeros(self.model.dimension), 0.1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,10 +160,46 @@ def test_logreg_kernel_matches_eval_at_both_brackets(p, C, k, b, mu, seed):
     X, y = random_batch(rng, b, p, C)
     w = rng.normal(size=model.dimension)
     dirs = rng.normal(size=(k, model.dimension))
-    plus, minus = model.loss_batch_multi(model.prepare_variants(dirs), (X, y), w, mu)
+    plus, minus = one_client(model, model.prepare_variants(dirs), (X, y), w, mu)
     assert plus.shape == minus.shape == (k,)
     assert np.allclose(plus, [model.eval(w + mu * z, (X, y)) for z in dirs], rtol=1e-12)
     assert np.allclose(minus, [model.eval(w - mu * z, (X, y)) for z in dirs], rtol=1e-12)
+
+
+def grouped_equals_each_client_alone(model, rng, counts, k, mu):
+    X, y = random_batch(rng, sum(counts), model.input_dim, model.num_classes)
+    ws = rng.normal(size=(len(counts), model.dimension))
+    prepared = model.prepare_variants(rng.normal(size=(k, model.dimension)))
+    plus, minus = model.loss_batch_multi(prepared, (X, y), counts, ws, mu)
+    assert plus.shape == minus.shape == (len(counts), k)
+    ends = np.cumsum(counts)
+    for j, w in enumerate(ws):
+        rows = slice(ends[j] - counts[j], ends[j])
+        alone = one_client(model, prepared, (X[rows].copy(), y[rows].copy()), w, mu)
+        assert np.array_equal(plus[j], alone[0]) and np.array_equal(minus[j], alone[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 9),
+    C=st.integers(2, 6),
+    k=st.integers(1, 9),
+    counts=st.lists(st.integers(1, 7), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grouped_kernel_is_each_client_alone_bitwise(p, C, k, counts, seed):
+    # one X Z product for the stacked group, then each client's brackets on
+    # its own rows at its own w: bit for bit the single-client call
+    model = LogisticRegressionModel(input_dim=p, num_classes=C)
+    grouped_equals_each_client_alone(model, np.random.default_rng(seed), counts, k, 1e-3)
+
+
+@pytest.mark.parametrize("counts", [[64] * 6, [64, 17, 40, 64]])
+def test_grouped_kernel_is_each_client_alone_bitwise_at_mnist_width(counts):
+    # 784 features, C * k = 640: the engine's step block, and a group with
+    # the unequal batches of small non-IID shards
+    model = LogisticRegressionModel(input_dim=784, num_classes=10)
+    grouped_equals_each_client_alone(model, np.random.default_rng(7), counts, 64, 1e-3)
 
 
 class TestQuadratic:
@@ -189,7 +232,7 @@ class TestQuadratic:
         w = rng.normal(size=6)
         dirs = rng.normal(size=(5, 6))
         mu = 0.1
-        plus, minus = m.loss_batch_multi(m.prepare_variants(dirs), None, w, mu)
+        plus, minus = one_client(m, m.prepare_variants(dirs), None, w, mu)
         assert np.allclose(plus, [m.eval(w + mu * z) for z in dirs], rtol=1e-14)
         assert np.allclose(minus, [m.eval(w - mu * z) for z in dirs], rtol=1e-14)
 
@@ -202,7 +245,7 @@ class TestQuadratic:
         w = rng.normal(size=d)
         dirs = rng.normal(size=(k, d))
         mu = 1e-3
-        plus, minus = m.loss_batch_multi(m.prepare_variants(dirs), None, w, mu)
+        plus, minus = one_client(m, m.prepare_variants(dirs), None, w, mu)
         for r, z in enumerate(dirs):
             vp = z * mu + w
             vm = z * (-2.0 * mu) + vp

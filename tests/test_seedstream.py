@@ -13,6 +13,7 @@ from cyber0.seedstream import (
     SeedTuple,
     StreamKind,
     derive_seed,
+    derive_seeds,
     first_uniforms,
     make_direction,
     sphere_direction,
@@ -83,15 +84,24 @@ class TestDeriveSeed:
         assert len(seeds) == len(tuples)
 
     def test_no_collisions_over_a_million_tuples(self):
-        # 10^6 enumerated tuples: root x step x sample x epoch x kind
-        seen = set()
-        for root in range(10):
-            for step in range(50):
-                for sample in range(125):
-                    for epoch in range(4):
-                        for kind in (StreamKind.DIRECTION, StreamKind.DATA_SHUFFLE):
-                            seen.add(derive_seed(SeedTuple(root, step, sample, epoch, kind)))
-        assert len(seen) == 10 * 50 * 125 * 4 * 2
+        # 10^6 enumerated tuples: root x kind x step x sample x epoch, each
+        # root and kind one derive_seeds call over the (step, sample, epoch) grid
+        kinds = (StreamKind.DIRECTION, StreamKind.DATA_SHUFFLE)
+        shape = (10, len(kinds), 50, 125, 4)
+        grid = np.ix_(*(np.arange(n) for n in shape[2:]))
+        seeds = np.stack([np.stack([derive_seeds(root, *grid, kind) for kind in kinds])
+                          for root in range(shape[0])])
+        assert seeds.shape == shape
+        assert len(np.unique(seeds)) == seeds.size
+        # the broadcast derivation is the scalar one: on 1,000 sampled
+        # tuples and on every corner of the grid
+        rng = np.random.default_rng(0)
+        sampled = rng.integers(0, shape, size=(1000, len(shape)))
+        corners = np.stack(np.meshgrid(*([0, n - 1] for n in shape), indexing="ij"), -1)
+        for idx in np.concatenate([sampled, corners.reshape(-1, len(shape))]):
+            root, kind, step, sample, epoch = (int(i) for i in idx)
+            want = derive_seed(SeedTuple(root, step, sample, epoch, kinds[kind]))
+            assert int(seeds[tuple(idx)]) == want
 
     def test_rejects_negative_fields(self):
         with pytest.raises(ValueError):
