@@ -36,6 +36,9 @@ LABELS_MAGIC = 0x00000801
 GROUP_VALUES = 1 << 18
 
 MNIST_DIR_ENV = "CYBER0_MNIST_DIR"
+# the shape load_mnist requires of both splits: 28 x 28 images, labels 0..9
+MNIST_FEATURES = 28 * 28
+MNIST_CLASSES = 10
 # (images, labels) IDX file names of each split, plain or with a .gz suffix
 MNIST_FILES = {
     "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
@@ -135,8 +138,17 @@ def mnist_available(mnist_dir: str) -> bool:
 
 def load_mnist(mnist_dir: str) -> tuple[Dataset, Dataset]:
     """The (train, test) splits from ``mnist_dir``, else $CYBER0_MNIST_DIR,
-    else data/mnist."""
-    return load_idx(*_mnist_files(mnist_dir, "train")), load_idx(*_mnist_files(mnist_dir, "test"))
+    else data/mnist, both with MNIST's 10 classes whichever labels occur."""
+    splits = []
+    for split in ("train", "test"):
+        ds = load_idx(*_mnist_files(mnist_dir, split))
+        if ds.features.shape[1] != MNIST_FEATURES:
+            raise IdxFormatError(f"{split} images hold {ds.features.shape[1]} pixels, not 28 x 28")
+        if ds.num_classes > MNIST_CLASSES:
+            raise IdxFormatError(f"{split} label {ds.num_classes - 1} outside 0..{MNIST_CLASSES - 1}")
+        ds.num_classes = MNIST_CLASSES
+        splits.append(ds)
+    return splits[0], splits[1]
 
 
 def synth_generate(seed: int, n: int, p: int, num_classes: int,

@@ -5,8 +5,8 @@ file's text format lives in ``cli``.
 
 One round: honest clients compute E*k coefficients on seeded batches, the
 adversary substitutes the Byzantine reports with oracle access to the
-honest values, the federator trims per direction, and every replica
-replays the aggregated coefficients through the same seeds.
+honest values, the federator trims per direction, and w replays the
+aggregated coefficients along the directions regenerated from the seeds.
 Everything is a pure function of the config: reruns produce byte-identical
 logs.
 """
@@ -20,7 +20,8 @@ import numpy as np
 
 from .adversary import AttackKind, AttackSpec, adversary_seed, byzantine_value
 from .core import project_ball
-from .data import ClientData, Dataset, load_mnist, partition_iid, partition_noniid, synth_generate
+from .data import (MNIST_CLASSES, MNIST_FEATURES, ClientData, Dataset, load_mnist,
+                   partition_iid, partition_noniid, synth_generate)
 from .losses import LogisticRegressionModel, QuadraticModel
 from .robust import coordwise_trimmed_mean, robust_direction_aggregate
 from .seedstream import (
@@ -81,7 +82,6 @@ class ExperimentConfig:
     init_radius: float = 1.0
     project_radius: float = 0.0
     broadcast_model: bool = False
-    debug_replicas: bool = False
 
     def __post_init__(self) -> None:
         for name, allowed in _CHOICES.items():
@@ -98,6 +98,9 @@ class ExperimentConfig:
         for name in ("quad_lambda", "eta"):  # also rejects nan and inf
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        for name in ("init_radius", "project_radius"):  # project_radius 0: unconstrained
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
         if not 0.0 <= self.alpha < 0.5:
             raise ValueError("alpha must satisfy 0 <= alpha < 1/2")
         if not 0.0 <= self.beta < 0.5:
@@ -166,7 +169,7 @@ def model_dimension(config: ExperimentConfig) -> int:
     if config.model == "quadratic":
         return config.quad_dim
     if config.data == "mnist":
-        return 785 * 10
+        return (MNIST_FEATURES + 1) * MNIST_CLASSES
     return (config.synth_features + 1) * config.synth_classes
 
 
@@ -344,8 +347,6 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
     set speed and memory, not the run (see GROUP_VALUES for one BLAS caveat)."""
     setup = _Setup(config)
     E, k, d = config.local_epochs, config.k, setup.d
-    names = [f"client{i}" for i in setup.honest] + ["federator"]
-    replicas = {name: setup.w.copy() for name in names} if config.debug_replicas else None
     logs: list[RoundLog] = []
     started = time.monotonic()
     window = max(1, min(config.steps, WINDOW_VALUES // (E * k * d)))
@@ -387,33 +388,12 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
         _check_finite(matrix, t, setup.computing)
         _substitute_byzantine(setup, matrix, t)
         agg = robust_direction_aggregate(matrix, config.beta)
-        _replay(setup, setup.w, agg, step_dirs, t)
+        for e in range(E):
+            apply_update(setup.w, agg[e * k : (e + 1) * k], step_dirs[e], config.eta, t)
         if config.project_radius > 0:
             setup.w[:] = _project(setup.w, config.project_radius, t)
-        if replicas is not None:
-            _advance_replicas(setup, replicas, agg, step_dirs, t)
         _finish_round(setup, logs, t, tr_loss, started, do_log)
     return RunResult(config, logs, setup.w)
-
-
-def _replay(setup: _Setup, w: np.ndarray, agg: np.ndarray, dirs, t: int) -> None:
-    """Apply the step's E*k aggregated coefficients to w, epoch by epoch."""
-    k = setup.config.k
-    for e, dirs_e in enumerate(dirs):
-        apply_update(w, agg[e * k : (e + 1) * k], dirs_e, setup.config.eta, t)
-
-
-def _advance_replicas(setup, replicas: dict[str, np.ndarray], agg, dirs, t: int) -> None:
-    """Debug mode: every replica replays the same updates; states must stay
-    bit-identical to the canonical model."""
-    cfg = setup.config
-    for name, w in replicas.items():
-        _replay(setup, w, agg, dirs, t)
-        if cfg.project_radius > 0:
-            replicas[name] = _project(w, cfg.project_radius, t)
-    for name, w in replicas.items():
-        if not np.array_equal(w, setup.w):
-            raise AssertionError(f"replica {name} diverged from the canonical state at step {t}")
 
 
 def _run_first_order(config: ExperimentConfig) -> RunResult:

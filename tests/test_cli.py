@@ -82,7 +82,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key,value", [
         ("quad_dim", "0"), ("eta", "nan"), ("mu", "nan"), ("quad_lambda", "nan"),
         ("quad_lambda", "inf"), ("quad_lambda", "0"), ("synth_classes", "1"),
-        ("synth_samples", "0"), ("synth_features", "0"),
+        ("synth_samples", "0"), ("synth_features", "0"), ("init_radius", "nan"),
+        ("init_radius", "inf"), ("project_radius", "nan"), ("project_radius", "-1"),
     ])
     def test_out_of_range_value_reports_its_key_line(self, key, value):
         with pytest.raises(ConfigParseError) as err:

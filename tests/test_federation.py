@@ -5,7 +5,8 @@ import pytest
 
 from cyber0 import data as data_module
 from cyber0 import federation
-from cyber0.cli import csv_lines, load_config
+from cyber0.cli import csv_lines, load_config, main
+from cyber0.core import project_ball
 from cyber0.data import MNIST_FILES, BatchCursor, ClientData, Dataset
 from cyber0.federation import (
     ExperimentConfig,
@@ -16,7 +17,14 @@ from cyber0.federation import (
 )
 from cyber0.losses import LogisticRegressionModel, QuadraticModel
 from cyber0.robust import robust_direction_aggregate
-from cyber0.seedstream import make_direction
+from cyber0.seedstream import (
+    RngStream,
+    SeedTuple,
+    StreamKind,
+    derive_seed,
+    make_direction,
+    sphere_direction,
+)
 from cyber0.zo import NonFiniteLossError, apply_update, direction_seed, zo_coefficient
 from test_data import write_idx
 
@@ -60,7 +68,7 @@ GOLDEN = [
      (1.3053490985043388, 96.33333333333334, 0.3263520501974187)),
     ("coordwise_tm_label_flip", {**BYZ, "algorithm": "coordwise_tm", "attack": "label_flip"},
      (1.3275571451490062, 71.66666666666667, 0.2564938027591135)),
-    ("replicas_e2", {**SYNTH, "steps": 6, "local_epochs": 2, "debug_replicas": True},
+    ("e2", {**SYNTH, "steps": 6, "local_epochs": 2},
      (1.3576314185715752, 62.33333333333333, 0.22145426557094947)),
     ("always_large_e2", {**BYZ, "attack": "always_large", "local_epochs": 2, "steps": 10},
      (1.333635434103309, 56.666666666666664, 0.30831384684465285)),
@@ -75,6 +83,24 @@ GOLDEN = [
                                         "distribution": "noniid", "attack": "label_flip",
                                         "clients": 8, "alpha": 0.25, "beta": 0.25},
      (1.283802280733976, 50.0, 0.8124607243762099)),
+]
+
+
+# (id, config, rounds per window, whether the projection radius binds at
+# the end) of the regeneration test: 7 steps at 3 rounds per window cross
+# two window boundaries and end on a short window; None keeps the default
+# budget, which gives each d = 7850 round a window of its own
+REGENERATED = [
+    ("synth_gaussian", {**SYNTH, "steps": 7}, 3, False),
+    ("synth_sphere_e2_projected", {**SYNTH, "steps": 7, "direction_mode": "sphere",
+                                   "local_epochs": 2, "project_radius": 0.05}, 3, True),
+    ("full_knowledge_e2", {**BYZ, "attack": "full_knowledge", "local_epochs": 2, "steps": 7},
+     3, False),
+    ("quad_mu_zero", {**QUAD, "steps": 7}, 3, False),
+    ("quad_mu_e2_projected", {**QUAD, "mu": 1e-3, "mu_zero": False, "local_epochs": 2,
+                              "project_radius": 0.5, "steps": 7}, 3, False),
+    ("mnist_size", {**SYNTH, "synth_features": 784, "synth_classes": 10, "k": 64, "steps": 3},
+     None, False),
 ]
 
 
@@ -98,23 +124,44 @@ class TestDeterminism:
             assert logs_equal(a.logs, b.logs)
             assert np.array_equal(a.final_w, b.final_w)
 
-    def test_debug_replicas_agree(self):
-        cfg = ExperimentConfig(**{**SYNTH, "steps": 10, "debug_replicas": True})
-        run_cyber0(cfg)  # raises if any replica diverges from the canonical state
+    @pytest.mark.parametrize("overrides,rounds,binds", [c[1:] for c in REGENERATED],
+                             ids=[c[0] for c in REGENERATED])
+    def test_final_w_regenerates_from_seeds(self, monkeypatch, overrides, rounds, binds):
+        # the seed-replay contract: anyone holding the config and the
+        # step's E*k aggregates rebuilds the engine's w bit for bit from
+        # the documented identity alone, across window boundaries
+        cfg = ExperimentConfig(**overrides)
+        k, d = cfg.k, model_dimension(cfg)
+        per_round = cfg.local_epochs * k * d
+        if rounds is not None:
+            monkeypatch.setattr(federation, "WINDOW_VALUES", rounds * per_round)
+        assert max(1, federation.WINDOW_VALUES // per_round) < cfg.steps
+        aggs = []
 
-    def test_debug_replicas_agree_local_epochs(self):
-        cfg = ExperimentConfig(**{**SYNTH, "steps": 6, "local_epochs": 2,
-                                  "debug_replicas": True})
-        run_cyber0(cfg)
+        def spy(matrix, beta):
+            aggs.append(robust_direction_aggregate(matrix, beta))
+            return aggs[-1].copy()
 
-    def test_debug_replicas_agree_under_projection(self):
-        # replicas project through the same path as the canonical w, and
-        # the radius binds: the projected run is not the unprojected one
-        cfg = ExperimentConfig(**{**SYNTH, "steps": 6, "local_epochs": 2,
-                                  "project_radius": 0.05, "debug_replicas": True})
-        res = run_cyber0(cfg)
-        assert np.linalg.norm(res.final_w) == pytest.approx(cfg.project_radius, rel=1e-12)
-        assert np.array_equal(res.final_w, run_cyber0(replace(cfg, debug_replicas=False)).final_w)
+        monkeypatch.setattr(federation, "robust_direction_aggregate", spy)
+        final_w = run_cyber0(cfg).final_w
+        assert len(aggs) == cfg.steps
+
+        w = np.zeros(d)
+        if cfg.init == "sphere":
+            init_seed = derive_seed(SeedTuple(cfg.root_seed, 2, 0, 0, StreamKind.INIT))
+            w = cfg.init_radius * sphere_direction(init_seed, d)
+        for t, agg in enumerate(aggs):
+            for e in range(cfg.local_epochs):
+                for r in range(k):
+                    seed = direction_seed(cfg.root_seed, t, r, e)
+                    z = (sphere_direction(seed, d) if cfg.direction_mode == "sphere"
+                         else RngStream(seed).gaussians(d))
+                    w += (-(cfg.eta * agg[e * k + r]) / k) * z
+            if cfg.project_radius > 0:
+                w = project_ball(w, cfg.project_radius)
+        assert np.array_equal(final_w, w)
+        if binds:
+            assert np.linalg.norm(w) == pytest.approx(cfg.project_radius, rel=1e-12)
 
 
 @pytest.mark.parametrize("overrides,expected", [g[1:] for g in GOLDEN],
@@ -477,15 +524,22 @@ class TestMnistWiring:
     """The data=mnist path exercised against small hand-built IDX files;
     the real-dataset criteria live in test_acceptance.py."""
 
-    @pytest.fixture
-    def fake_mnist_dir(self, tmp_path):
+    @staticmethod
+    def write_mnist(path, side=28, classes=10):
+        """Random train (2000) and test (400) IDX files of side x side
+        images, labels drawn from 0..classes-1."""
+        path.mkdir(exist_ok=True)
         rng = np.random.default_rng(0)
         for n, split in ((2000, "train"), (400, "test")):
-            pixels = rng.integers(0, 256, size=(n, 28 * 28), dtype=np.uint8)
-            ds = Dataset(pixels / 255.0, rng.integers(0, 10, size=n), num_classes=10)
+            pixels = rng.integers(0, 256, size=(n, side * side), dtype=np.uint8)
+            ds = Dataset(pixels / 255.0, rng.integers(0, classes, size=n), num_classes=classes)
             images, labels = MNIST_FILES[split]
-            write_idx(ds, tmp_path / images, tmp_path / labels, rows=28, cols=28)
-        return tmp_path
+            write_idx(ds, path / images, path / labels, rows=side, cols=side)
+        return path
+
+    @pytest.fixture
+    def fake_mnist_dir(self, tmp_path):
+        return self.write_mnist(tmp_path)
 
     def test_mnist_config_runs_end_to_end(self, fake_mnist_dir):
         cfg = ExperimentConfig(
@@ -507,6 +561,27 @@ class TestMnistWiring:
         )
         res = run_experiment(cfg)
         assert res.logs[-1].uplink_scalars == 2 * 7850
+
+    def test_fewer_labels_keep_the_mnist_model(self, tmp_path):
+        # labels 0..4 only: the model still has MNIST's 10 classes, so the
+        # logged counts are those of the model that trained
+        cfg = ExperimentConfig(
+            model="logreg", data="mnist", mnist_dir=str(self.write_mnist(tmp_path, classes=5)),
+            algorithm="fedavg", clients=12, steps=2, batch_size=32, eval_every=1,
+        )
+        res = run_experiment(cfg)
+        assert len(res.final_w) == model_dimension(cfg)
+        assert ([(log.uplink_scalars, log.downlink_scalars) for log in res.logs]
+                == [comm_cost(cfg, t) for t in (1, 2)])
+
+    @pytest.mark.parametrize("side,classes,message", [(14, 10, "196 pixels"), (28, 11, "label 10")])
+    def test_files_not_of_mnist_shape_exit_2(self, tmp_path, capsys, side, classes, message):
+        mnist_dir = self.write_mnist(tmp_path / "mnist", side, classes)
+        cfg = tmp_path / "mnist.cfg"
+        cfg.write_text(f"data = mnist\nmnist_dir = {mnist_dir}\nsteps = 2\nk = 4\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and not (tmp_path / "o").exists()
 
 
 def test_full_local_data_uses_whole_shard_every_step():
