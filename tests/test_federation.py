@@ -83,6 +83,12 @@ GOLDEN = [
                                         "distribution": "noniid", "attack": "label_flip",
                                         "clients": 8, "alpha": 0.25, "beta": 0.25},
      (1.283802280733976, 50.0, 0.8124607243762099)),
+    # the data-free quadratic: one view serves every first-order client, and
+    # under a coefficient attack one computing row fills the honest rows
+    ("fedavg_quad", {**QUAD, "algorithm": "fedavg"},
+     (6.496740572356155e-07, NAN, 0.0007979226629761202)),
+    ("quad_full_knowledge", {**QUAD, "attack": "full_knowledge", "alpha": 0.25, "beta": 0.25},
+     (4.296440907187909e-05, NAN, 0.00887011793107587)),
 ]
 
 
