@@ -9,7 +9,6 @@ then follow the protocol honestly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -34,20 +33,6 @@ class AttackKind(str, Enum):
             AttackKind.ALWAYS_LARGE,
             AttackKind.RANDOM_CHOICE,
         )
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    kind: AttackKind
-    byzantine_ids: frozenset[int]
-
-    @staticmethod
-    def build(kind: AttackKind, m: int, alpha: float) -> "AttackSpec":
-        """Byzantine set = the last floor(alpha * m) client indices."""
-        if not 0.0 <= alpha < 0.5:
-            raise ValueError(f"byzantine fraction must satisfy 0 <= alpha < 1/2, got {alpha}")
-        count = int(np.floor(alpha * m))
-        return AttackSpec(kind, frozenset(range(m - count, m)))
 
 
 def adversary_seed(

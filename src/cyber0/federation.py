@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import AttackKind, AttackSpec, adversary_seed, byzantine_value
+from .adversary import AttackKind, adversary_seed, byzantine_value
 from .core import project_ball
 from .data import (MNIST_CLASSES, MNIST_FEATURES, ClientData, Dataset, load_mnist,
                    partition_iid, partition_noniid, synth_generate)
@@ -178,9 +178,11 @@ class _Setup:
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        self.attack = AttackSpec.build(AttackKind(config.attack), config.clients, config.alpha)
-        self.byz = sorted(self.attack.byzantine_ids)
-        self.honest = [i for i in range(config.clients) if i not in self.attack.byzantine_ids]
+        self.attack = AttackKind(config.attack)
+        # clients 0..honest-1 are honest and the last floor(alpha m) Byzantine;
+        # 0..computing-1 compute: all m, or only the honest under a coefficient attack
+        self.honest = config.clients - int(np.floor(config.alpha * config.clients))
+        self.computing = self.honest if self.attack.substitutes_coefficients else config.clients
 
         self.data: ClientData | None = None
         self.test: Dataset | None = None  # both stay None for the data-free quadratic
@@ -204,7 +206,8 @@ class _Setup:
                 if config.distribution == "iid"
                 else partition_noniid(train, config.clients, config.data_seed)
             )
-            flipped = self.byz if self.attack.kind == AttackKind.LABEL_FLIPPING else ()
+            flipped = (range(self.honest, config.clients)
+                       if self.attack == AttackKind.LABEL_FLIPPING else ())
             self.data = ClientData(train, part.shards, config.batch_size, config.data_seed,
                                    config.full_local_data, flipped)
 
@@ -215,11 +218,6 @@ class _Setup:
         # Gaussian ones do not
         self.scale = float(self.d) if sphere else 1.0
         self.w = self._initial_w()
-        # indices of the clients that actually execute the protocol this run
-        if self.attack.kind.substitutes_coefficients:
-            self.computing = np.array(self.honest, dtype=np.intp)
-        else:
-            self.computing = np.arange(config.clients)
 
     def _initial_w(self) -> np.ndarray:
         if self.config.init == "zeros":
@@ -230,14 +228,16 @@ class _Setup:
     def gather(self, rows: slice):
         """``ClientData.gather`` of the computing clients ``rows``; the
         quadratic's one computing client gets no batch."""
-        return (None, [1], [None]) if self.data is None else self.data.gather(self.computing[rows])
+        if self.data is None:
+            return None, [1], [None]
+        return self.data.gather(range(self.computing)[rows])
 
     def train_loss(self, w: np.ndarray, losses: dict) -> float:
         """Mean over the honest clients of their loss at w: ``losses`` holds
         those already computed, by client id, and any other is evaluated
         here without a batch (every client of the data-free quadratic)."""
         return float(np.mean([losses[i] if i in losses else self.model.eval(w, None)
-                              for i in self.honest]))
+                              for i in range(self.honest)]))
 
     def test_acc(self, w: np.ndarray) -> float:
         if self.test is None:
@@ -257,7 +257,7 @@ def _map_clients(setup: _Setup, groups: list[slice], ws: np.ndarray, layout, dir
         batch, counts, views = setup.gather(rows)
         if losses is not None and batch is not None:
             losses.update((i, model.eval(setup.w, view))
-                          for i, view in zip(setup.computing[rows], views) if i in setup.honest)
+                          for i, view in enumerate(views, rows.start) if i < setup.honest)
         if cfg.mu_zero:
             out[rows] = [setup.scale * (dirs @ model.grad(w, v)) for w, v in zip(ws[rows], views)]
             continue
@@ -269,34 +269,30 @@ def _map_clients(setup: _Setup, groups: list[slice], ws: np.ndarray, layout, dir
 
 
 def _substitute_byzantine(setup: _Setup, matrix: np.ndarray, step: int) -> None:
-    """Overwrite every Byzantine row with the colluding row that one oracle
-    call computes from the step's whole honest block (oracle ordering: all
-    honest values are in first). Column e*k + r holds epoch e, direction r,
-    and random_choice draws from that column's adversary seed (step, r, e)."""
-    cfg = setup.config
-    kind = setup.attack.kind
-    if not kind.substitutes_coefficients or not setup.byz:
+    """Overwrite the Byzantine rows, which follow the honest ones, with the
+    colluding row one oracle call computes from the step's whole honest block
+    (oracle ordering: all honest values are in first). Column e*k + r holds
+    epoch e, direction r; random_choice draws on its adversary seed (step, r, e)."""
+    cfg, kind, h = setup.config, setup.attack, setup.honest
+    if not kind.substitutes_coefficients or h == cfg.clients:
         return
     rc_seeds = None
     if kind == AttackKind.RANDOM_CHOICE:
         rc_seeds = adversary_seed(cfg.root_seed, step, np.arange(cfg.k),
                                   np.arange(cfg.local_epochs)[:, None]).reshape(-1)
-    matrix[setup.byz] = byzantine_value(kind, matrix[setup.honest], cfg.beta, cfg.clients, rc_seeds)
+    matrix[h:] = byzantine_value(kind, matrix[:h], cfg.beta, cfg.clients, rc_seeds)
 
 
-def _check_finite(matrix: np.ndarray, step: int, clients: np.ndarray) -> None:
-    """Raise NonFiniteLossError naming the step, direction and client of the
-    first non-finite coefficient of the computing ``clients``' rows.
-
-    Rows of clients that do not compute are still zeros here, so one
-    isfinite over the whole matrix decides; the first bad entry is searched
-    for only when that check fails."""
-    if np.isfinite(matrix).all():
+def _check_finite(block: np.ndarray, step: int) -> None:
+    """Raise NonFiniteLossError naming the step, direction and client (its row)
+    of the first non-finite coefficient in the computing clients' ``block``,
+    searched for only when one isfinite over the whole block fails."""
+    if np.isfinite(block).all():
         return
-    row, col = np.argwhere(~np.isfinite(matrix[clients]))[0]
+    client, col = np.argwhere(~np.isfinite(block))[0]
     raise NonFiniteLossError(
-        f"non-finite coefficient at step {step}, direction {col}, client {clients[row]}",
-        step=step, direction=int(col), client=int(clients[row]),
+        f"non-finite coefficient at step {step}, direction {col}, client {client}",
+        step=step, direction=int(col), client=int(client),
     )
 
 
@@ -355,7 +351,7 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
     # the quadratic is data-free: every client starts from the synchronized
     # w with no batch, so one client's coefficient row broadcasts to all
     groups = ([slice(0, 1)] if setup.data is None
-              else setup.data.groups(setup.computing, k * setup.model.num_classes))
+              else setup.data.groups(range(setup.computing), k * setup.model.num_classes))
     n = groups[-1].stop
     # every client starts a round at setup.w, which is only ever updated in
     # place, so one read-only (n, d) view of it serves every round
@@ -383,9 +379,9 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
                          coeffs[:, e])
         tr_loss = setup.train_loss(setup.w, losses) if do_log else float("nan")
 
-        matrix = np.zeros((config.clients, E * k))
-        matrix[setup.computing] = coeffs.reshape(n, E * k)
-        _check_finite(matrix, t, setup.computing)
+        matrix = np.empty((config.clients, E * k))  # clients' rows, then the adversary's
+        matrix[:setup.computing] = coeffs.reshape(n, E * k)
+        _check_finite(matrix[:setup.computing], t)
         _substitute_byzantine(setup, matrix, t)
         agg = robust_direction_aggregate(matrix, config.beta)
         for e in range(E):
@@ -405,15 +401,14 @@ def _run_first_order(config: ExperimentConfig) -> RunResult:
     beta = config.beta if config.algorithm == "coordwise_tm" else 0.0
 
     for t in range(config.steps):
-        batches = dict(zip(setup.computing, setup.gather(slice(None))[2]))
+        views = setup.gather(slice(None))[2]  # the quadratic's one view serves every client
         do_log = _should_log(config, t)
         tr_loss = float("nan")
         if do_log:
-            tr_loss = setup.train_loss(setup.w, {i: setup.model.eval(setup.w, batches.get(i))
-                                                 for i in setup.honest})
-        grads = np.zeros((config.clients, setup.d))
-        for i in setup.computing:
-            grads[i] = setup.model.grad(setup.w, batches.get(i))
+            tr_loss = setup.train_loss(setup.w, {i: setup.model.eval(setup.w, v)
+                                                 for i, v in enumerate(views[:setup.honest])})
+        grads = np.empty((config.clients, setup.d))
+        grads[:] = [setup.model.grad(setup.w, v) for v in views]
         if not np.all(np.isfinite(grads)):
             raise NonFiniteLossError(f"non-finite gradient at step {t}", step=t)
         agg = coordwise_trimmed_mean(grads, beta)

@@ -4,7 +4,6 @@ import pytest
 from cyber0 import federation
 from cyber0.adversary import (
     AttackKind,
-    AttackSpec,
     adversary_seed,
     byzantine_value,
     flip_labels,
@@ -104,10 +103,10 @@ class TestOtherCoefficientAttacks:
             setup = federation._Setup(cfg)
             matrix = before.copy()
             federation._substitute_byzantine(setup, matrix, 6)
-            want = byzantine_value(kind, before[setup.honest], 0.375, 8, seeds)
-            assert setup.byz == [5, 6, 7]
-            assert np.array_equal(matrix[setup.byz], np.tile(want, (3, 1)))
-            assert np.array_equal(matrix[setup.honest], before[setup.honest])
+            want = byzantine_value(kind, before[:5], 0.375, 8, seeds)
+            assert setup.honest == 5
+            assert np.array_equal(matrix[5:], np.tile(want, (3, 1)))
+            assert np.array_equal(matrix[:5], before[:5])
 
     @pytest.mark.parametrize("kind", COEFFICIENT_ATTACKS)
     def test_block_matches_per_column(self, kind):
@@ -144,18 +143,18 @@ class TestLabelFlip:
             flip_labels(np.array([10]), 10)
 
 
-class TestAttackSpec:
-    def test_byzantine_ids_are_last_indices(self):
-        spec = AttackSpec.build(AttackKind.FULL_KNOWLEDGE, m=12, alpha=0.25)
-        assert spec.byzantine_ids == frozenset({9, 10, 11})
+class TestClientRoles:
+    def test_byzantine_clients_are_the_last_floor_alpha_m(self):
+        # clients 0..honest-1 are honest and 0..computing-1 compute: a
+        # coefficient attack's Byzantine clients do not, label flipping's do
+        def setup(**overrides):
+            return federation._Setup(ExperimentConfig(synth_samples=400, **overrides))
 
-    def test_alpha_floor(self):
-        spec = AttackSpec.build(AttackKind.NONE, m=40, alpha=0.375)
-        assert len(spec.byzantine_ids) == 15
-
-    def test_alpha_bounds(self):
-        with pytest.raises(ValueError):
-            AttackSpec.build(AttackKind.NONE, m=4, alpha=0.5)
+        fk = setup(clients=12, alpha=0.25, attack="full_knowledge")
+        assert (fk.honest, fk.computing) == (9, 9)
+        assert setup(clients=40, alpha=0.375).honest == 25
+        flip = setup(clients=12, alpha=0.25, attack="label_flip")
+        assert (flip.honest, flip.computing) == (9, 12)
 
 
 class TestAttackTrimInterplay:

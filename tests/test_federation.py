@@ -284,12 +284,12 @@ class TestClientGroups:
         # and one group for every client: the same final w and log bytes
         cfg = ExperimentConfig(**{**SYNTH, "steps": 8, "eval_every": 2, **overrides})
         setup = federation._Setup(cfg)
-        n, width = len(setup.computing), cfg.k * cfg.synth_classes
+        n, width = setup.computing, cfg.k * cfg.synth_classes
         pair = 2 * width * setup.data.rows_per_read(0)
         runs, sizes = [], []
         for budget in (1, pair, data_module.GROUP_VALUES, 1 << 62):
             monkeypatch.setattr(data_module, "GROUP_VALUES", budget)
-            sizes.append(len(setup.data.groups(setup.computing, width)))
+            sizes.append(len(setup.data.groups(range(n), width)))
             res = run_cyber0(cfg)
             runs.append((res.final_w, csv_lines(res.logs)))
         assert sizes[0] == n and 1 < sizes[1] < n and sizes[3] == 1
@@ -320,11 +320,12 @@ class TestClientBatches:
         monkeypatch.setattr(ClientData, "gather", spy_gather)
         run_cyber0(cfg)
         setup = federation._Setup(cfg)
-        assert setup.byz and cursors == set(setup.honest)
+        honest, byz = range(setup.honest), range(setup.honest, cfg.clients)
+        assert setup.computing == setup.honest and byz and cursors == set(honest)
         read = [i for readers, _ in gathers for i in readers]
-        assert not set(read) & set(setup.byz)
+        assert not set(read) & set(byz)
         assert all(rows == cfg.batch_size * len(readers) for readers, rows in gathers)
-        assert sorted(read) == sorted(setup.honest * (cfg.steps * cfg.local_epochs))
+        assert sorted(read) == sorted(list(honest) * (cfg.steps * cfg.local_epochs))
 
 
 class TestDataFreeQuadratic:
@@ -464,24 +465,23 @@ class TestFailureModes:
         assert err.value.step >= 0
 
     def test_check_finite_names_first_bad_entry(self):
-        # computing clients 0, 2, 3, 4; client 1 does not compute and its row
-        # stays zero. The first bad entry in client order is the NaN of
-        # client 2 at direction 5, ahead of the inf at an earlier direction
-        matrix = np.zeros((5, 8))
-        matrix[[0, 2, 3, 4]] = np.arange(32.0).reshape(4, 8)
+        # row i of the computing block is client i. The first bad entry in
+        # client order is the NaN of client 2 at direction 5, ahead of the
+        # inf of client 3 at an earlier direction
+        matrix = np.arange(40.0).reshape(5, 8)
         clean = matrix.copy()
-        federation._check_finite(clean, 7, np.array([0, 2, 3, 4]))
+        federation._check_finite(clean, 7)
         assert np.array_equal(clean, matrix)
         matrix[2, 5] = np.nan
         matrix[3, 1] = np.inf
         with pytest.raises(NonFiniteLossError,
                            match="step 7, direction 5, client 2$") as err:
-            federation._check_finite(matrix, 7, np.array([0, 2, 3, 4]))
+            federation._check_finite(matrix, 7)
         assert (err.value.step, err.value.direction, err.value.client) == (7, 5, 2)
         matrix[2, 5] = -np.inf
         matrix[0, 6] = np.nan
         with pytest.raises(NonFiniteLossError) as err:
-            federation._check_finite(matrix, 0, np.array([0, 2, 3, 4]))
+            federation._check_finite(matrix, 0)
         assert (err.value.step, err.value.direction, err.value.client) == (0, 6, 0)
 
     def test_first_order_nonfinite_gradient_aborts(self):
