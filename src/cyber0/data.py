@@ -14,6 +14,7 @@ from __future__ import annotations
 import gzip
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,10 +89,12 @@ def _read_maybe_gzip(path: str | Path) -> bytes:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"IDX file not found: {p}")
-    raw = p.read_bytes()
-    if p.suffix == ".gz":
-        raw = gzip.decompress(raw)
-    return raw
+    try:
+        raw = p.read_bytes()
+        return gzip.decompress(raw) if p.suffix == ".gz" else raw
+    except (OSError, EOFError, zlib.error) as exc:  # a directory, not gzip, cut short
+        raise IdxFormatError(f"cannot read IDX file {p}: "
+                             f"{getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _parse_idx(raw: bytes, expected_magic: int, what: str) -> tuple[tuple[int, ...], bytes]:
@@ -117,6 +120,8 @@ def load_idx(path_images: str | Path, path_labels: str | Path) -> Dataset:
     img_dims, img_payload = _parse_idx(_read_maybe_gzip(path_images), IMAGES_MAGIC, "images")
     lbl_dims, lbl_payload = _parse_idx(_read_maybe_gzip(path_labels), LABELS_MAGIC, "labels")
     n, rows, cols = img_dims
+    if n == 0:
+        raise IdxFormatError(f"images file {path_images} holds no images")
     if lbl_dims[0] != n:
         raise IdxFormatError(f"image count {n} does not match label count {lbl_dims[0]}")
     features = np.frombuffer(img_payload, dtype=np.uint8).astype(np.float64)

@@ -7,6 +7,8 @@ One round: honest clients compute E*k coefficients on seeded batches, the
 adversary substitutes the Byzantine reports with oracle access to the
 honest values, the federator trims per direction, and w replays the
 aggregated coefficients along the directions regenerated from the seeds.
+Clients 0..h-1 are honest and the Byzantine ones are the suffix h..m-1, so
+the round's report matrix is filled and read by slices of two counts.
 Everything is a pure function of the config: reruns produce byte-identical
 logs.
 """

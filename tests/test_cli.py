@@ -1,3 +1,7 @@
+import gzip
+import re
+import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +15,11 @@ from cyber0.cli import (
     main,
     parse_config_text,
 )
+from cyber0.data import IMAGES_MAGIC, MNIST_FILES
 from cyber0.federation import ExperimentConfig
 
-PROFILE_DIR = Path(__file__).resolve().parent.parent / "profiles"
+ROOT = Path(__file__).resolve().parent.parent
+PROFILE_DIR = ROOT / "profiles"
 
 FAST_CFG = """\
 # comment line
@@ -99,6 +105,14 @@ class TestConfigParsing:
         assert "full_local_data = true" in lines and "eta = 0.30000000000000004" in lines
         assert parse_config_text("\n".join(lines)) == cfg
 
+    def test_readme_config_table_names_every_field(self):
+        # the keys in the first column of README's "Config format" table
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = text.split("## Config format", 1)[1].split("| key | default | meaning |", 1)[1]
+        rows = table.split("\n\n", 1)[0].splitlines()[2:]
+        keys = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+        assert keys == {f.name for f in fields(ExperimentConfig)}
+
     def test_bundled_profiles_parse(self):
         for profile in sorted(PROFILE_DIR.glob("*.cfg")):
             cfg = load_config(profile)
@@ -156,6 +170,28 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("broken", ["not_gzip", "truncated_gzip", "corrupt_gzip",
+                                        "directory"])
+    def test_unreadable_idx_exit_2(self, tmp_path, capsys, broken):
+        # the train images, the first IDX file read, cannot be read or
+        # decompressed: a set-up error naming the file, not a traceback
+        mnist = tmp_path / "mnist"
+        mnist.mkdir()
+        images = mnist / MNIST_FILES["train"][0]
+        if broken == "directory":
+            images.mkdir()
+        else:
+            packed = gzip.compress(struct.pack(">IIII", IMAGES_MAGIC, 1, 28, 28) + bytes(784))
+            images = images.with_name(images.name + ".gz")
+            images.write_bytes({"not_gzip": b"plain bytes", "truncated_gzip": packed[:-12],
+                                "corrupt_gzip": packed[:10] + b"\xff" * 20}[broken])
+        cfg = tmp_path / "mnist.cfg"
+        cfg.write_text(FAST_CFG.replace("data = synth", "data = mnist") + f"mnist_dir = {mnist}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read IDX file {images}: ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_directory_config_exit_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path), "--out", str(tmp_path / "o")]) == 2

@@ -77,6 +77,11 @@ class TestIdx:
         with pytest.raises(IdxFormatError, match="payload"):
             load_idx(ip, lp)
 
+    def test_zero_images_rejected(self, tmp_path):
+        ip, lp = build_idx_pair(tmp_path, np.zeros((0, 2, 2)), [])
+        with pytest.raises(IdxFormatError, match=f"images file {ip} holds no images"):
+            load_idx(ip, lp)
+
     def test_count_mismatch_rejected(self, tmp_path):
         pixels = np.zeros((2, 2, 2), dtype=np.uint8)
         ip, _ = build_idx_pair(tmp_path, pixels, [0, 1])
