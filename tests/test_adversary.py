@@ -143,18 +143,24 @@ class TestLabelFlip:
             flip_labels(np.array([10]), 10)
 
 
-class TestClientRoles:
-    def test_byzantine_clients_are_the_last_floor_alpha_m(self):
-        # clients 0..honest-1 are honest and 0..computing-1 compute: a
-        # coefficient attack's Byzantine clients do not, label flipping's do
-        def setup(**overrides):
-            return federation._Setup(ExperimentConfig(synth_samples=400, **overrides))
+class TestAttackSpec:
+    """The attack's client roles, which federation._Setup holds as counts:
+    clients 0..honest-1 are honest and 0..computing-1 compute; a
+    coefficient attack's Byzantine clients do not compute, label
+    flipping's do."""
 
-        fk = setup(clients=12, alpha=0.25, attack="full_knowledge")
+    @staticmethod
+    def setup(**overrides):
+        return federation._Setup(ExperimentConfig(synth_samples=400, **overrides))
+
+    def test_byzantine_ids_are_last_indices(self):
+        fk = self.setup(clients=12, alpha=0.25, attack="full_knowledge")
         assert (fk.honest, fk.computing) == (9, 9)
-        assert setup(clients=40, alpha=0.375).honest == 25
-        flip = setup(clients=12, alpha=0.25, attack="label_flip")
+        flip = self.setup(clients=12, alpha=0.25, attack="label_flip")
         assert (flip.honest, flip.computing) == (9, 12)
+
+    def test_alpha_floor(self):
+        assert self.setup(clients=40, alpha=0.375).honest == 25
 
 
 class TestAttackTrimInterplay:
