@@ -17,11 +17,10 @@ from .federation import (
     run_experiment,
 )
 from .losses import LogisticRegressionModel, QuadraticModel
-from .robust import coordwise_trimmed_mean, robust_direction_aggregate, trimmed_mean
+from .robust import coordwise_trimmed_mean, robust_direction_aggregate
 from .seedstream import (
     DirectionMode,
     RngStream,
-    SeedTuple,
     StreamKind,
     derive_seed,
     make_direction,

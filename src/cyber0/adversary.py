@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .robust import trim_count
-from .seedstream import StreamKind, derive_seeds, first_uniforms
+from .seedstream import first_uniforms
 
 
 class AttackKind(str, Enum):
@@ -33,15 +33,6 @@ class AttackKind(str, Enum):
             AttackKind.ALWAYS_LARGE,
             AttackKind.RANDOM_CHOICE,
         )
-
-
-def adversary_seed(
-    root: int, step: int | np.ndarray, sample: int | np.ndarray, epoch: int | np.ndarray = 0
-) -> np.ndarray:
-    """Seeds of the adversary's own streams, independent of direction streams:
-    ``derive_seeds`` under the ADVERSARY tag, broadcast over integers or
-    integer arrays of step, sample and epoch."""
-    return derive_seeds(root, step, sample, epoch, StreamKind.ADVERSARY)
 
 
 def byzantine_value(

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import flip_labels
-from .seedstream import RngStream, SeedTuple, StreamKind, derive_seed
+from .seedstream import RngStream, StreamKind, derive_seed
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -85,45 +85,46 @@ class Partition:
             raise ValueError("shards are not disjoint")
 
 
-def _read_maybe_gzip(path: str | Path) -> bytes:
+def _read_idx(path: str | Path, expected_magic: int) -> tuple[tuple[int, ...], bytes]:
+    """The dimensions and payload of the IDX file at ``path``; every error
+    names the file, so the train and the test split read apart."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"IDX file not found: {p}")
     try:
         raw = p.read_bytes()
-        return gzip.decompress(raw) if p.suffix == ".gz" else raw
+        raw = gzip.decompress(raw) if p.suffix == ".gz" else raw
     except (OSError, EOFError, zlib.error) as exc:  # a directory, not gzip, cut short
         raise IdxFormatError(f"cannot read IDX file {p}: "
                              f"{getattr(exc, 'strerror', None) or exc}") from exc
-
-
-def _parse_idx(raw: bytes, expected_magic: int, what: str) -> tuple[tuple[int, ...], bytes]:
     if len(raw) < 4:
-        raise IdxFormatError(f"{what}: file shorter than the magic number")
+        raise IdxFormatError(f"IDX file {p}: shorter than the magic number")
     (magic,) = struct.unpack(">I", raw[:4])
     if magic != expected_magic:
-        raise IdxFormatError(f"{what}: bad magic 0x{magic:08x}, expected 0x{expected_magic:08x}")
+        raise IdxFormatError(
+            f"IDX file {p}: bad magic 0x{magic:08x}, expected 0x{expected_magic:08x}")
     ndim = magic & 0xFF
     header_len = 4 + 4 * ndim
     if len(raw) < header_len:
-        raise IdxFormatError(f"{what}: truncated dimension header")
+        raise IdxFormatError(f"IDX file {p}: truncated dimension header")
     dims = struct.unpack(f">{ndim}I", raw[4:header_len])
     payload = raw[header_len:]
     expected = int(np.prod(dims))
     if len(payload) != expected:
-        raise IdxFormatError(f"{what}: payload holds {len(payload)} bytes, expected {expected}")
+        raise IdxFormatError(f"IDX file {p}: payload holds {len(payload)} bytes, "
+                             f"expected {expected}")
     return dims, payload
 
 
 def load_idx(path_images: str | Path, path_labels: str | Path) -> Dataset:
     """Load an image/label IDX pair; pixels are scaled by 1/255."""
-    img_dims, img_payload = _parse_idx(_read_maybe_gzip(path_images), IMAGES_MAGIC, "images")
-    lbl_dims, lbl_payload = _parse_idx(_read_maybe_gzip(path_labels), LABELS_MAGIC, "labels")
-    n, rows, cols = img_dims
+    (n, rows, cols), img_payload = _read_idx(path_images, IMAGES_MAGIC)
+    (n_labels,), lbl_payload = _read_idx(path_labels, LABELS_MAGIC)
     if n == 0:
         raise IdxFormatError(f"images file {path_images} holds no images")
-    if lbl_dims[0] != n:
-        raise IdxFormatError(f"image count {n} does not match label count {lbl_dims[0]}")
+    if n_labels != n:
+        raise IdxFormatError(f"image count {n} in {path_images} does not match "
+                             f"label count {n_labels} in {path_labels}")
     features = np.frombuffer(img_payload, dtype=np.uint8).astype(np.float64)
     features /= 255.0
     features = features.reshape(n, rows * cols)
@@ -167,12 +168,12 @@ def synth_generate(seed: int, n: int, p: int, num_classes: int,
         raise ValueError("need n, p, num_classes >= 1")
     # centroids are split-independent; only the sample noise stream differs,
     # so train and held-out rows come from the same class-conditional law
-    cstream = RngStream(derive_seed(SeedTuple(seed, 0, 0, 0, StreamKind.INIT)))
+    cstream = RngStream(derive_seed(seed, 0, 0, 0, StreamKind.INIT))
     centroids = cstream.uniforms(num_classes * p).reshape(num_classes, p)
     centroids *= spread
     centroids += (1.0 - spread) / 2.0
     labels = np.arange(n, dtype=np.int64) % num_classes
-    stream = RngStream(derive_seed(SeedTuple(seed, 0, 1 + split, 0, StreamKind.INIT)))
+    stream = RngStream(derive_seed(seed, 0, 1 + split, 0, StreamKind.INIT))
     features = stream.gaussians(n * p).reshape(n, p)
     features *= noise
     for c in range(num_classes):  # no (n, p) gather: each row still gets one add
@@ -186,7 +187,7 @@ def partition_iid(dataset: Dataset, m: int, seed: int) -> Partition:
     n = len(dataset)
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= clients <= {n}, got {m}")
-    perm = RngStream(derive_seed(SeedTuple(seed, 1, 0, 0, StreamKind.INIT))).permutation(n)
+    perm = RngStream(derive_seed(seed, 1, 0, 0, StreamKind.INIT)).permutation(n)
     return Partition([np.sort(perm[i::m]) for i in range(m)])
 
 
@@ -209,7 +210,7 @@ def partition_noniid(dataset: Dataset, m: int, seed: int) -> Partition:
         rows = np.flatnonzero(dataset.labels == ell)
         if len(rows) == 0:
             continue
-        stream = RngStream(derive_seed(SeedTuple(seed, 2, ell, 0, StreamKind.INIT)))
+        stream = RngStream(derive_seed(seed, 2, ell, 0, StreamKind.INIT))
         shuffled = rows[stream.permutation(len(rows))]
         for slot, client in enumerate(owners[ell]):
             pieces[client].append(shuffled[slot :: len(owners[ell])])
@@ -240,8 +241,9 @@ class BatchCursor:
         self._perm = self._shuffle()
 
     def _shuffle(self) -> np.ndarray:
-        t = SeedTuple(self.data_seed, self.pass_index, self.client_id, 0, StreamKind.DATA_SHUFFLE)
-        return self.shard[RngStream(derive_seed(t)).permutation(len(self.shard))]
+        seed = derive_seed(self.data_seed, self.pass_index, self.client_id, 0,
+                           StreamKind.DATA_SHUFFLE)
+        return self.shard[RngStream(seed).permutation(len(self.shard))]
 
     def next_rows(self) -> np.ndarray:
         if self.offset + self.batch_size > len(self._perm):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import AttackKind, adversary_seed, byzantine_value
+from .adversary import AttackKind, byzantine_value
 from .core import project_ball
 from .data import (MNIST_CLASSES, MNIST_FEATURES, ClientData, Dataset, load_mnist,
                    partition_iid, partition_noniid, synth_generate)
@@ -29,9 +29,9 @@ from .robust import coordwise_trimmed_mean, robust_direction_aggregate
 from .seedstream import (
     WINDOW_VALUES,
     DirectionMode,
-    SeedTuple,
     StreamKind,
     derive_seed,
+    derive_seeds,
     make_direction,
     sphere_direction,
 )
@@ -224,7 +224,7 @@ class _Setup:
     def _initial_w(self) -> np.ndarray:
         if self.config.init == "zeros":
             return np.zeros(self.d)
-        seed = derive_seed(SeedTuple(self.config.root_seed, 2, 0, 0, StreamKind.INIT))
+        seed = derive_seed(self.config.root_seed, 2, 0, 0, StreamKind.INIT)
         return self.config.init_radius * sphere_direction(seed, self.d)
 
     def gather(self, rows: slice):
@@ -280,21 +280,23 @@ def _substitute_byzantine(setup: _Setup, matrix: np.ndarray, step: int) -> None:
         return
     rc_seeds = None
     if kind == AttackKind.RANDOM_CHOICE:
-        rc_seeds = adversary_seed(cfg.root_seed, step, np.arange(cfg.k),
-                                  np.arange(cfg.local_epochs)[:, None]).reshape(-1)
+        rc_seeds = derive_seeds(cfg.root_seed, step, np.arange(cfg.k),
+                                np.arange(cfg.local_epochs)[:, None],
+                                StreamKind.ADVERSARY).reshape(-1)
     matrix[h:] = byzantine_value(kind, matrix[:h], cfg.beta, cfg.clients, rc_seeds)
 
 
 def _check_finite(block: np.ndarray, step: int) -> None:
-    """Raise NonFiniteLossError naming the step, direction and client (its row)
-    of the first non-finite coefficient in the computing clients' ``block``,
-    searched for only when one isfinite over the whole block fails."""
+    """Raise NonFiniteLossError naming the step, epoch, direction and client
+    (its row) of the first non-finite coefficient in the computing clients'
+    (n, E, k) ``block``, searched for only when one isfinite over the whole
+    block fails."""
     if np.isfinite(block).all():
         return
-    client, col = np.argwhere(~np.isfinite(block))[0]
+    client, epoch, r = np.argwhere(~np.isfinite(block))[0]
     raise NonFiniteLossError(
-        f"non-finite coefficient at step {step}, direction {col}, client {client}",
-        step=step, direction=int(col), client=int(client),
+        f"non-finite coefficient at step {step}, epoch {epoch}, direction {r}, client {client}",
+        step=step, epoch=int(epoch), direction=int(r), client=int(client),
     )
 
 
@@ -381,9 +383,9 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
                          coeffs[:, e])
         tr_loss = setup.train_loss(setup.w, losses) if do_log else float("nan")
 
+        _check_finite(coeffs, t)
         matrix = np.empty((config.clients, E * k))  # clients' rows, then the adversary's
         matrix[:setup.computing] = coeffs.reshape(n, E * k)
-        _check_finite(matrix[:setup.computing], t)
         _substitute_byzantine(setup, matrix, t)
         agg = robust_direction_aggregate(matrix, config.beta)
         for e in range(E):

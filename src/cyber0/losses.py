@@ -75,14 +75,7 @@ class LogisticRegressionModel:
 
     def eval(self, w: ParamVector, batch: Batch) -> float:
         X, y = self._check_batch(batch)
-        L = self.logits(w, X)
-        m = L.max(axis=1)
-        true = L[np.arange(len(y)), y]
-        L = L - m[:, None]
-        np.exp(L, out=L)
-        lse = np.log(L.sum(axis=1))
-        lse += m
-        return float(np.mean(lse - true))
+        return float(_mean_nll(self.logits(w, X)[:, :, None], y)[0])
 
     def grad(self, w: ParamVector, batch: Batch) -> ParamVector:
         X, y = self._check_batch(batch)

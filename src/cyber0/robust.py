@@ -1,4 +1,5 @@
-"""Scalar trimmed mean and the per-direction / per-coordinate aggregators.
+"""The per-direction and per-coordinate aggregators: the trimmed mean down
+each column of an (m, n) matrix, one row per client.
 
 The trimmed mean sorts ascending, drops floor(beta * m) values from each
 end, and averages the survivors in ascending order. The fixed summation
@@ -46,13 +47,6 @@ def _columnwise_trimmed_mean(matrix: np.ndarray, beta: float) -> np.ndarray:
     # sum/divide route can be one ulp off (n * c / n need not round to c)
     np.copyto(out, kept[0], where=kept[0] == kept[-1])
     return out
-
-
-def trimmed_mean(values, beta: float) -> float:
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1 or len(x) == 0:
-        raise AggregationError("trimmed_mean needs a nonempty 1-D multiset")
-    return float(_columnwise_trimmed_mean(x[:, None], beta)[0])
 
 
 def coordwise_trimmed_mean(grads: np.ndarray, beta: float) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Deterministic seed derivation and random-direction generation.
 
 Federator and clients never exchange perturbation vectors: both sides
-regenerate identical directions from small seed tuples. Everything in this
-module is therefore frozen and documented so that a third party can
-reproduce every stream bit for bit:
+regenerate identical directions from seeds, each named by five integers.
+Everything in this module is therefore frozen and documented so that a
+third party can reproduce every stream bit for bit:
 
-* ``derive_seed`` absorbs the five words (root, step, sample, epoch, kind
-  tag) sequentially through the SplitMix64 finalizer::
+* ``derive_seed(root, step, sample, epoch, kind)`` absorbs the five words
+  (the last a kind tag) sequentially through the SplitMix64 finalizer::
 
       h = 0
       for word in (root, step, sample, epoch, kind):
@@ -55,7 +55,6 @@ chunks (``WINDOW_VALUES``, ``BLOCK_WORDS``) changes speed and memory only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -112,22 +111,6 @@ class DirectionMode(IntEnum):
     SPHERE = 1
 
 
-@dataclass(frozen=True)
-class SeedTuple:
-    """Identifies one random stream: (root s, step t, sample r, epoch e, kind)."""
-
-    root: int
-    step: int
-    sample: int
-    epoch: int
-    kind: StreamKind
-
-    def __post_init__(self) -> None:
-        for name in ("step", "sample", "epoch"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"SeedTuple.{name} must be non-negative")
-
-
 def _fmix64(x: int) -> int:
     x &= _MASK64
     x ^= x >> 30
@@ -137,10 +120,13 @@ def _fmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def derive_seed(t: SeedTuple) -> int:
-    """Pure 5-word absorption; bit-exact across platforms and processes."""
+def derive_seed(root: int, step: int, sample: int, epoch: int, kind: StreamKind) -> int:
+    """Seed of the stream (root s, step t, sample r, epoch e, kind): pure
+    5-word absorption, bit-exact across platforms and processes."""
+    if min(step, sample, epoch) < 0:
+        raise ValueError("step, sample and epoch must be non-negative")
     h = 0
-    for word in (t.root, t.step, t.sample, t.epoch, int(t.kind)):
+    for word in (root, step, sample, epoch, int(kind)):
         h = _fmix64(h ^ (word & _MASK64))
     return h
 
@@ -303,10 +289,10 @@ def sphere_direction(seed: int, d: int) -> np.ndarray:
 
 
 def make_direction(
-    seed: int | np.ndarray, d: int, mode: DirectionMode, out: np.ndarray | None = None
+    seeds: np.ndarray, d: int, mode: DirectionMode, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """The direction of one seed, (d,), or the (k, d) block of a uint64 seed
-    array, written into ``out`` when given.
+    """The (k, d) block of directions of a uint64 array of k seeds, written
+    into ``out`` when given.
 
     Every row is bit-identical to ``RngStream(seed).gaussians(d)`` or
     ``sphere_direction(seed, d)``. Rows are generated about BLOCK_WORDS
@@ -317,9 +303,7 @@ def make_direction(
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if np.ndim(seed) == 0:
-        return make_direction(np.array([int(seed) & _MASK64], dtype=np.uint64), d, mode)[0]
-    seeds = np.asarray(seed, dtype=np.uint64)
+    seeds = np.asarray(seeds, dtype=np.uint64)
     k = len(seeds)
     if out is None:
         out = np.empty((k, d))

@@ -14,27 +14,27 @@ import numpy as np
 
 from .core import ParamVector
 from .losses import Batch, LossModel
-from .seedstream import SeedTuple, StreamKind, derive_seed, derive_seeds
+from .seedstream import StreamKind, derive_seeds
 
 
 class NonFiniteLossError(RuntimeError):
     """A loss or coefficient became non-finite; never silently clamped."""
 
-    def __init__(self, message: str, step: int = -1, direction: int = -1, client: int = -1):
+    def __init__(self, message: str, step: int = -1, epoch: int = -1, direction: int = -1,
+                 client: int = -1):
         super().__init__(message)
         self.step = step
+        self.epoch = epoch
         self.direction = direction
         self.client = client
 
 
 def direction_seed(
     root: int, step: int | np.ndarray, sample: int | np.ndarray, epoch: int | np.ndarray = 0
-) -> int | np.ndarray:
-    """Seed of direction ``sample`` at (root, step, epoch). Integer arrays of
-    step, sample or epoch broadcast against each other and give the uint64
-    array of their seeds."""
-    if np.ndim(step) == np.ndim(sample) == np.ndim(epoch) == 0:
-        return derive_seed(SeedTuple(root, step, sample, epoch, StreamKind.DIRECTION))
+) -> np.ndarray:
+    """Seeds of directions ``sample`` at (root, step, epoch): ``derive_seeds``
+    under the DIRECTION tag, the uint64 array of the broadcast shape of the
+    integers or integer arrays step, sample and epoch."""
     return derive_seeds(root, step, sample, epoch, StreamKind.DIRECTION)
 
 

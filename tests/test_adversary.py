@@ -4,13 +4,13 @@ import pytest
 from cyber0 import federation
 from cyber0.adversary import (
     AttackKind,
-    adversary_seed,
     byzantine_value,
     flip_labels,
 )
 from cyber0.federation import ExperimentConfig
-from cyber0.robust import robust_direction_aggregate, trimmed_mean
-from cyber0.seedstream import SeedTuple, StreamKind, derive_seed
+from cyber0.robust import robust_direction_aggregate
+from cyber0.seedstream import StreamKind, derive_seed, derive_seeds
+from test_robust import column_trimmed_mean
 
 FK = AttackKind.FULL_KNOWLEDGE
 SMALL = AttackKind.ALWAYS_SMALL
@@ -20,7 +20,7 @@ COEFFICIENT_ATTACKS = (FK, SMALL, LARGE, RC)
 
 
 def reference_seed(root, step, sample, epoch=0):
-    return derive_seed(SeedTuple(root, step, sample, epoch, StreamKind.ADVERSARY))
+    return derive_seed(root, step, sample, epoch, StreamKind.ADVERSARY)
 
 
 def col(values):
@@ -77,14 +77,14 @@ class TestOtherCoefficientAttacks:
     def test_random_choice_frequency(self):
         # 10,000 directions of the same honest column, one seed per step
         honest = np.tile(col([1.0, 2.0, 3.0]), (1, 10_000))
-        picks = byzantine_value(RC, honest, beta=0.25, m=4,
-                                rc_seeds=adversary_seed(5, np.arange(10_000), 0))
+        seeds = derive_seeds(5, np.arange(10_000), 0, 0, StreamKind.ADVERSARY)
+        picks = byzantine_value(RC, honest, beta=0.25, m=4, rc_seeds=seeds)
         assert {1.0, 3.0} == set(picks.tolist())
         assert abs(np.mean(picks == 1.0) - 0.5) < 0.02
 
     def test_random_choice_deterministic_per_seed(self):
         honest = col([1.0, 2.0, 3.0])
-        s = adversary_seed(5, 3, [2])
+        s = derive_seeds(5, 3, [2], 0, StreamKind.ADVERSARY)
         assert byzantine_value(RC, honest, 0.25, 4, s) == byzantine_value(RC, honest, 0.25, 4, s)
 
     def test_degenerate_trim_count_uses_extreme(self):
@@ -113,7 +113,7 @@ class TestOtherCoefficientAttacks:
         rng = np.random.default_rng(3)
         honest = rng.normal(size=(9, 40))
         honest[:, :5] = rng.integers(-2, 3, size=(9, 5))  # ties and zero sums
-        seeds = adversary_seed(5, 3, np.arange(40))
+        seeds = derive_seeds(5, 3, np.arange(40), 0, StreamKind.ADVERSARY)
         row = byzantine_value(kind, honest, beta=0.25, m=12, rc_seeds=seeds)
         assert row.shape == (40,)
         for c in range(40):
@@ -172,7 +172,7 @@ class TestAttackTrimInterplay:
         honest = np.arange(1.0, 36.0)
         v = byzantine_value(FK, col(honest), beta=0.125, m=40)[0]
         assert v == 5.0
-        agg = trimmed_mean(np.concatenate([honest, [v] * 5]), 0.125)
+        agg = column_trimmed_mean(np.concatenate([honest, [v] * 5]), 0.125)
         assert agg == (5 * 5.0 + sum(range(6, 31))) / 30
 
     def test_large_alpha_collapses_to_single_order_statistic(self):
@@ -180,7 +180,7 @@ class TestAttackTrimInterplay:
         honest = np.arange(1.0, 26.0)
         v = byzantine_value(FK, col(honest), beta=0.375, m=40)[0]
         assert v == 15.0
-        agg = trimmed_mean(np.concatenate([honest, [v] * 15]), 0.375)
+        agg = column_trimmed_mean(np.concatenate([honest, [v] * 15]), 0.375)
         assert agg == 15.0
 
     def test_attacked_aggregate_stays_in_honest_range(self):

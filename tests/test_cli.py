@@ -15,7 +15,7 @@ from cyber0.cli import (
     main,
     parse_config_text,
 )
-from cyber0.data import IMAGES_MAGIC, MNIST_FILES
+from cyber0.data import IMAGES_MAGIC, LABELS_MAGIC, MNIST_FILES
 from cyber0.federation import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -191,6 +191,22 @@ class TestRun:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read IDX file {images}: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_bad_magic_names_the_file(self, tmp_path, capsys):
+        # the test images carry the labels' magic; train and test images
+        # share a format, so only the path tells the two splits apart
+        mnist = tmp_path / "mnist"
+        mnist.mkdir()
+        for split, (images, labels) in MNIST_FILES.items():
+            magic = LABELS_MAGIC if split == "test" else IMAGES_MAGIC
+            (mnist / images).write_bytes(struct.pack(">IIII", magic, 1, 28, 28) + bytes(784))
+            (mnist / labels).write_bytes(struct.pack(">II", LABELS_MAGIC, 1) + bytes(1))
+        cfg = tmp_path / "mnist.cfg"
+        cfg.write_text(FAST_CFG.replace("data = synth", "data = mnist") + f"mnist_dir = {mnist}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: IDX file {mnist / MNIST_FILES['test'][0]}: bad magic ")
         assert len(err.strip().splitlines()) == 1
 
     def test_directory_config_exit_2(self, tmp_path, capsys):

@@ -21,7 +21,7 @@ from cyber0.data import (
     synth_generate,
 )
 from cyber0.losses import LogisticRegressionModel
-from cyber0.seedstream import RngStream, SeedTuple, StreamKind, derive_seed
+from cyber0.seedstream import RngStream, StreamKind, derive_seed
 
 
 def write_idx(dataset, path_images, path_labels, rows, cols):
@@ -113,9 +113,9 @@ class TestSynth:
         # adding the centroids class by class gives the bits of the one-shot
         # centroids[labels] gather, also when C = 3 does not divide n
         ds = synth_generate(9, n, 5, 3, split=1)
-        cstream = RngStream(derive_seed(SeedTuple(9, 0, 0, 0, StreamKind.INIT)))
+        cstream = RngStream(derive_seed(9, 0, 0, 0, StreamKind.INIT))
         centroids = cstream.uniforms(15).reshape(3, 5) * 0.6 + (1.0 - 0.6) / 2.0
-        stream = RngStream(derive_seed(SeedTuple(9, 0, 2, 0, StreamKind.INIT)))
+        stream = RngStream(derive_seed(9, 0, 2, 0, StreamKind.INIT))
         features = stream.gaussians(n * 5).reshape(n, 5) * 0.08 + centroids[np.arange(n) % 3]
         assert np.array_equal(ds.features, np.clip(features, 0.0, 1.0))
 

@@ -19,7 +19,6 @@ from cyber0.losses import LogisticRegressionModel, QuadraticModel
 from cyber0.robust import robust_direction_aggregate
 from cyber0.seedstream import (
     RngStream,
-    SeedTuple,
     StreamKind,
     derive_seed,
     make_direction,
@@ -154,12 +153,12 @@ class TestDeterminism:
 
         w = np.zeros(d)
         if cfg.init == "sphere":
-            init_seed = derive_seed(SeedTuple(cfg.root_seed, 2, 0, 0, StreamKind.INIT))
+            init_seed = derive_seed(cfg.root_seed, 2, 0, 0, StreamKind.INIT)
             w = cfg.init_radius * sphere_direction(init_seed, d)
         for t, agg in enumerate(aggs):
             for e in range(cfg.local_epochs):
                 for r in range(k):
-                    seed = direction_seed(cfg.root_seed, t, r, e)
+                    seed = derive_seed(cfg.root_seed, t, r, e, StreamKind.DIRECTION)
                     z = (sphere_direction(seed, d) if cfg.direction_mode == "sphere"
                          else RngStream(seed).gaussians(d))
                     w += (-(cfg.eta * agg[e * k + r]) / k) * z
@@ -217,13 +216,12 @@ class TestEnginePathsAgree:
             w = setup.w.copy()
             for e in range(cfg.local_epochs):
                 fast = matrix[i, e * k : (e + 1) * k]
+                dirs = make_direction(direction_seed(cfg.root_seed, 0, np.arange(k), e), d, mode)
                 for r in range(k):
-                    z = make_direction(direction_seed(cfg.root_seed, 0, r, e), d, mode)
-                    literal = zo_coefficient(setup.model, w, epoch_batches[e][i], z, cfg.mu,
+                    literal = zo_coefficient(setup.model, w, epoch_batches[e][i], dirs[r], cfg.mu,
                                              setup.scale)
                     assert fast[r] == pytest.approx(literal, rel=1e-9, abs=1e-12)
-                seeds = direction_seed(cfg.root_seed, 0, np.arange(k), e)
-                apply_update(w, fast, make_direction(seeds, d, mode), cfg.eta, 0)
+                apply_update(w, fast, dirs, cfg.eta, 0)
 
     def test_mu_zero_engine_matches_mu_positive_on_quadratic(self):
         # quadratic: the finite difference is exact, so the two modes coincide
@@ -468,21 +466,33 @@ class TestFailureModes:
         # row i of the computing block is client i. The first bad entry in
         # client order is the NaN of client 2 at direction 5, ahead of the
         # inf of client 3 at an earlier direction
-        matrix = np.arange(40.0).reshape(5, 8)
-        clean = matrix.copy()
+        block = np.arange(40.0).reshape(5, 1, 8)
+        clean = block.copy()
         federation._check_finite(clean, 7)
-        assert np.array_equal(clean, matrix)
-        matrix[2, 5] = np.nan
-        matrix[3, 1] = np.inf
+        assert np.array_equal(clean, block)
+        block[2, 0, 5] = np.nan
+        block[3, 0, 1] = np.inf
         with pytest.raises(NonFiniteLossError,
-                           match="step 7, direction 5, client 2$") as err:
-            federation._check_finite(matrix, 7)
+                           match="step 7, epoch 0, direction 5, client 2$") as err:
+            federation._check_finite(block, 7)
         assert (err.value.step, err.value.direction, err.value.client) == (7, 5, 2)
-        matrix[2, 5] = -np.inf
-        matrix[0, 6] = np.nan
+        block[2, 0, 5] = -np.inf
+        block[0, 0, 6] = np.nan
         with pytest.raises(NonFiniteLossError) as err:
-            federation._check_finite(matrix, 0)
+            federation._check_finite(block, 0)
         assert (err.value.step, err.value.direction, err.value.client) == (0, 6, 0)
+
+    def test_check_finite_names_the_epoch(self):
+        # the first bad coefficient of this E = 2 run is client 0's direction
+        # 0 in epoch 1, which its flat report row holds in column k = 4
+        cfg = ExperimentConfig(data="synth", synth_samples=240, synth_features=6,
+                               synth_classes=3, clients=4, alpha=0.0, beta=0.0, k=4,
+                               local_epochs=2, eta=1e308, steps=3, batch_size=16)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteLossError,
+                               match="epoch 1, direction 0, client 0$") as err:
+                run_cyber0(cfg)
+        assert (err.value.epoch, err.value.direction, err.value.client) == (1, 0, 0)
 
     def test_first_order_nonfinite_gradient_aborts(self):
         # no logged round before the end, so the overflowed gradient is

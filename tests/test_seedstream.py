@@ -10,7 +10,6 @@ from cyber0.seedstream import (
     CHUNK,
     DirectionMode,
     RngStream,
-    SeedTuple,
     StreamKind,
     derive_seed,
     derive_seeds,
@@ -56,9 +55,9 @@ def reference_gaussians(seed, n):
 
 class TestDeriveSeed:
     def test_golden_value(self):
-        t = SeedTuple(0, 0, 0, 0, StreamKind.DIRECTION)
-        assert derive_seed(t) == GOLDEN_ZERO_DIRECTION
-        assert derive_seed(t) == reference_derive(0, 0, 0, 0, 1)
+        t = (0, 0, 0, 0, StreamKind.DIRECTION)
+        assert derive_seed(*t) == GOLDEN_ZERO_DIRECTION
+        assert derive_seed(*t) == reference_derive(0, 0, 0, 0, 1)
 
     def test_matches_reference_on_random_tuples(self):
         rng = np.random.default_rng(0)
@@ -66,22 +65,21 @@ class TestDeriveSeed:
             root = int(rng.integers(0, 1 << 63))
             step, sample, epoch = (int(v) for v in rng.integers(0, 10_000, size=3))
             kind = StreamKind(int(rng.integers(1, 5)))
-            got = derive_seed(SeedTuple(root, step, sample, epoch, kind))
+            got = derive_seed(root, step, sample, epoch, kind)
             assert got == reference_derive(root, step, sample, epoch, int(kind))
 
     def test_purity(self):
-        t = SeedTuple(42, 7, 3, 1, StreamKind.DATA_SHUFFLE)
-        assert derive_seed(t) == derive_seed(t)
+        t = (42, 7, 3, 1, StreamKind.DATA_SHUFFLE)
+        assert derive_seed(*t) == derive_seed(*t)
 
     def test_order_sensitivity(self):
-        a = derive_seed(SeedTuple(1, 2, 3, 0, StreamKind.DIRECTION))
-        b = derive_seed(SeedTuple(1, 3, 2, 0, StreamKind.DIRECTION))
+        a = derive_seed(1, 2, 3, 0, StreamKind.DIRECTION)
+        b = derive_seed(1, 3, 2, 0, StreamKind.DIRECTION)
         assert a != b
 
     def test_kind_separates_streams(self):
-        tuples = [SeedTuple(9, 1, 1, 0, kind) for kind in StreamKind]
-        seeds = {derive_seed(t) for t in tuples}
-        assert len(seeds) == len(tuples)
+        seeds = {derive_seed(9, 1, 1, 0, kind) for kind in StreamKind}
+        assert len(seeds) == len(StreamKind)
 
     def test_no_collisions_over_a_million_tuples(self):
         # 10^6 enumerated tuples: root x kind x step x sample x epoch, each
@@ -100,12 +98,13 @@ class TestDeriveSeed:
         corners = np.stack(np.meshgrid(*([0, n - 1] for n in shape), indexing="ij"), -1)
         for idx in np.concatenate([sampled, corners.reshape(-1, len(shape))]):
             root, kind, step, sample, epoch = (int(i) for i in idx)
-            want = derive_seed(SeedTuple(root, step, sample, epoch, kinds[kind]))
+            want = derive_seed(root, step, sample, epoch, kinds[kind])
             assert int(seeds[tuple(idx)]) == want
 
     def test_rejects_negative_fields(self):
-        with pytest.raises(ValueError):
-            SeedTuple(1, -1, 0, 0, StreamKind.DIRECTION)
+        for step, sample, epoch in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+            with pytest.raises(ValueError):
+                derive_seed(1, step, sample, epoch, StreamKind.DIRECTION)
 
 
 class TestStream:
@@ -134,7 +133,7 @@ class TestStream:
         assert np.all((u >= 0) & (u < 1))
 
     def test_first_uniforms_match_each_stream(self):
-        derived = [derive_seed(SeedTuple(9, t, 0, 0, StreamKind.ADVERSARY)) for t in range(60)]
+        derived = [derive_seed(9, t, 0, 0, StreamKind.ADVERSARY) for t in range(60)]
         seeds = np.array([0, 5, 2**63, 2**64 - 1] + derived, dtype=np.uint64)
         want = [RngStream(int(s)).uniforms(1)[0] for s in seeds]
         assert first_uniforms(seeds).tolist() == want
@@ -146,9 +145,8 @@ class TestStream:
 
     def test_cross_process_style_agreement(self):
         # two independent engine instances derive identical directions
-        t = SeedTuple(77, 12, 4, 0, StreamKind.DIRECTION)
-        a = RngStream(derive_seed(t)).gaussians(512)
-        b = RngStream(derive_seed(SeedTuple(77, 12, 4, 0, StreamKind.DIRECTION))).gaussians(512)
+        a = RngStream(derive_seed(77, 12, 4, 0, StreamKind.DIRECTION)).gaussians(512)
+        b = RngStream(derive_seed(77, 12, 4, 0, StreamKind.DIRECTION)).gaussians(512)
         assert np.array_equal(a, b)
 
     def test_permutation_is_a_permutation(self):
@@ -161,8 +159,8 @@ class TestStream:
         d, pairs = 1000, 1000
         corrs = np.empty(pairs)
         for j in range(pairs):
-            za = sphere_direction(derive_seed(SeedTuple(3, j, 0, 0, StreamKind.DIRECTION)), d)
-            zb = sphere_direction(derive_seed(SeedTuple(3, j, 1, 0, StreamKind.DIRECTION)), d)
+            za = sphere_direction(derive_seed(3, j, 0, 0, StreamKind.DIRECTION), d)
+            zb = sphere_direction(derive_seed(3, j, 1, 0, StreamKind.DIRECTION), d)
             corrs[j] = float(np.dot(za, zb))
         assert abs(corrs.mean()) < 0.01
 
@@ -205,8 +203,7 @@ class TestDirectionBlock:
     def test_block_equals_per_seed_stream(self, seeds, d, mode):
         seeds = np.array(seeds, dtype=np.uint64)
         assert_rows_match_reference(make_direction(seeds, d, mode), seeds, d, mode)
-        one = int(seeds[0])
-        assert np.array_equal(make_direction(one, d, mode), REFERENCE[mode](one, d))
+        assert_rows_match_reference(make_direction(seeds[:1], d, mode), seeds[:1], d, mode)
 
     # seeds per d that hold short rows: a row whose first polar batch has
     # too few accepted pairs is about one in fifteen at d = 7850 and one in
@@ -268,7 +265,7 @@ class TestDirectionBlock:
         for i, step in enumerate(steps):
             for e, epoch in enumerate(epochs):
                 assert [int(v) for v in got[i, e]] == [
-                    derive_seed(SeedTuple(root, step, r, epoch, StreamKind.DIRECTION))
+                    derive_seed(root, step, r, epoch, StreamKind.DIRECTION)
                     for r in samples
                 ]
 
@@ -314,7 +311,7 @@ class TestPerturb:
         # fl(w + a) is not injective in w, so an in-place add/subtract cycle
         # can land one ulp off per coordinate; the inverse must never do
         # worse than that
-        z = make_direction(321, len(self.w), mode)
+        z = REFERENCE[mode](321, len(self.w))
         w = self.w.copy()
         w += mu * z
         w += -mu * z
@@ -324,7 +321,7 @@ class TestPerturb:
 
     @pytest.mark.parametrize("mode", [DirectionMode.GAUSSIAN, DirectionMode.SPHERE])
     def test_bracket_schedule_within_one_ulp(self, mode):
-        z = make_direction(77, len(self.w), mode)
+        z = REFERENCE[mode](77, len(self.w))
         w = self.w.copy()
         for scale in (1e-3, -2e-3, 1e-3):
             w += scale * z
@@ -338,10 +335,10 @@ class TestPerturb:
         w1, w2 = self.w.copy(), self.w.copy()
         for w in (w1, w2):
             for scale in (1e-3, -2e-3, 1e-3):
-                w += scale * make_direction(90, len(w), DirectionMode.GAUSSIAN)
+                w += scale * RngStream(90).gaussians(len(w))
         assert np.array_equal(w1, w2)
 
     def test_zero_scale_is_identity(self):
         w = self.w.copy()
-        w += 0.0 * make_direction(4, len(w), DirectionMode.GAUSSIAN)
+        w += 0.0 * RngStream(4).gaussians(len(w))
         assert np.array_equal(w, self.w)

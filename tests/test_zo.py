@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from cyber0.federation import ExperimentConfig, _Setup, run_cyber0
 from cyber0.losses import LogisticRegressionModel, QuadraticModel
-from cyber0.seedstream import DirectionMode, RngStream, make_direction, sphere_direction
+from cyber0.seedstream import (
+    DirectionMode,
+    RngStream,
+    StreamKind,
+    derive_seed,
+    make_direction,
+    sphere_direction,
+)
 from cyber0.zo import NonFiniteLossError, apply_update, direction_seed, zo_coefficient
 
 
@@ -131,7 +138,7 @@ class TestApplyUpdate:
     def test_k1_matches_dense_vector_arithmetic(self):
         w = RngStream(6).gaussians(50) * 0.2
         expected = w.copy()
-        seed = direction_seed(11, 4, 0, 0)
+        seed = derive_seed(11, 4, 0, 0, StreamKind.DIRECTION)
         coeff = 0.37
         expected += (-(0.05 * coeff / 1)) * gaussian_reference(seed, 50)
         directions = make_direction(np.array([seed], dtype=np.uint64), 50, DirectionMode.GAUSSIAN)
@@ -148,7 +155,8 @@ class TestApplyUpdate:
         coeffs = RngStream(10).gaussians(8)
         expected = w.copy()
         for r in range(8):
-            expected += -(0.02 * float(coeffs[r]) / 8) * make(direction_seed(21, 6, r, 1), 300)
+            seed = derive_seed(21, 6, r, 1, StreamKind.DIRECTION)
+            expected += -(0.02 * float(coeffs[r]) / 8) * make(seed, 300)
         directions = make_direction(direction_seed(21, 6, np.arange(8), 1), 300, mode)
         apply_update(w, coeffs, directions, 0.02, 6)
         assert np.array_equal(w, expected)
