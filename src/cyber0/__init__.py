@@ -6,14 +6,13 @@ sides rebuild the update by replaying the seeds."""
 __version__ = "0.1.0"
 
 from .adversary import AttackKind
-from .core import ParamVector, project_ball
 from .data import Dataset, Partition, load_idx, partition_iid, partition_noniid, synth_generate
 from .federation import (
     ExperimentConfig,
     RoundLog,
     RunResult,
     comm_cost,
-    run_cyber0,
+    project_ball,
     run_experiment,
 )
 from .losses import LogisticRegressionModel, QuadraticModel

@@ -1,12 +1,14 @@
-"""Round engines: seed-replay zero-order training with E local epochs,
-first-order baselines, the experiment config schema, and communication
-accounting. Clients' batches come from ``data.ClientData``; a config
-file's text format lives in ``cli``.
+"""The round engine of seed-replay zero-order training with E local epochs
+and of the first-order baselines, the experiment config schema,
+communication accounting and the ball projection. Clients' batches come
+from ``data.ClientData``; a config file's text format lives in ``cli``.
 
 One round: honest clients compute E*k coefficients on seeded batches, the
 adversary substitutes the Byzantine reports with oracle access to the
 honest values, the federator trims per direction, and w replays the
 aggregated coefficients along the directions regenerated from the seeds.
+A first-order baseline runs the same round with E = 1 and no directions:
+clients report d-vector gradients, trimmed per coordinate.
 Clients 0..h-1 are honest and the Byzantine ones are the suffix h..m-1, so
 the round's report matrix is filled and read by slices of two counts.
 Everything is a pure function of the config: reruns produce byte-identical
@@ -21,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import AttackKind, byzantine_value
-from .core import project_ball
 from .data import (MNIST_CLASSES, MNIST_FEATURES, ClientData, Dataset, load_mnist,
                    partition_iid, partition_noniid, synth_generate)
 from .losses import LogisticRegressionModel, QuadraticModel
-from .robust import coordwise_trimmed_mean, robust_direction_aggregate
+from .robust import robust_direction_aggregate
 from .seedstream import (
     WINDOW_VALUES,
     DirectionMode,
@@ -247,26 +248,29 @@ class _Setup:
         return self.model.accuracy(w, self.test.features, self.test.labels)
 
 
-def _map_clients(setup: _Setup, groups: list[slice], ws: np.ndarray, layout, dirs: np.ndarray,
-                 losses: dict | None, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with one epoch's (n, k) coefficient block of the first n
-    computing clients, each at its row of ``ws``: one gather and one kernel
-    call per group of rows, so one group's batch is alive at a time.
-    ``losses``, in epoch 0 of a logged round, gets each honest client's
-    loss at setup.w."""
+def _map_clients(setup: _Setup, groups: list[slice], ws: np.ndarray, layout,
+                 dirs: np.ndarray | None, losses: dict | None, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with one epoch's report block of the first n computing
+    clients, each at its row of ``ws``: (n, k) coefficients along ``dirs``,
+    or with no directions (a first-order baseline) (n, d) gradients. One
+    gather and one kernel call per group of rows, so one group's batch is
+    alive at a time. ``losses``, in epoch 0 of a logged round, gets each
+    honest client's loss at setup.w."""
     cfg, model = setup.config, setup.model
     for rows in groups:
         batch, counts, views = setup.gather(rows)
         if losses is not None and batch is not None:
             losses.update((i, model.eval(setup.w, view))
                           for i, view in enumerate(views, rows.start) if i < setup.honest)
-        if cfg.mu_zero:
+        if dirs is None:
+            out[rows] = [model.grad(w, v) for w, v in zip(ws[rows], views)]
+        elif cfg.mu_zero:
             out[rows] = [setup.scale * (dirs @ model.grad(w, v)) for w, v in zip(ws[rows], views)]
-            continue
-        plus, minus = model.loss_batch_multi(layout, batch, counts, ws[rows], cfg.mu)
-        coeffs = np.subtract(plus, minus, out=out[rows])  # scale * (plus - minus) / (2 mu)
-        coeffs *= setup.scale
-        coeffs /= 2.0 * cfg.mu
+        else:
+            plus, minus = model.loss_batch_multi(layout, batch, counts, ws[rows], cfg.mu)
+            coeffs = np.subtract(plus, minus, out=out[rows])  # scale * (plus - minus) / (2 mu)
+            coeffs *= setup.scale
+            coeffs /= 2.0 * cfg.mu
     return out
 
 
@@ -286,51 +290,60 @@ def _substitute_byzantine(setup: _Setup, matrix: np.ndarray, step: int) -> None:
     matrix[h:] = byzantine_value(kind, matrix[:h], cfg.beta, cfg.clients, rc_seeds)
 
 
-def _check_finite(block: np.ndarray, step: int) -> None:
-    """Raise NonFiniteLossError naming the step, epoch, direction and client
-    (its row) of the first non-finite coefficient in the computing clients'
-    (n, E, k) ``block``, searched for only when one isfinite over the whole
-    block fails."""
+def _check_finite(block: np.ndarray, step: int, gradients: bool = False) -> None:
+    """Raise NonFiniteLossError naming the step and the client (its row) of
+    the first non-finite report entry in the computing clients' (n, E, width)
+    ``block``, and its epoch and direction, or for ``gradients`` (a baseline's
+    E = 1 block) its coordinate; searched for only when one isfinite over the
+    whole block fails."""
     if np.isfinite(block).all():
         return
-    client, epoch, r = np.argwhere(~np.isfinite(block))[0]
+    client, epoch, r = (int(i) for i in np.argwhere(~np.isfinite(block))[0])
+    if gradients:
+        raise NonFiniteLossError(
+            f"non-finite gradient at step {step}, coordinate {r}, client {client}",
+            step=step, coordinate=r, client=client)
     raise NonFiniteLossError(
         f"non-finite coefficient at step {step}, epoch {epoch}, direction {r}, client {client}",
-        step=step, epoch=int(epoch), direction=int(r), client=int(client),
+        step=step, epoch=epoch, direction=r, client=client,
     )
 
 
-def _project(w: np.ndarray, radius: float, step: int) -> np.ndarray:
-    """``project_ball`` of the step's updated w; a w that the update drove
-    to inf or nan is a diverged run, not a bad input."""
-    if not np.isfinite(w).all():
-        raise NonFiniteLossError(f"non-finite parameters at step {step}", step=step)
-    return project_ball(w, radius)
+def project_ball(w: np.ndarray, radius: float) -> np.ndarray:
+    """Euclidean projection onto the L2 ball of the given radius.
+
+    Returns ``w`` itself when it is already inside the ball, so projection
+    is exactly idempotent. Training runs leave the parameter space
+    unconstrained by default; this exists for theory-mode configurations.
+    """
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("project_ball: non-finite input vector")
+    norm, peak = float(np.linalg.norm(w)), 1.0
+    if norm == np.inf:  # w is finite, so only its squared norm overflowed
+        peak = float(np.max(np.abs(w)))
+        norm = float(np.linalg.norm(w / peak))  # ||w|| / peak
+    if norm * peak <= radius:
+        return w
+    out = (w if peak == 1.0 else w / peak) * (radius / norm)
+    # rescaling can round the norm a hair above the radius; nudge until the
+    # inside test holds so projection is exactly idempotent
+    for _ in range(4):
+        n = float(np.linalg.norm(out))
+        if n <= radius:
+            return out
+        out = out * (radius / n)
+    return out * (1.0 - 4.0 * np.finfo(float).eps)
 
 
-def _finish_round(setup, logs, t, tr_loss, started, do_log):
-    if do_log:
-        acc = setup.test_acc(setup.w)
-        if not np.isfinite(tr_loss):
-            raise NonFiniteLossError(f"non-finite train loss at step {t}", step=t)
-        up, down = comm_cost(setup.config, t + 1)
-        logs.append(RoundLog(
-            step=t + 1,
-            train_loss=tr_loss,
-            test_acc=acc,
-            uplink_scalars=up,
-            downlink_scalars=down,
-            wall_ms=int((time.monotonic() - started) * 1000),
-        ))
-
-
-def _should_log(config: ExperimentConfig, t: int) -> bool:
-    return (t + 1) % config.eval_every == 0 or t == config.steps - 1
-
-
-def run_cyber0(config: ExperimentConfig) -> RunResult:
-    """Seed-replay zero-order training: each client runs E local epochs of
-    k directions per step and uploads the E*k coefficients.
+def run_experiment(config: ExperimentConfig) -> RunResult:
+    """The one round engine. CyBeR-0: each client runs E local epochs of k
+    directions per step and uploads the E*k coefficients. A first-order
+    baseline: each client uploads its d-dimensional batch gradient, the
+    federator averages them (fedavg, beta = 0) or takes their
+    coordinate-wise trimmed mean (coordwise_tm), and w steps by -eta times
+    the aggregate.
 
     Directions are generated a window of W rounds at a time into one
     (W, E, k, d) block allocated once per run, with one ``direction_seed``
@@ -346,14 +359,17 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
     its row of an (n, d) block of drifted copies after that). Both budgets
     set speed and memory, not the run (see GROUP_VALUES for one BLAS caveat)."""
     setup = _Setup(config)
+    zeroth = config.algorithm == "cyber0"
     E, k, d = config.local_epochs, config.k, setup.d
+    width = k if zeroth else d  # a client's report columns per epoch
+    beta = 0.0 if config.algorithm == "fedavg" else config.beta
     logs: list[RoundLog] = []
     started = time.monotonic()
     window = max(1, min(config.steps, WINDOW_VALUES // (E * k * d)))
-    dirs = np.empty((window, E, k, d))
+    dirs = np.empty((window, E, k, d)) if zeroth else None
     layout = None
     # the quadratic is data-free: every client starts from the synchronized
-    # w with no batch, so one client's coefficient row broadcasts to all
+    # w with no batch, so one client's report row broadcasts to all
     groups = ([slice(0, 1)] if setup.data is None
               else setup.data.groups(range(setup.computing), k * setup.model.num_classes))
     n = groups[-1].stop
@@ -362,68 +378,48 @@ def run_cyber0(config: ExperimentConfig) -> RunResult:
     synced = np.broadcast_to(setup.w, (n, d))
 
     for t in range(config.steps):
-        if t % window == 0:
+        if zeroth and t % window == 0:
             rounds = min(window, config.steps - t)
             seeds = direction_seed(config.root_seed, np.arange(t, t + rounds)[:, None, None],
                                    np.arange(k), np.arange(E)[:, None])
             make_direction(seeds.reshape(-1), d, setup.direction_mode,
                            out=dirs[:rounds].reshape(-1, d))
-        step_dirs = dirs[t % window]
-        do_log = _should_log(config, t)
+        step_dirs = dirs[t % window] if zeroth else [None]  # None: report gradients
+        do_log = (t + 1) % config.eval_every == 0 or t == config.steps - 1
         losses = {} if do_log else None
-        coeffs = np.empty((n, E, k))
+        coeffs = np.empty((n, E, width))
         ws = synced if E == 1 else synced.copy()  # local drift: a row per client
         for e in range(E):
             if e > 0:
                 for j in range(n):
                     apply_update(ws[j], coeffs[j, e - 1], step_dirs[e - 1], config.eta, t)
-            if not config.mu_zero:
+            if zeroth and not config.mu_zero:
                 layout = setup.model.prepare_variants(step_dirs[e], layout)
             _map_clients(setup, groups, ws, layout, step_dirs[e], losses if e == 0 else None,
                          coeffs[:, e])
         tr_loss = setup.train_loss(setup.w, losses) if do_log else float("nan")
 
-        _check_finite(coeffs, t)
-        matrix = np.empty((config.clients, E * k))  # clients' rows, then the adversary's
-        matrix[:setup.computing] = coeffs.reshape(n, E * k)
+        _check_finite(coeffs, t, gradients=not zeroth)
+        matrix = np.empty((config.clients, E * width))  # clients' rows, then the adversary's
+        matrix[:setup.computing] = coeffs.reshape(n, E * width)
         _substitute_byzantine(setup, matrix, t)
-        agg = robust_direction_aggregate(matrix, config.beta)
-        for e in range(E):
-            apply_update(setup.w, agg[e * k : (e + 1) * k], step_dirs[e], config.eta, t)
+        agg = robust_direction_aggregate(matrix, beta)
+        if zeroth:
+            for e in range(E):
+                apply_update(setup.w, agg[e * k : (e + 1) * k], step_dirs[e], config.eta, t)
+        else:
+            setup.w += (-config.eta) * agg
         if config.project_radius > 0:
-            setup.w[:] = _project(setup.w, config.project_radius, t)
-        _finish_round(setup, logs, t, tr_loss, started, do_log)
-    return RunResult(config, logs, setup.w)
-
-
-def _run_first_order(config: ExperimentConfig) -> RunResult:
-    """Clients upload full d-dimensional batch gradients; the federator
-    averages them (fedavg) or takes their coordinate-wise trimmed mean."""
-    setup = _Setup(config)
-    logs: list[RoundLog] = []
-    started = time.monotonic()
-    beta = config.beta if config.algorithm == "coordwise_tm" else 0.0
-
-    for t in range(config.steps):
-        views = setup.gather(slice(None))[2]  # the quadratic's one view serves every client
-        do_log = _should_log(config, t)
-        tr_loss = float("nan")
+            # a w that the update drove to inf or nan is a diverged run, not a bad input
+            if not np.isfinite(setup.w).all():
+                raise NonFiniteLossError(f"non-finite parameters at step {t}", step=t)
+            setup.w[:] = project_ball(setup.w, config.project_radius)
         if do_log:
-            tr_loss = setup.train_loss(setup.w, {i: setup.model.eval(setup.w, v)
-                                                 for i, v in enumerate(views[:setup.honest])})
-        grads = np.empty((config.clients, setup.d))
-        grads[:] = [setup.model.grad(setup.w, v) for v in views]
-        if not np.all(np.isfinite(grads)):
-            raise NonFiniteLossError(f"non-finite gradient at step {t}", step=t)
-        agg = coordwise_trimmed_mean(grads, beta)
-        setup.w += (-config.eta) * agg
-        if config.project_radius > 0:
-            setup.w = _project(setup.w, config.project_radius, t)
-        _finish_round(setup, logs, t, tr_loss, started, do_log)
+            acc = setup.test_acc(setup.w)
+            if not np.isfinite(tr_loss):
+                raise NonFiniteLossError(f"non-finite train loss at step {t}", step=t)
+            up, down = comm_cost(config, t + 1)
+            logs.append(RoundLog(step=t + 1, train_loss=tr_loss, test_acc=acc,
+                                 uplink_scalars=up, downlink_scalars=down,
+                                 wall_ms=int((time.monotonic() - started) * 1000)))
     return RunResult(config, logs, setup.w)
-
-
-def run_experiment(config: ExperimentConfig) -> RunResult:
-    if config.algorithm == "cyber0":
-        return run_cyber0(config)
-    return _run_first_order(config)

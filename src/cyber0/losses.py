@@ -21,17 +21,15 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import ParamVector
-
 Batch = tuple[np.ndarray, np.ndarray] | None
 
 
 class LossModel(Protocol):
     dimension: int
 
-    def eval(self, w: ParamVector, batch: Batch) -> float: ...
+    def eval(self, w: np.ndarray, batch: Batch) -> float: ...
 
-    def grad(self, w: ParamVector, batch: Batch) -> ParamVector: ...
+    def grad(self, w: np.ndarray, batch: Batch) -> np.ndarray: ...
 
     def prepare_variants(self, directions: np.ndarray, out: object = None) -> object: ...
 
@@ -66,18 +64,18 @@ class LogisticRegressionModel:
             raise ValueError(f"labels must lie in [0, {self.num_classes})")
         return X, y
 
-    def _weights(self, w: ParamVector) -> np.ndarray:
+    def _weights(self, w: np.ndarray) -> np.ndarray:
         return w.reshape(self.input_dim + 1, self.num_classes)
 
-    def logits(self, w: ParamVector, X: np.ndarray) -> np.ndarray:
+    def logits(self, w: np.ndarray, X: np.ndarray) -> np.ndarray:
         W = self._weights(w)
         return X @ W[:-1] + W[-1]
 
-    def eval(self, w: ParamVector, batch: Batch) -> float:
+    def eval(self, w: np.ndarray, batch: Batch) -> float:
         X, y = self._check_batch(batch)
         return float(_mean_nll(self.logits(w, X)[:, :, None], y)[0])
 
-    def grad(self, w: ParamVector, batch: Batch) -> ParamVector:
+    def grad(self, w: np.ndarray, batch: Batch) -> np.ndarray:
         X, y = self._check_batch(batch)
         L = self.logits(w, X)
         L -= L.max(axis=1)[:, None]
@@ -140,7 +138,7 @@ class LogisticRegressionModel:
             plus[j], minus[j] = _mean_nll(upper, y[rows]), _mean_nll(mine, y[rows])
         return plus, minus
 
-    def accuracy(self, w: ParamVector, X: np.ndarray, y: np.ndarray) -> float:
+    def accuracy(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
         """Fraction of correct argmax predictions, in percent."""
         pred = np.argmax(self.logits(w, X), axis=1)
         return 100.0 * float(np.mean(pred == y))
@@ -156,11 +154,11 @@ class QuadraticModel:
         self.w_star = np.asarray(w_star, dtype=np.float64)
         self.dimension = len(self.w_star)
 
-    def eval(self, w: ParamVector, batch: Batch = None) -> float:
+    def eval(self, w: np.ndarray, batch: Batch = None) -> float:
         diff = w - self.w_star
         return 0.5 * self.lam * float(np.dot(diff, diff))
 
-    def grad(self, w: ParamVector, batch: Batch = None) -> ParamVector:
+    def grad(self, w: np.ndarray, batch: Batch = None) -> np.ndarray:
         return self.lam * (w - self.w_star)
 
     def prepare_variants(self, directions: np.ndarray, out: object = None) -> np.ndarray:

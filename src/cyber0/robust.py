@@ -25,8 +25,9 @@ def trim_count(beta: float, m: int) -> int:
     return int(math.floor(beta * m))
 
 
-def _columnwise_trimmed_mean(matrix: np.ndarray, beta: float) -> np.ndarray:
-    """Trimmed mean down each column of an (m, n) matrix.
+def coordwise_trimmed_mean(matrix: np.ndarray, beta: float) -> np.ndarray:
+    """Trimmed mean down each column of an (m, n) matrix, e.g. per
+    coordinate of m full gradients.
 
     Columns are sorted and the survivors of each column are added one at a
     time in ascending order, then divided by their count. The sum stays a
@@ -34,6 +35,9 @@ def _columnwise_trimmed_mean(matrix: np.ndarray, beta: float) -> np.ndarray:
     an (m, 1) block, ``np.add.reduce`` and ``np.sum`` add them pairwise in
     eight partial sums, which rounds differently from the ascending order.
     """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise AggregationError("expected an (m, n) matrix, one row per client")
     m = matrix.shape[0]
     g = trim_count(beta, m)
     survivors = m - 2 * g
@@ -47,15 +51,6 @@ def _columnwise_trimmed_mean(matrix: np.ndarray, beta: float) -> np.ndarray:
     # sum/divide route can be one ulp off (n * c / n need not round to c)
     np.copyto(out, kept[0], where=kept[0] == kept[-1])
     return out
-
-
-def coordwise_trimmed_mean(grads: np.ndarray, beta: float) -> np.ndarray:
-    """Trimmed mean applied independently per column of an (m, n) matrix,
-    e.g. per coordinate of m full gradients."""
-    grads = np.asarray(grads, dtype=np.float64)
-    if grads.ndim != 2:
-        raise AggregationError("expected an (m, n) matrix, one row per client")
-    return _columnwise_trimmed_mean(grads, beta)
 
 
 # the per-direction trimmed mean of the (m, k) client coefficient matrix

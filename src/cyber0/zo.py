@@ -12,21 +12,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ParamVector
 from .losses import Batch, LossModel
 from .seedstream import StreamKind, derive_seeds
 
 
 class NonFiniteLossError(RuntimeError):
-    """A loss or coefficient became non-finite; never silently clamped."""
+    """A loss, coefficient or gradient became non-finite; never silently
+    clamped. A field the failure does not locate is -1."""
 
     def __init__(self, message: str, step: int = -1, epoch: int = -1, direction: int = -1,
-                 client: int = -1):
+                 client: int = -1, coordinate: int = -1):
         super().__init__(message)
         self.step = step
         self.epoch = epoch
         self.direction = direction
         self.client = client
+        self.coordinate = coordinate
 
 
 def direction_seed(
@@ -39,7 +40,7 @@ def direction_seed(
 
 
 def zo_coefficient(
-    model: LossModel, w: ParamVector, batch: Batch, z: np.ndarray, mu: float, scale: float
+    model: LossModel, w: np.ndarray, batch: Batch, z: np.ndarray, mu: float, scale: float
 ) -> float:
     """Finite-difference coefficient along direction z, one literal bracket:
     the reference that the engine's batched kernel is tested against.
@@ -67,7 +68,7 @@ def zo_coefficient(
 
 
 def apply_update(
-    w: ParamVector, coeffs: np.ndarray, directions: np.ndarray, eta: float, step: int
+    w: np.ndarray, coeffs: np.ndarray, directions: np.ndarray, eta: float, step: int
 ) -> None:
     """Replay the k aggregated coefficients along the (k, d) ``directions``
     into w, mutating it: w -= eta / k * sum_r coeffs[r] * directions[r].

@@ -1,12 +1,18 @@
 import gzip
+import io
 import re
 import struct
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cyber0.adversary import AttackKind
 from cyber0.cli import (
     CSV_HEADER,
     ConfigParseError,
@@ -273,6 +279,65 @@ class TestRun:
         err = capsys.readouterr().err
         assert "diverged" in err and "non-finite gradient" in err
         assert not (tmp_path / "o").exists()
+
+
+# small config texts over every algorithm, attack and model: valid values
+# per key, to which at most one break (a bad value or an unknown key) is
+# added. steps, synth_samples and k stay small, so a run costs milliseconds
+FUZZ_VALUES = {
+    "model": st.sampled_from(["logreg", "quadratic"]),
+    "algorithm": st.sampled_from(["cyber0", "fedavg", "coordwise_tm"]),
+    "attack": st.sampled_from([kind.value for kind in AttackKind]),
+    "distribution": st.sampled_from(["iid", "noniid"]),
+    "direction_mode": st.sampled_from(["gaussian", "sphere"]),
+    "init": st.sampled_from(["zeros", "sphere"]),
+    "clients": st.integers(1, 9),
+    "alpha": st.sampled_from([0.0, 0.2, 0.34]),
+    "beta": st.sampled_from([0.0, 0.25, 0.45]),
+    "mu": st.sampled_from([1e-3, 0.1]),
+    "mu_zero": st.booleans(),  # sets mu = 0
+    "k": st.integers(1, 5),
+    "eta": st.sampled_from([0.05, 1e300]),  # 1e300 diverges
+    "steps": st.integers(1, 3),
+    "local_epochs": st.integers(1, 2),
+    "batch_size": st.integers(1, 16),
+    "eval_every": st.integers(1, 3),
+    "synth_samples": st.integers(1, 60),
+    "synth_features": st.integers(1, 6),
+    "synth_classes": st.integers(2, 4),
+    "quad_dim": st.integers(1, 6),
+    "full_local_data": st.booleans(),
+    "project_radius": st.sampled_from([0.0, 0.5]),
+}
+FUZZ_BREAKS = [("clients", 0), ("alpha", 0.5), ("beta", 0.5), ("mu", 0.0), ("mu_zero", True),
+               ("synth_classes", 1), ("batch_size", 0), ("eta", "nan"), ("k", "two"),
+               ("bogus", 1)]
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.fixed_dictionaries({}, optional=FUZZ_VALUES),
+           st.lists(st.sampled_from(FUZZ_BREAKS), max_size=1))
+    @example({"model": "quadratic", "init": "sphere", "eta": 1e300}, [])  # diverges: exit 3
+    @example({"model": "quadratic", "init": "sphere", "eta": 1e300, "algorithm": "fedavg"}, [])
+    def test_run_exits_cleanly(self, overrides, breaks):
+        # run exits 0, 2 or 3, never raises, and a failure prints one error line
+        cfg = {"steps": 3, "synth_samples": 60, "k": 5, **overrides}
+        if cfg.get("mu_zero"):
+            cfg["mu"] = 0.0
+        cfg.update(breaks)
+        text = "".join(f"{key} = {str(v).lower() if isinstance(v, bool) else v}\n"
+                       for key, v in cfg.items())
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.cfg"
+            path.write_text(text)
+            with redirect_stderr(err), redirect_stdout(io.StringIO()), \
+                    np.errstate(all="ignore"):
+                code = main(["run", str(path), "--out", str(Path(tmp) / "o")])
+        assert code in (0, 2, 3)
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert len(errors) == (code != 0), err.getvalue()
 
 
 class TestVerifyCommand:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cyber0.core import project_ball
+from cyber0.federation import project_ball
 
 
 class TestProjectBall:

@@ -6,13 +6,12 @@ import pytest
 from cyber0 import data as data_module
 from cyber0 import federation
 from cyber0.cli import csv_lines, load_config, main
-from cyber0.core import project_ball
 from cyber0.data import MNIST_FILES, BatchCursor, ClientData, Dataset
 from cyber0.federation import (
     ExperimentConfig,
     comm_cost,
     model_dimension,
-    run_cyber0,
+    project_ball,
     run_experiment,
 )
 from cyber0.losses import LogisticRegressionModel, QuadraticModel
@@ -124,8 +123,8 @@ class TestDeterminism:
     def test_rerun_identical(self):
         for cfg in (ExperimentConfig(**SYNTH),
                     ExperimentConfig(**{**SYNTH, "local_epochs": 3, "steps": 8})):
-            a = run_cyber0(cfg)
-            b = run_cyber0(cfg)
+            a = run_experiment(cfg)
+            b = run_experiment(cfg)
             assert logs_equal(a.logs, b.logs)
             assert np.array_equal(a.final_w, b.final_w)
 
@@ -148,7 +147,7 @@ class TestDeterminism:
             return aggs[-1].copy()
 
         monkeypatch.setattr(federation, "robust_direction_aggregate", spy)
-        final_w = run_cyber0(cfg).final_w
+        final_w = run_experiment(cfg).final_w
         assert len(aggs) == cfg.steps
 
         w = np.zeros(d)
@@ -180,14 +179,14 @@ def test_outputs_match_recorded_values(overrides, expected):
 class TestLocalEpochs:
     def test_uplink_counts_scale_with_epochs(self):
         cfg = ExperimentConfig(**{**SYNTH, "local_epochs": 3, "steps": 4, "eval_every": 1})
-        res = run_cyber0(cfg)
+        res = run_experiment(cfg)
         assert res.logs[-1].uplink_scalars == 4 * 3 * cfg.k
 
     def test_fixed_work_budget_accuracy_stable(self):
         # E * T held fixed: final accuracies land close together
         base = {**SYNTH, "synth_samples": 1600, "steps": 40, "eval_every": 40, "k": 8}
-        r1 = run_cyber0(ExperimentConfig(**base))
-        r5 = run_cyber0(ExperimentConfig(**{**base, "steps": 8, "local_epochs": 5,
+        r1 = run_experiment(ExperimentConfig(**base))
+        r5 = run_experiment(ExperimentConfig(**{**base, "steps": 8, "local_epochs": 5,
                                             "eval_every": 8}))
         assert abs(r1.final_test_acc - r5.final_test_acc) <= 3.0
 
@@ -207,7 +206,7 @@ class TestEnginePathsAgree:
             return robust_direction_aggregate(matrix, beta)
 
         monkeypatch.setattr(federation, "robust_direction_aggregate", spy)
-        run_cyber0(cfg)
+        run_experiment(cfg)
         (matrix,) = seen
         setup = federation._Setup(cfg)
         epoch_batches = [setup.gather(slice(None))[2] for _ in range(cfg.local_epochs)]
@@ -225,8 +224,8 @@ class TestEnginePathsAgree:
 
     def test_mu_zero_engine_matches_mu_positive_on_quadratic(self):
         # quadratic: the finite difference is exact, so the two modes coincide
-        a = run_cyber0(ExperimentConfig(**QUAD))
-        b = run_cyber0(ExperimentConfig(**{**QUAD, "mu": 1e-4, "mu_zero": False}))
+        a = run_experiment(ExperimentConfig(**QUAD))
+        b = run_experiment(ExperimentConfig(**{**QUAD, "mu": 1e-4, "mu_zero": False}))
         for x, y in zip(a.logs, b.logs):
             assert x.train_loss == pytest.approx(y.train_loss, rel=1e-6, abs=1e-12)
 
@@ -244,7 +243,7 @@ class TestDirectionWindow:
 
         def run(budget):
             monkeypatch.setattr(federation, "WINDOW_VALUES", budget)
-            res = run_cyber0(cfg)
+            res = run_experiment(cfg)
             return res.final_w, csv_lines(res.logs)
 
         default = run(federation.WINDOW_VALUES)
@@ -272,6 +271,10 @@ GROUP_CASES = {
     "mu_zero_e3": {"mu": 0.0, "mu_zero": True, "local_epochs": 3},
     "mu_zero_noniid_k1": {"mu": 0.0, "mu_zero": True, "distribution": "noniid",
                           "synth_samples": 120, "k": 1},
+    "fedavg": {"algorithm": "fedavg"},
+    "coordwise_tm_label_flip_noniid": {"algorithm": "coordwise_tm", "alpha": 1 / 3,
+                                       "beta": 1 / 3, "attack": "label_flip",
+                                       "distribution": "noniid", "synth_samples": 120},
 }
 
 
@@ -288,7 +291,7 @@ class TestClientGroups:
         for budget in (1, pair, data_module.GROUP_VALUES, 1 << 62):
             monkeypatch.setattr(data_module, "GROUP_VALUES", budget)
             sizes.append(len(setup.data.groups(range(n), width)))
-            res = run_cyber0(cfg)
+            res = run_experiment(cfg)
             runs.append((res.final_w, csv_lines(res.logs)))
         assert sizes[0] == n and 1 < sizes[1] < n and sizes[3] == 1
         for w, lines in runs[1:]:
@@ -316,7 +319,7 @@ class TestClientBatches:
 
         monkeypatch.setattr(BatchCursor, "next_rows", spy_rows)
         monkeypatch.setattr(ClientData, "gather", spy_gather)
-        run_cyber0(cfg)
+        run_experiment(cfg)
         setup = federation._Setup(cfg)
         honest, byz = range(setup.honest), range(setup.honest, cfg.clients)
         assert setup.computing == setup.honest and byz and cursors == set(honest)
@@ -340,7 +343,7 @@ class TestDataFreeQuadratic:
             return kernel(self, *args)
 
         monkeypatch.setattr(QuadraticModel, "loss_batch_multi", counting)
-        run_cyber0(cfg)
+        run_experiment(cfg)
         assert len(calls) == cfg.steps * cfg.local_epochs
 
 
@@ -413,7 +416,7 @@ class TestCommAccounting:
 
     def test_logged_counters_match_comm_cost_and_are_monotone(self):
         cfg = ExperimentConfig(**{**SYNTH, "steps": 12, "eval_every": 3})
-        res = run_cyber0(cfg)
+        res = run_experiment(cfg)
         prev_up = prev_down = -1
         for log in res.logs:
             assert (log.uplink_scalars, log.downlink_scalars) == comm_cost(cfg, log.step)
@@ -431,24 +434,24 @@ class TestAttackPlumbing:
         # identical client data -> identical honest coefficients per column ->
         # every attack leaves the aggregate unchanged
         base = {**QUAD, "clients": 8, "alpha": 0.25, "beta": 0.25, "steps": 8}
-        clean = run_cyber0(ExperimentConfig(**base))
+        clean = run_experiment(ExperimentConfig(**base))
         for attack in ("full_knowledge", "always_small", "always_large", "random_choice"):
-            attacked = run_cyber0(ExperimentConfig(**{**base, "attack": attack}))
+            attacked = run_experiment(ExperimentConfig(**{**base, "attack": attack}))
             assert logs_equal(clean.logs, attacked.logs)
             assert np.array_equal(clean.final_w, attacked.final_w)
 
     def test_full_knowledge_slows_convergence_on_synth(self):
         base = {**SYNTH, "clients": 9, "alpha": 1 / 3, "beta": 1 / 3, "steps": 40,
                 "eval_every": 40}
-        clean = run_cyber0(ExperimentConfig(**base))
-        fk = run_cyber0(ExperimentConfig(**{**base, "attack": "full_knowledge"}))
+        clean = run_experiment(ExperimentConfig(**base))
+        fk = run_experiment(ExperimentConfig(**{**base, "attack": "full_knowledge"}))
         assert fk.final_train_loss > clean.final_train_loss
 
     def test_containment_under_huge_byzantine_values(self):
         # direct engine-level check: a run with full_knowledge cannot diverge
         cfg = ExperimentConfig(**{**SYNTH, "alpha": 1 / 3, "beta": 1 / 3,
                                   "attack": "full_knowledge", "steps": 15})
-        res = run_cyber0(cfg)
+        res = run_experiment(cfg)
         assert np.all(np.isfinite(res.final_w))
 
 
@@ -459,7 +462,7 @@ class TestFailureModes:
                                   "mu_zero": False})
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteLossError) as err:
-                run_cyber0(cfg)
+                run_experiment(cfg)
         assert err.value.step >= 0
 
     def test_check_finite_names_first_bad_entry(self):
@@ -491,7 +494,7 @@ class TestFailureModes:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteLossError,
                                match="epoch 1, direction 0, client 0$") as err:
-                run_cyber0(cfg)
+                run_experiment(cfg)
         assert (err.value.epoch, err.value.direction, err.value.client) == (1, 0, 0)
 
     def test_first_order_nonfinite_gradient_aborts(self):
@@ -502,7 +505,17 @@ class TestFailureModes:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteLossError, match="non-finite gradient at step") as err:
                 run_experiment(cfg)
-        assert err.value.step >= 0
+        # the data-free quadratic's one gradient row stands for every client
+        assert (err.value.step, err.value.coordinate, err.value.client) == (2, 0, 0)
+        assert str(err.value).endswith("step 2, coordinate 0, client 0")
+        # the first bad entry in client order of an (n, 1, d) gradient block
+        block = np.zeros((4, 1, 6))
+        block[3, 0, 1] = np.nan
+        block[2, 0, 4] = -np.inf
+        with pytest.raises(NonFiniteLossError,
+                           match="^non-finite gradient at step 9, coordinate 4, client 2$") as err:
+            federation._check_finite(block, 9, gradients=True)
+        assert (err.value.coordinate, err.value.client, err.value.direction) == (4, 2, -1)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -525,14 +538,14 @@ class TestEndToEndSynth:
     def test_cyber0_tracks_fedavg_on_separable_data(self):
         base = {**SYNTH, "synth_samples": 1600, "steps": 120, "k": 16,
                 "eval_every": 120}
-        zo = run_cyber0(ExperimentConfig(**base))
+        zo = run_experiment(ExperimentConfig(**base))
         fo = run_experiment(ExperimentConfig(**{**base, "algorithm": "fedavg"}))
         assert fo.final_test_acc >= 95.0
         assert abs(zo.final_test_acc - fo.final_test_acc) <= 3.0
 
     def test_projection_keeps_iterates_inside_ball(self):
         cfg = ExperimentConfig(**{**QUAD, "project_radius": 0.5, "steps": 10})
-        res = run_cyber0(cfg)
+        res = run_experiment(cfg)
         assert np.linalg.norm(res.final_w) <= 0.5 * (1 + 1e-12)
 
 
@@ -611,7 +624,7 @@ def test_full_local_data_uses_whole_shard_every_step():
     for i in range(3):
         assert len(first[i][0]) == len(setup.data.shards[i])
         assert np.array_equal(first[i][0], second[i][0])
-    run_cyber0(cfg)  # engine runs end to end in this mode
+    run_experiment(cfg)  # engine runs end to end in this mode
 
 
 @pytest.mark.slow

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyber0.federation import ExperimentConfig, _Setup, run_cyber0
+from cyber0.federation import ExperimentConfig, _Setup, run_experiment
 from cyber0.losses import LogisticRegressionModel, QuadraticModel
 from cyber0.seedstream import (
     DirectionMode,
@@ -73,7 +73,7 @@ class TestCoefficient:
         cfg = ExperimentConfig(model="quadratic", quad_dim=6, quad_lambda=2.0, clients=4,
                                alpha=0.0, mu=0.0, mu_zero=True, k=10, steps=3,
                                direction_mode="sphere", init="zeros")
-        assert np.array_equal(run_cyber0(cfg).final_w, np.zeros(6))
+        assert np.array_equal(run_experiment(cfg).final_w, np.zeros(6))
 
     def test_logreg_halving_mu_shrinks_gap(self):
         # |mu>0 coefficient - mu=0 coefficient| = O(mu): Richardson-style check
