@@ -30,10 +30,12 @@ LABELS_MAGIC = 0x00000801
 # evaluates as many clients at once as fit, and at least one (six 64-row
 # clients at C * k = 640). A client's rows of the group's X Z product are
 # the rows of its own product, so the budget changes speed and memory,
-# never the run, wherever the BLAS computes a row of a product apart from
-# the rows beside it. OpenBLAS 0.3.31 does, except that its small-matrix
-# path (rows * C * k * p <= 10**6) rounds differently from its blocked one:
-# at p = 784 and C * k = 10 a row moves in its last bits with the group
+# never the run: OpenBLAS 0.3.31's blocked path computes a row of a product
+# apart from the rows beside it, and where a client's own product is small
+# enough for its small-matrix path (rows * C * k * p <= 10**6), which does
+# not, the kernel multiplies each client of the group alone
+# (losses.SMALL_PRODUCT). Every 64-row client at 784 features and
+# C * k = 640 stays grouped
 GROUP_VALUES = 1 << 18
 
 MNIST_DIR_ENV = "CYBER0_MNIST_DIR"

@@ -267,9 +267,8 @@ def _map_clients(setup: _Setup, groups: list[slice], ws: np.ndarray, layout,
         elif cfg.mu_zero:
             out[rows] = [setup.scale * (dirs @ model.grad(w, v)) for w, v in zip(ws[rows], views)]
         else:
-            plus, minus = model.loss_batch_multi(layout, batch, counts, ws[rows], cfg.mu)
-            coeffs = np.subtract(plus, minus, out=out[rows])  # scale * (plus - minus) / (2 mu)
-            coeffs *= setup.scale
+            diff = model.loss_batch_multi(layout, batch, counts, ws[rows], cfg.mu)
+            coeffs = np.multiply(diff, setup.scale, out=out[rows])  # scale * diff / (2 mu)
             coeffs /= 2.0 * cfg.mu
     return out
 
@@ -355,9 +354,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     (k, d) slice is laid out by ``prepare_variants`` into one buffer per
     run, against which the clients are evaluated in row groups of
     ``data.GROUP_VALUES`` doubles: one gather and one X Z product per
-    group, then each client's brackets at its own w (setup.w in epoch 0,
+    group (one per client where it is small, see ``losses.SMALL_PRODUCT``),
+    then each client's differences at its own w (setup.w in epoch 0,
     its row of an (n, d) block of drifted copies after that). Both budgets
-    set speed and memory, not the run (see GROUP_VALUES for one BLAS caveat)."""
+    set speed and memory, not the run."""
     setup = _Setup(config)
     zeroth = config.algorithm == "cyber0"
     E, k, d = config.local_epochs, config.k, setup.d

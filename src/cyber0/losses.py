@@ -6,10 +6,11 @@ has two steps: ``prepare_variants`` lays a (k, d) block of directions out
 once per round and epoch, and ``loss_batch_multi(prepared, batch, counts,
 ws, mu)`` evaluates a group of clients at once: client j owns the next
 ``counts[j]`` rows of the stacked batch and the parameters ``ws[j]``, and
-gets its k losses at w_j + mu z_r and its k losses at w_j - mu z_r. The
+gets its k loss differences f(w_j + mu z_r) - f(w_j - mu z_r). The
 logistic kernel never forms a perturbed parameter vector: it computes
-X Z + b_z once for the whole group and X W_j + b_j once per client, and
-takes the logits of both brackets as their sum and difference.
+S = mu (X Z + b_z) once for the whole group and the softmax P of
+X W_j + b_j once per client, and takes each row's difference as
+log(P e^S) - log(P e^-S) - 2 S_y, with one exponential per bracket pair.
 
 A batch is a pair ``(X, y)`` of features (rows in [0, 1]) and integer
 labels; the quadratic model ignores it (every sample yields the same loss).
@@ -23,6 +24,11 @@ import numpy as np
 
 Batch = tuple[np.ndarray, np.ndarray] | None
 
+# OpenBLAS 0.3.31's small-matrix path (rows * p * C * k <= 10**6) rounds a
+# row of a stacked product differently from the same row multiplied alone;
+# below this size each client of a group gets its own X Z product
+SMALL_PRODUCT = 10**6
+
 
 class LossModel(Protocol):
     dimension: int
@@ -35,7 +41,7 @@ class LossModel(Protocol):
 
     def loss_batch_multi(
         self, prepared: object, batch: Batch, counts: np.ndarray, ws: np.ndarray, mu: float
-    ) -> tuple[np.ndarray, np.ndarray]: ...
+    ) -> np.ndarray: ...
 
 
 class LogisticRegressionModel:
@@ -108,35 +114,81 @@ class LogisticRegressionModel:
     def loss_batch_multi(
         self, prepared: tuple[np.ndarray, np.ndarray], batch: Batch, counts: np.ndarray,
         ws: np.ndarray, mu: float,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Each client's losses at w_j + mu z_r and at w_j - mu z_r, two
-        (len(ws), k) blocks; client j's batch is the next ``counts[j]`` rows.
+    ) -> np.ndarray:
+        """Each client's f(w_j + mu z_r) - f(w_j - mu z_r), a (len(ws), k)
+        block; client j's batch is the next ``counts[j]`` rows.
 
-        The logits are X W_j + b_j +- mu (X Z + b_z): one product of the
-        whole stacked batch with the C * k prepared columns, then one with
-        the C columns of w_j and the cross-entropies on each client's rows.
-        The batch is not validated: this runs once per client group per
-        round, and the label scan's small temporaries, interleaved with the
-        round's large arrays, measurably raise peak memory. A feature width
-        other than p still fails in the matrix product."""
+        The logits are A +- S with A = X W_j + b_j and S = mu (X Z + b_z)
+        from ``_step``. With P = softmax(A), a row's lse(A + S) - lse(A - S)
+        is log(P e^S) - log(P e^-S), so its difference is that minus 2 S_y:
+        one exp, one reciprocal and two stacked (1, C) (C, k) products over
+        the block, then one mean per client. That is exact to rounding while
+        every softmax weight is a normal float: where e^S or a product of
+        it leaves the float range, so does the client's difference, and such
+        a client, or one with a weight below the normal range, gets the two
+        stabilised brackets of ``_brackets`` instead. The batch is not
+        validated: this runs once per client group per round, and the label
+        scan's small temporaries, interleaved with the round's large arrays,
+        measurably raise peak memory. A feature width other than p still
+        fails in the matrix product."""
         X, y = batch
+        counts = np.asarray(counts)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        step = self._step(prepared, X, mu, counts)
+        n, C, k = step.shape
+        P = np.empty((n, C))
+        for w, a, b in zip(ws, starts, ends):
+            W = self._weights(w)
+            np.matmul(X[a:b], W[:-1], out=P[a:b])
+            P[a:b] += W[-1]
+        P -= P.max(axis=1)[:, None]
+        np.exp(P, out=P)
+        P /= P.sum(axis=1)[:, None]
+        subnormal = np.minimum.reduceat(P.min(axis=1), starts) < np.finfo(float).tiny
+        twice_true = step[np.arange(n), y]
+        twice_true *= 2.0
+        with np.errstate(all="ignore"):  # a client whose values leave the range is redone
+            np.exp(step, out=step)
+            P = P[:, None, :]
+            up = P @ step
+            up /= P @ np.reciprocal(step, out=step)
+            up = np.log(up, out=up).reshape(n, k)
+            up -= twice_true
+            diff = np.add.reduceat(up, starts, axis=0)
+        diff /= counts[:, None]
+        for j in np.flatnonzero(subnormal | ~np.isfinite(diff).all(axis=1)):
+            rows = slice(starts[j], ends[j])
+            diff[j] = self._brackets(prepared, X[rows], y[rows], ws[j], mu)
+        return diff
+
+    def _step(self, prepared: tuple[np.ndarray, np.ndarray], X: np.ndarray, mu: float,
+              counts) -> np.ndarray:
+        """S = mu (X Z + b_z) of clients owning ``counts`` consecutive rows
+        of X each, as (rows, C, k): one product of the whole stack, or one
+        per client where a client's product is small enough for OpenBLAS's
+        small-matrix path (see SMALL_PRODUCT)."""
         Zp, bias = prepared
-        k = len(bias) // self.num_classes
-        step = X @ Zp
+        step = np.empty((len(X), len(bias)))
+        if min(counts) * Zp.size > SMALL_PRODUCT:
+            np.matmul(X, Zp, out=step)
+        else:
+            ends = np.cumsum(counts)
+            for a, b in zip(ends - counts, ends):
+                np.matmul(X[a:b], Zp, out=step[a:b])
         step += bias
         step *= mu
-        step = step.reshape(len(X), self.num_classes, k)
-        plus, minus = np.empty((2, len(ws), k))
-        end = 0
-        for j, (w, n) in enumerate(zip(ws, counts)):
-            rows = slice(end, end + n)
-            end += n
-            base = self.logits(w, X[rows])[:, :, None]
-            mine = step[rows]
-            upper = base + mine
-            np.subtract(base, mine, out=mine)
-            plus[j], minus[j] = _mean_nll(upper, y[rows]), _mean_nll(mine, y[rows])
-        return plus, minus
+        return step.reshape(len(X), self.num_classes, -1)
+
+    def _brackets(self, prepared: tuple[np.ndarray, np.ndarray], X: np.ndarray, y: np.ndarray,
+                  w: np.ndarray, mu: float) -> np.ndarray:
+        """One client's (k,) differences as two max-stabilised brackets, the
+        logits A + S and A - S each through ``_mean_nll``."""
+        step = self._step(prepared, X, mu, [len(X)])
+        base = self.logits(w, X)[:, :, None]
+        upper = base + step
+        np.subtract(base, step, out=step)
+        return _mean_nll(upper, y) - _mean_nll(step, y)
 
     def accuracy(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
         """Fraction of correct argmax predictions, in percent."""
@@ -166,12 +218,12 @@ class QuadraticModel:
 
     def loss_batch_multi(
         self, prepared: np.ndarray, batch: Batch, counts: np.ndarray, ws: np.ndarray, mu: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The 2k bracket points of the one row w of ``ws`` in the in-place
-        schedule, plus[r] = w + mu z_r and minus[r] = (w + mu z_r) - 2 mu z_r,
-        evaluated in one pass, as two (1, k) blocks. The model is data-free,
-        so the engine evaluates one client, whose row every client shares;
-        the batch and its counts are ignored.
+    ) -> np.ndarray:
+        """plus - minus, a (1, k) block, for the 2k bracket points of the one
+        row w of ``ws`` in the in-place schedule, plus[r] = w + mu z_r and
+        minus[r] = (w + mu z_r) - 2 mu z_r, evaluated in one pass. The model
+        is data-free, so the engine evaluates one client, whose row every
+        client shares; the batch and its counts are ignored.
 
         plus and minus are the two contiguous (k, d) halves of one (2k, d)
         buffer, so each step of the schedule is one numpy call over a whole
@@ -187,7 +239,7 @@ class QuadraticModel:
         v -= self.w_star
         losses = np.einsum("sd,sd->s", v, v)
         losses *= 0.5 * self.lam
-        return losses[None, :k], losses[None, k:]
+        return losses[None, :k] - losses[None, k:]
 
 
 def _mean_nll(L: np.ndarray, y: np.ndarray) -> np.ndarray:

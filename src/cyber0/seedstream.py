@@ -154,12 +154,15 @@ def derive_seeds(
     return _fmix64_inplace(z)
 
 
-def _fmix64_inplace(z: np.ndarray) -> np.ndarray:
-    z ^= z >> _S30
+def _fmix64_inplace(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """fmix64 of every word of ``z``, in place. ``tmp``, an array of z's
+    shape and dtype, takes the shifted words of a long block; without it
+    each shift allocates, which is faster on the short blocks of seeds."""
+    z ^= z >> _S30 if tmp is None else np.right_shift(z, _S30, tmp)
     z *= _NP_MIX1
-    z ^= z >> _S27
+    z ^= z >> _S27 if tmp is None else np.right_shift(z, _S27, tmp)
     z *= _NP_MIX2
-    z ^= z >> _S31
+    z ^= z >> _S31 if tmp is None else np.right_shift(z, _S31, tmp)
     return z
 
 
@@ -316,10 +319,11 @@ def make_direction(
     positions = np.arange(1, 2 * pairs + 1, dtype=np.uint64).reshape(pairs, 2).T.copy()
     positions *= _NP_GOLDEN
     positions = positions[:, None, :]
-    rows = max(1, BLOCK_WORDS // (2 * pairs))
+    rows = min(k, max(1, BLOCK_WORDS // (2 * pairs)))
+    scratch = np.empty((2, 2, rows, pairs), dtype=np.uint64)
     for a in range(0, k, rows):
         block = out[a : a + rows]
-        _gaussian_rows(seeds[a : a + rows], positions, want, block)
+        _gaussian_rows(seeds[a : a + rows], positions, want, block, scratch[:, :, : len(block)])
         if mode == DirectionMode.SPHERE:
             norms = np.sqrt(_rows_sumsq(block))
             for r in np.flatnonzero(norms == 0.0):  # measure-zero guard, as in sphere_direction
@@ -329,42 +333,55 @@ def make_direction(
     return out
 
 
-def _gaussian_rows(seeds: np.ndarray, positions: np.ndarray, want: int, out: np.ndarray) -> None:
+def _gaussian_rows(seeds: np.ndarray, positions: np.ndarray, want: int, out: np.ndarray,
+                   scratch: np.ndarray) -> None:
     """Fill out[r] with the first d Gaussians of stream seeds[r].
 
     ``positions`` is the (2, 1, pairs) grid of (i + 1) * GOLDEN of one
-    polar batch. The accepted pairs of the whole chunk come from one
-    flatnonzero, and a searchsorted at the row starts splits them by row.
-    A row with at least ``want`` accepted pairs takes the first ``want``;
-    a shorter row keeps all of them and continues its own stream after the
-    batch, exactly as ``RngStream.gaussians`` does.
+    polar batch, and ``scratch`` two uint64 blocks of shape (2, n, pairs):
+    the words are mixed in the first, their v = 2u - 1 go to the second,
+    and the pairs' s back to the first. The accepted pairs of the whole
+    chunk come from one flatnonzero, and a searchsorted at the row starts
+    splits them by row. A row with at least ``want`` accepted pairs takes
+    the first ``want`` (a slice of the accepted indices when the chunk is
+    one row), multiplied straight into its row; a shorter row keeps all of
+    them and continues its own stream after the batch, exactly as
+    ``RngStream.gaussians`` does.
     """
     n, d = out.shape
     pairs = positions.shape[2]
-    z = positions + seeds[:, None]
-    _fmix64_inplace(z)
+    z, v = scratch[0], scratch[1].view(np.float64)
+    np.add(positions, seeds[:, None], out=z)
+    _fmix64_inplace(z, v.view(np.uint64))
     z >>= _S11
-    v = z.astype(np.float64)
-    v *= 2.0 * _U53  # = (u * 2**-53) * 2 exactly: both factors are powers of two
+    # the words are below 2**53, so the int64 conversion is exact, and the
+    # scale is a power of two: v = 2u - 1 exactly
+    np.multiply(z.view(np.int64), 2.0 * _U53, out=v)
     v -= 1.0
     v1, v2 = v[0].reshape(-1), v[1].reshape(-1)
-    s = v1 * v1
-    s += v2 * v2
+    s, s2 = z.view(np.float64).reshape(2, -1)
+    np.multiply(v1, v1, out=s)
+    s += np.multiply(v2, v2, out=s2)
     acc = np.flatnonzero((s > 0.0) & (s < 1.0))
-    f = _polar_factor(s[acc])
-    g1 = v1[acc]
-    g1 *= f
-    g2 = v2[acc]
-    g2 *= f
-    starts = np.searchsorted(acc, np.arange(n + 1) * pairs)
-    full = np.diff(starts) >= want
-    first = starts[:-1][full, None] + np.arange(want)
-    rows = slice(None) if full.all() else full
-    out[rows, 0::2] = g1[first]
-    out[rows, 1::2] = g2[first[:, : d // 2]]
+    if n == 1:  # a chunk of one row: its accepted pairs are all of acc
+        starts, full = (0, len(acc)), np.array([len(acc) >= want])
+    else:
+        starts = np.searchsorted(acc, np.arange(n + 1) * pairs)
+        full = np.diff(starts) >= want
+    if full.any():
+        sel = acc[:want] if n == 1 else acc[starts[:-1][full, None] + np.arange(want)]
+        f = _polar_factor(s[sel])
+        odd = sel[..., : d // 2]
+        if full.all():
+            np.multiply(v1[sel], f, out=out[:, 0::2])
+            np.multiply(v2[odd], f[..., : d // 2], out=out[:, 1::2])
+        else:
+            out[full, 0::2] = v1[sel] * f
+            out[full, 1::2] = v2[odd] * f[..., : d // 2]
     for r in np.flatnonzero(~full):
-        a, b = starts[r], starts[r + 1]
-        got = 2 * (b - a)
-        out[r, 0:got:2] = g1[a:b]
-        out[r, 1:got:2] = g2[a:b]
+        sel = acc[starts[r] : starts[r + 1]]
+        got = 2 * len(sel)
+        f = _polar_factor(s[sel])
+        out[r, 0:got:2] = v1[sel] * f
+        out[r, 1:got:2] = v2[sel] * f
         out[r, got:] = RngStream(int(seeds[r]), 2 * pairs).gaussians(d - got)

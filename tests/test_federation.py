@@ -222,6 +222,45 @@ class TestEnginePathsAgree:
                     assert fast[r] == pytest.approx(literal, rel=1e-9, abs=1e-12)
                 apply_update(w, fast, dirs, cfg.eta, 0)
 
+    @pytest.mark.parametrize("mu", [20.0, 100.0])
+    def test_coefficients_past_exp_range_match_literal(self, monkeypatch, mu):
+        # at this mu, |mu (X Z + b_z)| passes exp's range on 784 features:
+        # the kernel redoes those clients with their stabilised brackets, so
+        # the run finishes with every coefficient at the literal bracket's
+        # value
+        cfg = ExperimentConfig(**{**SYNTH, "synth_features": 784, "synth_classes": 10,
+                                  "clients": 4, "alpha": 0.0, "k": 8, "steps": 3,
+                                  "eta": 1e-4, "mu": mu})
+        calls, views = [], []
+        gather, map_clients = federation._Setup.gather, federation._map_clients
+
+        def spy_gather(self, rows):
+            out = gather(self, rows)
+            views.extend(out[2])
+            return out
+
+        def spy_map(setup, groups, ws, layout, dirs, losses, out):
+            del views[:]
+            map_clients(setup, groups, ws, layout, dirs, losses, out)
+            calls.append((setup, ws.copy(), dirs.copy(), list(views), out.copy()))
+            return out
+
+        monkeypatch.setattr(federation._Setup, "gather", spy_gather)
+        monkeypatch.setattr(federation, "_map_clients", spy_map)
+        assert np.all(np.isfinite(run_experiment(cfg).final_w))
+        assert len(calls) == cfg.steps
+        for setup, ws, dirs, batches, coeffs in calls:
+            for w, batch, row in zip(ws, batches, coeffs):
+                literal = [zo_coefficient(setup.model, w.copy(), batch, z, mu, setup.scale)
+                           for z in dirs]
+                assert row == pytest.approx(literal, rel=1e-9)
+        # the clients' brackets carry the run: without them its first
+        # round's coefficients are not finite
+        monkeypatch.setattr(LogisticRegressionModel, "_brackets",
+                            lambda self, prepared, X, y, w, mu: np.full(cfg.k, np.nan))
+        with pytest.raises(NonFiniteLossError, match="at step 0, epoch 0"):
+            run_experiment(cfg)
+
     def test_mu_zero_engine_matches_mu_positive_on_quadratic(self):
         # quadratic: the finite difference is exact, so the two modes coincide
         a = run_experiment(ExperimentConfig(**QUAD))
@@ -296,6 +335,43 @@ class TestClientGroups:
         assert sizes[0] == n and 1 < sizes[1] < n and sizes[3] == 1
         for w, lines in runs[1:]:
             assert np.array_equal(w, runs[0][0]) and lines == runs[0][1]
+
+
+class TestClientPermutation:
+    def test_permuting_honest_clients_keeps_final_w(self, monkeypatch):
+        # the honest clients move as whole units, each shard with its batch
+        # cursor (whose shuffle seed carries the original id): every client
+        # reports the same coefficients from another row of the report
+        # matrix and, at 784 features, from another client group, and the
+        # trim and the oracle do not see the order
+        cfg = ExperimentConfig(**{**SYNTH, "synth_features": 784, "synth_classes": 10,
+                                  "synth_samples": 2400, "clients": 10, "alpha": 0.2,
+                                  "beta": 0.2, "attack": "full_knowledge", "local_epochs": 2,
+                                  "k": 64, "batch_size": 64, "steps": 3, "eval_every": 3})
+        setup = federation._Setup(cfg)
+        h = setup.honest
+        assert len(setup.data.groups(range(h), cfg.k * cfg.synth_classes)) >= 2
+        base = run_experiment(cfg).final_w
+        init = ClientData.__init__
+        for order in (np.arange(h)[::-1], np.random.default_rng(3).permutation(h)):
+            def permuted(self, *args, order=order):
+                init(self, *args)
+                moved = list(order) + list(range(h, len(self.shards)))
+                self.shards = [self.shards[i] for i in moved]
+                self.cursors = [self.cursors[i] for i in moved]
+
+            monkeypatch.setattr(ClientData, "__init__", permuted)
+            assert np.array_equal(run_experiment(cfg).final_w, base)
+
+        def shards_only(self, *args):  # the cursors stay: not a symmetry
+            init(self, *args)
+            self.shards = self.shards[:h][::-1] + self.shards[h:]
+            for cursor, shard in zip(self.cursors, self.shards):
+                cursor.shard = shard
+                cursor._perm = cursor._shuffle()
+
+        monkeypatch.setattr(ClientData, "__init__", shards_only)
+        assert not np.array_equal(run_experiment(cfg).final_w, base)
 
 
 class TestClientBatches:
@@ -487,10 +563,12 @@ class TestFailureModes:
 
     def test_check_finite_names_the_epoch(self):
         # the first bad coefficient of this E = 2 run is client 0's direction
-        # 0 in epoch 1, which its flat report row holds in column k = 4
-        cfg = ExperimentConfig(data="synth", synth_samples=240, synth_features=6,
-                               synth_classes=3, clients=4, alpha=0.0, beta=0.0, k=4,
-                               local_epochs=2, eta=1e308, steps=3, batch_size=16)
+        # 0 in epoch 1, which its flat report row holds in column k = 4:
+        # epoch 0 brackets the finite w0, and the step of 1e308 overflows the
+        # drifted w's squared norms. (A logreg run does not serve: its
+        # gradient is bounded, so its epoch-1 coefficients stay finite.)
+        cfg = ExperimentConfig(**{**QUAD, "mu": 1e-3, "mu_zero": False, "k": 4,
+                                  "local_epochs": 2, "eta": 1e308, "steps": 3})
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteLossError,
                                match="epoch 1, direction 0, client 0$") as err:
