@@ -147,22 +147,22 @@ def derive_seeds(
             raise ValueError("step, sample and epoch must be non-negative integers")
     z = np.full(np.broadcast_shapes(*(x.shape for x in words)), _fmix64(root & _MASK64),
                 dtype=np.uint64)
+    tmp = np.empty_like(z)
     for x in words:
         z ^= x.astype(np.uint64)
-        _fmix64_inplace(z)
+        _fmix64_inplace(z, tmp)
     z ^= np.uint64(int(kind))
-    return _fmix64_inplace(z)
+    return _fmix64_inplace(z, tmp)
 
 
-def _fmix64_inplace(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
-    """fmix64 of every word of ``z``, in place. ``tmp``, an array of z's
-    shape and dtype, takes the shifted words of a long block; without it
-    each shift allocates, which is faster on the short blocks of seeds."""
-    z ^= z >> _S30 if tmp is None else np.right_shift(z, _S30, tmp)
+def _fmix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """fmix64 of every word of ``z``, in place; ``tmp``, an array of z's
+    shape and dtype, takes the shifted words."""
+    z ^= np.right_shift(z, _S30, out=tmp)
     z *= _NP_MIX1
-    z ^= z >> _S27 if tmp is None else np.right_shift(z, _S27, tmp)
+    z ^= np.right_shift(z, _S27, out=tmp)
     z *= _NP_MIX2
-    z ^= z >> _S31 if tmp is None else np.right_shift(z, _S31, tmp)
+    z ^= np.right_shift(z, _S31, out=tmp)
     return z
 
 
@@ -171,13 +171,13 @@ def _words_at(seed: int, pos: int, n: int) -> np.ndarray:
     z = np.arange(pos + 1, pos + n + 1, dtype=np.uint64)
     z *= _NP_GOLDEN
     z += np.uint64(seed)
-    return _fmix64_inplace(z)
+    return _fmix64_inplace(z, np.empty_like(z))
 
 
 def first_uniforms(seeds: np.ndarray) -> np.ndarray:
     """``RngStream(s).uniforms(1)[0]`` for every seed of a uint64 array."""
     z = np.asarray(seeds, dtype=np.uint64) + _NP_GOLDEN
-    z = _fmix64_inplace(z) >> _S11
+    z = _fmix64_inplace(z, np.empty_like(z)) >> _S11
     return z.astype(np.float64) * _U53
 
 
@@ -343,10 +343,8 @@ def _gaussian_rows(seeds: np.ndarray, positions: np.ndarray, want: int, out: np.
     and the pairs' s back to the first. The accepted pairs of the whole
     chunk come from one flatnonzero, and a searchsorted at the row starts
     splits them by row. A row with at least ``want`` accepted pairs takes
-    the first ``want`` (a slice of the accepted indices when the chunk is
-    one row), multiplied straight into its row; a shorter row keeps all of
-    them and continues its own stream after the batch, exactly as
-    ``RngStream.gaussians`` does.
+    the first ``want``; a shorter row keeps all of them and continues its
+    own stream after the batch, exactly as ``RngStream.gaussians`` does.
     """
     n, d = out.shape
     pairs = positions.shape[2]
@@ -363,21 +361,17 @@ def _gaussian_rows(seeds: np.ndarray, positions: np.ndarray, want: int, out: np.
     np.multiply(v1, v1, out=s)
     s += np.multiply(v2, v2, out=s2)
     acc = np.flatnonzero((s > 0.0) & (s < 1.0))
-    if n == 1:  # a chunk of one row: its accepted pairs are all of acc
+    if n == 1:  # every chunk at d = 7,850: its pairs are a slice of acc, no index grid
         starts, full = (0, len(acc)), np.array([len(acc) >= want])
+        sel = acc[: want if full[0] else 0].reshape(-1, want)
     else:
         starts = np.searchsorted(acc, np.arange(n + 1) * pairs)
         full = np.diff(starts) >= want
-    if full.any():
-        sel = acc[:want] if n == 1 else acc[starts[:-1][full, None] + np.arange(want)]
-        f = _polar_factor(s[sel])
-        odd = sel[..., : d // 2]
-        if full.all():
-            np.multiply(v1[sel], f, out=out[:, 0::2])
-            np.multiply(v2[odd], f[..., : d // 2], out=out[:, 1::2])
-        else:
-            out[full, 0::2] = v1[sel] * f
-            out[full, 1::2] = v2[odd] * f[..., : d // 2]
+        sel = acc[starts[:-1][full, None] + np.arange(want)]
+    f = _polar_factor(s[sel])
+    rows = slice(None) if full.all() else full
+    out[rows, 0::2] = v1[sel] * f
+    out[rows, 1::2] = v2[sel[:, : d // 2]] * f[:, : d // 2]
     for r in np.flatnonzero(~full):
         sel = acc[starts[r] : starts[r + 1]]
         got = 2 * len(sel)
