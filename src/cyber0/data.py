@@ -140,10 +140,6 @@ def _mnist_files(mnist_dir: str, split: str) -> list[Path]:
             for name in MNIST_FILES[split]]
 
 
-def mnist_available(mnist_dir: str) -> bool:
-    return all(p.exists() for split in MNIST_FILES for p in _mnist_files(mnist_dir, split))
-
-
 def load_mnist(mnist_dir: str) -> tuple[Dataset, Dataset]:
     """The (train, test) splits from ``mnist_dir``, else $CYBER0_MNIST_DIR,
     else data/mnist, both with MNIST's 10 classes whichever labels occur."""
@@ -229,11 +225,10 @@ class BatchCursor:
     Batches are consecutive slices of the pass permutation; a tail shorter
     than the batch size is dropped and a fresh pass begins. Shards smaller
     than the batch size yield the whole permuted shard each time.
+    ``ClientData`` rejects an empty shard.
     """
 
     def __init__(self, shard: np.ndarray, batch_size: int, data_seed: int, client_id: int):
-        if len(shard) == 0:
-            raise ValueError(f"client {client_id} received an empty shard")
         self.shard = shard
         self.batch_size = min(batch_size, len(shard))
         self.data_seed = data_seed
@@ -267,6 +262,9 @@ class ClientData:
 
     def __init__(self, train: Dataset, shards: list[np.ndarray], batch_size: int, seed: int,
                  whole_shard: bool, flipped):
+        for i, shard in enumerate(shards):
+            if len(shard) == 0:
+                raise ValueError(f"client {i} received an empty shard")
         self.features = train.features
         self.labels = train.labels.copy()
         for i in flipped:

@@ -45,7 +45,6 @@ _CHOICES = {
     "direction_mode": ("gaussian", "sphere"),
     "algorithm": ("cyber0", "fedavg", "coordwise_tm"),
     "attack": tuple(k.value for k in AttackKind),
-    "init": ("zeros", "sphere"),
 }
 
 
@@ -68,7 +67,6 @@ class ExperimentConfig:
     alpha: float = 0.25
     beta: float = 0.25
     mu: float = 0.001
-    mu_zero: bool = False
     k: int = 64
     eta: float = 0.01
     steps: int = 400
@@ -81,8 +79,7 @@ class ExperimentConfig:
     root_seed: int = 1234
     data_seed: int = 99
     eval_every: int = 1
-    init: str = "zeros"
-    init_radius: float = 1.0
+    init_radius: float = 0.0
     project_radius: float = 0.0
     broadcast_model: bool = False
 
@@ -101,7 +98,9 @@ class ExperimentConfig:
         for name in ("quad_lambda", "eta"):  # also rejects nan and inf
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-        for name in ("init_radius", "project_radius"):  # project_radius 0: unconstrained
+        # 0 is a mode of each: mu 0 projects the exact gradient, init_radius 0
+        # starts at the origin, project_radius 0 leaves w unconstrained
+        for name in ("mu", "init_radius", "project_radius"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
         if not 0.0 <= self.alpha < 0.5:
@@ -110,10 +109,6 @@ class ExperimentConfig:
             raise ValueError("beta must satisfy 0 <= beta < 1/2")
         if self.clients - 2 * int(np.floor(self.beta * self.clients)) < 1:
             raise ValueError(f"beta = {self.beta!r} leaves no survivors among {self.clients} clients")
-        if self.mu_zero and self.mu != 0.0:
-            raise ValueError(f"mu_zero = true requires mu = 0, got mu = {self.mu!r}")
-        if not self.mu_zero and not 0.0 < self.mu < np.inf:
-            raise ValueError(f"mu = {self.mu!r} requires 0 < mu < inf, or 0 with mu_zero = true")
         for name in ("root_seed", "data_seed"):
             if not 0 <= getattr(self, name) < 2**64:
                 raise ValueError(f"{name} must be a 64-bit unsigned integer")
@@ -223,7 +218,7 @@ class _Setup:
         self.w = self._initial_w()
 
     def _initial_w(self) -> np.ndarray:
-        if self.config.init == "zeros":
+        if self.config.init_radius == 0:
             return np.zeros(self.d)
         seed = derive_seed(self.config.root_seed, 2, 0, 0, StreamKind.INIT)
         return self.config.init_radius * sphere_direction(seed, self.d)
@@ -264,10 +259,10 @@ def _map_clients(setup: _Setup, groups: list[slice], ws: np.ndarray, layout,
                           for i, view in enumerate(views, rows.start) if i < setup.honest)
         if dirs is None:
             out[rows] = [model.grad(w, v) for w, v in zip(ws[rows], views)]
-        elif cfg.mu_zero:
+        elif cfg.mu == 0:
             out[rows] = [setup.scale * (dirs @ model.grad(w, v)) for w, v in zip(ws[rows], views)]
         else:
-            diff = model.loss_batch_multi(layout, batch, counts, ws[rows], cfg.mu)
+            diff = model.loss_batch_multi(layout, batch, counts, ws[rows])
             coeffs = np.multiply(diff, setup.scale, out=out[rows])  # scale * diff / (2 mu)
             coeffs /= 2.0 * cfg.mu
     return out
@@ -350,14 +345,14 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     ``make_direction`` call; W is the largest count of rounds whose
     directions fit ``WINDOW_VALUES`` doubles, at least one (256 theory
     rounds at d = 16 share a window, an MNIST-sized round has its own).
-    The block feeds the mu = 0 projection and the replay. Each epoch's
-    (k, d) slice is laid out by ``prepare_variants`` into one buffer per
-    run, against which the clients are evaluated in row groups of
-    ``data.GROUP_VALUES`` doubles: one gather and one X Z product per
-    group (one per client where it is small, see ``losses.SMALL_PRODUCT``),
-    then each client's differences at its own w (setup.w in epoch 0,
-    its row of an (n, d) block of drifted copies after that). Both budgets
-    set speed and memory, not the run."""
+    The block feeds the mu = 0 projection and the replay. For mu > 0,
+    ``prepare_variants`` lays each epoch's (k, d) slice out as the steps
+    mu z_r into one buffer per run, against which the clients are evaluated
+    in row groups of ``data.GROUP_VALUES`` doubles: one gather and one X Z
+    product per group (one per client where it is small, see
+    ``losses.SMALL_PRODUCT``), then each client's differences at its own w
+    (setup.w in epoch 0, its row of an (n, d) block of drifted copies after
+    that). Both budgets set speed and memory, not the run."""
     setup = _Setup(config)
     zeroth = config.algorithm == "cyber0"
     E, k, d = config.local_epochs, config.k, setup.d
@@ -393,13 +388,15 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             if e > 0:
                 for j in range(n):
                     apply_update(ws[j], coeffs[j, e - 1], step_dirs[e - 1], config.eta, t)
-            if zeroth and not config.mu_zero:
-                layout = setup.model.prepare_variants(step_dirs[e], layout)
+            if zeroth and config.mu > 0:
+                layout = setup.model.prepare_variants(step_dirs[e], config.mu, layout)
             _map_clients(setup, groups, ws, layout, step_dirs[e], losses if e == 0 else None,
                          coeffs[:, e])
+            # before the next epoch's drift replays this block; the earlier
+            # epochs passed already, and keeping them in names the epoch
+            _check_finite(coeffs[:, : e + 1], t, gradients=not zeroth)
         tr_loss = setup.train_loss(setup.w, losses) if do_log else float("nan")
 
-        _check_finite(coeffs, t, gradients=not zeroth)
         matrix = np.empty((config.clients, E * width))  # clients' rows, then the adversary's
         matrix[:setup.computing] = coeffs.reshape(n, E * width)
         _substitute_byzantine(setup, matrix, t)

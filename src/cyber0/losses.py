@@ -2,13 +2,13 @@
 
 Both expose the same surface: ``dimension``, ``eval(w, batch)``,
 ``grad(w, batch)``, and the engine's central-difference kernel. That kernel
-has two steps: ``prepare_variants`` lays a (k, d) block of directions out
-once per round and epoch, and ``loss_batch_multi(prepared, batch, counts,
-ws, mu)`` evaluates a group of clients at once: client j owns the next
-``counts[j]`` rows of the stacked batch and the parameters ``ws[j]``, and
-gets its k loss differences f(w_j + mu z_r) - f(w_j - mu z_r). The
-logistic kernel never forms a perturbed parameter vector: it computes
-S = mu (X Z + b_z) once for the whole group and the softmax P of
+has two steps: ``prepare_variants(directions, mu)`` lays the steps mu z_r
+of k directions out once per round and epoch, and ``loss_batch_multi(
+prepared, batch, counts, ws)`` evaluates a group of clients at once: client
+j owns the next ``counts[j]`` rows of the stacked batch and the parameters
+``ws[j]``, and gets its k loss differences f(w_j + mu z_r) - f(w_j - mu z_r).
+The logistic kernel never forms a perturbed parameter vector: it computes
+S = X (mu Z) + mu b_z once for the whole group and the softmax P of
 X W_j + b_j once per client, and takes each row's difference as
 log(P e^S) - log(P e^-S) - 2 S_y, with one exponential per bracket pair.
 
@@ -37,10 +37,10 @@ class LossModel(Protocol):
 
     def grad(self, w: np.ndarray, batch: Batch) -> np.ndarray: ...
 
-    def prepare_variants(self, directions: np.ndarray, out: object = None) -> object: ...
+    def prepare_variants(self, directions: np.ndarray, mu: float, out: object = None) -> object: ...
 
     def loss_batch_multi(
-        self, prepared: object, batch: Batch, counts: np.ndarray, ws: np.ndarray, mu: float
+        self, prepared: object, batch: Batch, counts: np.ndarray, ws: np.ndarray
     ) -> np.ndarray: ...
 
 
@@ -95,30 +95,30 @@ class LogisticRegressionModel:
         return g.reshape(-1)
 
     def prepare_variants(
-        self, directions: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+        self, directions: np.ndarray, mu: float, out: tuple[np.ndarray, np.ndarray] | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Lay k directions out class-major: the (p, C * k) weight block with
-        column c * k + r holding class c of direction r, and the (C * k,)
-        biases in the same order. ``out`` may be a layout returned earlier
-        for the same k, which is then overwritten instead of reallocated."""
+        """Lay the k steps mu z_r out class-major: the (p, C * k) block mu Z
+        with column c * k + r holding class c of direction r, and the (C * k,)
+        biases mu b_z in the same order. ``out`` may be a layout returned
+        earlier for the same k, which is then overwritten, not reallocated."""
         k = len(directions)
         p, C = self.input_dim, self.num_classes
         Z = directions.reshape(k, p + 1, C)
         if out is None:
             out = np.empty((p, C * k)), np.empty(C * k)
         Zp, bias = out
-        np.copyto(Zp.reshape(p, C, k), Z[:, :-1, :].transpose(1, 2, 0))
-        np.copyto(bias.reshape(C, k), Z[:, -1, :].T)
+        np.multiply(Z[:, :-1, :].transpose(1, 2, 0), mu, out=Zp.reshape(p, C, k))
+        np.multiply(Z[:, -1, :].T, mu, out=bias.reshape(C, k))
         return out
 
     def loss_batch_multi(
         self, prepared: tuple[np.ndarray, np.ndarray], batch: Batch, counts: np.ndarray,
-        ws: np.ndarray, mu: float,
+        ws: np.ndarray,
     ) -> np.ndarray:
         """Each client's f(w_j + mu z_r) - f(w_j - mu z_r), a (len(ws), k)
         block; client j's batch is the next ``counts[j]`` rows.
 
-        The logits are A +- S with A = X W_j + b_j and S = mu (X Z + b_z)
+        The logits are A +- S with A = X W_j + b_j and S = X (mu Z) + mu b_z
         from ``_step``. With P = softmax(A), a row's lse(A + S) - lse(A - S)
         is log(P e^S) - log(P e^-S), so its difference is that minus 2 S_y:
         one exp, one reciprocal and two stacked (1, C) (C, k) products over
@@ -135,7 +135,7 @@ class LogisticRegressionModel:
         counts = np.asarray(counts)
         ends = np.cumsum(counts)
         starts = ends - counts
-        step = self._step(prepared, X, mu, counts)
+        step = self._step(prepared, X, counts)
         n, C, k = step.shape
         P = np.empty((n, C))
         for w, a, b in zip(ws, starts, ends):
@@ -159,12 +159,11 @@ class LogisticRegressionModel:
         diff /= counts[:, None]
         for j in np.flatnonzero(subnormal | ~np.isfinite(diff).all(axis=1)):
             rows = slice(starts[j], ends[j])
-            diff[j] = self._brackets(prepared, X[rows], y[rows], ws[j], mu)
+            diff[j] = self._brackets(prepared, X[rows], y[rows], ws[j])
         return diff
 
-    def _step(self, prepared: tuple[np.ndarray, np.ndarray], X: np.ndarray, mu: float,
-              counts) -> np.ndarray:
-        """S = mu (X Z + b_z) of clients owning ``counts`` consecutive rows
+    def _step(self, prepared: tuple[np.ndarray, np.ndarray], X: np.ndarray, counts) -> np.ndarray:
+        """S = X (mu Z) + mu b_z of clients owning ``counts`` consecutive rows
         of X each, as (rows, C, k): one product of the whole stack, or one
         per client where a client's product is small enough for OpenBLAS's
         small-matrix path (see SMALL_PRODUCT)."""
@@ -177,14 +176,13 @@ class LogisticRegressionModel:
             for a, b in zip(ends - counts, ends):
                 np.matmul(X[a:b], Zp, out=step[a:b])
         step += bias
-        step *= mu
         return step.reshape(len(X), self.num_classes, -1)
 
     def _brackets(self, prepared: tuple[np.ndarray, np.ndarray], X: np.ndarray, y: np.ndarray,
-                  w: np.ndarray, mu: float) -> np.ndarray:
+                  w: np.ndarray) -> np.ndarray:
         """One client's (k,) differences as two max-stabilised brackets, the
         logits A + S and A - S each through ``_mean_nll``."""
-        step = self._step(prepared, X, mu, [len(X)])
+        step = self._step(prepared, X, [len(X)])
         base = self.logits(w, X)[:, :, None]
         upper = base + step
         np.subtract(base, step, out=step)
@@ -213,17 +211,18 @@ class QuadraticModel:
     def grad(self, w: np.ndarray, batch: Batch = None) -> np.ndarray:
         return self.lam * (w - self.w_star)
 
-    def prepare_variants(self, directions: np.ndarray, out: object = None) -> np.ndarray:
-        return directions
+    def prepare_variants(self, directions: np.ndarray, mu: float, out=None) -> np.ndarray:
+        return np.multiply(directions, mu, out=out)
 
     def loss_batch_multi(
-        self, prepared: np.ndarray, batch: Batch, counts: np.ndarray, ws: np.ndarray, mu: float
+        self, prepared: np.ndarray, batch: Batch, counts: np.ndarray, ws: np.ndarray
     ) -> np.ndarray:
         """plus - minus, a (1, k) block, for the 2k bracket points of the one
         row w of ``ws`` in the in-place schedule, plus[r] = w + mu z_r and
-        minus[r] = (w + mu z_r) - 2 mu z_r, evaluated in one pass. The model
-        is data-free, so the engine evaluates one client, whose row every
-        client shares; the batch and its counts are ignored.
+        minus[r] = (w + mu z_r) - 2 mu z_r (the laid-out step times -2, which
+        is exact), evaluated in one pass. The model is data-free, so the
+        engine evaluates one client, whose row every client shares; the batch
+        and its counts are ignored.
 
         plus and minus are the two contiguous (k, d) halves of one (2k, d)
         buffer, so each step of the schedule is one numpy call over a whole
@@ -232,9 +231,8 @@ class QuadraticModel:
         k = len(prepared)
         v = np.empty((2 * k, ws.shape[1]))
         plus, minus = v[:k], v[k:]
-        np.multiply(prepared, mu, out=plus)
-        plus += ws  # one row, broadcast over the k directions
-        np.multiply(prepared, -2.0 * mu, out=minus)
+        np.add(prepared, ws, out=plus)  # one row, broadcast over the k directions
+        np.multiply(prepared, -2.0, out=minus)
         minus += plus
         v -= self.w_star
         losses = np.einsum("sd,sd->s", v, v)

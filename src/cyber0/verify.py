@@ -23,30 +23,30 @@ _SHARD = 1 << 15
 
 @dataclass(frozen=True)
 class TheoryParams:
-    """Step-size bookkeeping for the convergence checks."""
+    """Step-size bookkeeping for the convergence checks (mu = 0: exact gradients)."""
 
     lam: float
     l_smooth: float
     d: int
     k: int
-    mu_zero: bool
+    mu: float
 
     @property
     def tau(self) -> float:
-        if self.mu_zero:
+        if self.mu == 0:
             return (self.d + self.k - 1) / self.k
         return (2 * self.d + (self.k - 1) * (1.0 + math.sqrt(self.d))) / self.k
 
     @property
     def eta(self) -> float:
-        if self.mu_zero:
+        if self.mu == 0:
             return 1.0 / (self.tau * self.l_smooth)
         return 1.0 / (2.0 * self.tau * self.l_smooth)
 
     @property
     def rate_bound(self) -> float:
         denom = self.tau * (self.l_smooth + self.lam)
-        if self.mu_zero:
+        if self.mu == 0:
             return 1.0 - self.lam / denom
         return 1.0 - self.lam / (2.0 * denom)
 
@@ -166,7 +166,7 @@ def smoothed_gap_quadratic(lam: float, mu: float, d: int, n_samples: int, seed: 
     return abs(gap - 0.5 * lam * mu * mu)
 
 
-def _theory_config(params: TheoryParams, mu: float, steps: int, seed: int) -> ExperimentConfig:
+def _theory_config(params: TheoryParams, steps: int, seed: int) -> ExperimentConfig:
     return ExperimentConfig(
         model="quadratic",
         quad_lambda=params.lam,
@@ -174,8 +174,7 @@ def _theory_config(params: TheoryParams, mu: float, steps: int, seed: int) -> Ex
         clients=4,
         alpha=0.0,
         beta=0.0,
-        mu=mu,
-        mu_zero=params.mu_zero,
+        mu=params.mu,
         k=params.k,
         eta=params.eta,
         steps=steps,
@@ -183,7 +182,6 @@ def _theory_config(params: TheoryParams, mu: float, steps: int, seed: int) -> Ex
         attack="none",
         root_seed=seed,
         eval_every=1,
-        init="sphere",
         init_radius=1.0,
     )
 
@@ -272,8 +270,8 @@ def check_smoothed_gap(lam: float = 1.0, mu: float = 0.1, d: int = 16,
 
 def check_rate_mu0(d: int = 16, k: int = 16, n_seeds: int = 20, fit_steps: int = 40,
                    seed: int = 5000) -> CheckResult:
-    params = TheoryParams(lam=1.0, l_smooth=1.0, d=d, k=k, mu_zero=True)
-    config = _theory_config(params, mu=0.0, steps=fit_steps + 5, seed=seed)
+    params = TheoryParams(lam=1.0, l_smooth=1.0, d=d, k=k, mu=0.0)
+    config = _theory_config(params, steps=fit_steps + 5, seed=seed)
     rate = contraction_rate(config, n_seeds, fit_steps)
     bound = params.rate_bound
     return CheckResult(
@@ -288,10 +286,10 @@ def check_rate_mu0(d: int = 16, k: int = 16, n_seeds: int = 20, fit_steps: int =
 
 def check_floor_mu_positive(d: int = 16, k: int = 16, n_seeds: int = 20,
                             steps: int = 1200, seed: int = 6000) -> CheckResult:
-    params = TheoryParams(lam=1.0, l_smooth=1.0, d=d, k=k, mu_zero=False)
+    params = TheoryParams(lam=1.0, l_smooth=1.0, d=d, k=k, mu=1e-3)
     floors = {}
     for mu in (1e-3, 1e-4):
-        config = _theory_config(params, mu=mu, steps=steps, seed=seed)
+        config = _theory_config(replace(params, mu=mu), steps=steps, seed=seed)
         floors[mu] = error_floor(config, n_seeds)
     ratio = floors[1e-3] / floors[1e-4] if floors[1e-4] > 0 else float("inf")
     return CheckResult(

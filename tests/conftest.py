@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from cyber0.data import mnist_available
+from cyber0.data import MNIST_FILES, _mnist_files
 
 # property tests draw the same examples on every run and keep no example
 # database on disk, so a tier-1 run is as reproducible as the simulator
@@ -37,6 +37,10 @@ _MNIST_SKIP = (
     "MNIST IDX files not found (set CYBER0_MNIST_DIR or run "
     "scripts/fetch_mnist.py on a machine with network access)"
 )
+
+
+def mnist_available(mnist_dir: str) -> bool:
+    return all(p.exists() for split in MNIST_FILES for p in _mnist_files(mnist_dir, split))
 
 
 def pytest_collection_modifyitems(config, items):

@@ -87,9 +87,10 @@ class TestTheoremCriteria:
 
     @pytest.mark.slow
     def test_criterion_6_floor_shrinks_with_mu(self):
-        params = TheoryParams(lam=1.0, l_smooth=1.0, d=16, k=16, mu_zero=False)
+        params = TheoryParams(lam=1.0, l_smooth=1.0, d=16, k=16, mu=1e-3)
         floors = {
-            mu: error_floor(_theory_config(params, mu=mu, steps=1200, seed=6000), n_seeds=20)
+            mu: error_floor(_theory_config(replace(params, mu=mu), steps=1200, seed=6000),
+                            n_seeds=20)
             for mu in (1e-3, 1e-4)
         }
         ratio = floors[1e-3] / floors[1e-4]

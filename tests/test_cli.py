@@ -72,9 +72,9 @@ class TestConfigParsing:
             parse_config_text("steps = 5\nsteps = 6\n")
 
     def test_value_error_reports_exact_key_line(self):
-        # "mu" must not match the "mu_zero" line by prefix
+        # "data" must not match the "data_seed" line by prefix
         with pytest.raises(ConfigParseError) as err:
-            parse_config_text("k = 8\nmu_zero = false\nsteps = 5\nmu = abc\n")
+            parse_config_text("k = 8\ndata_seed = 5\nsteps = 5\ndata = abc\n")
         assert err.value.line == 4
 
     def test_cross_field_error_reports_its_key_line(self):
@@ -82,24 +82,25 @@ class TestConfigParsing:
             parse_config_text("steps = 5\nmu = 0.01\nk = 0\n")
         assert err.value.line == 3
 
-    def test_mu_zero_mismatch_reports_mu_line(self):
+    def test_negative_mu_reports_mu_line(self):
         with pytest.raises(ConfigParseError) as err:
-            parse_config_text("steps = 5\nk = 4\nmu_zero = false\nmu = 0\n")
-        assert err.value.line == 4
+            parse_config_text("steps = 5\nk = 4\nmu = -1\n")
+        assert err.value.line == 3
+        assert str(err.value) == "line 3, column 1: mu must be finite and >= 0, got -1.0"
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigParseError):
             parse_config_text("steps = five\n")
 
     @pytest.mark.parametrize("key,value", [
-        ("quad_dim", "0"), ("eta", "nan"), ("mu", "nan"), ("quad_lambda", "nan"),
+        ("quad_dim", "0"), ("eta", "nan"), ("mu", "nan"), ("mu", "-1"), ("quad_lambda", "nan"),
         ("quad_lambda", "inf"), ("quad_lambda", "0"), ("synth_classes", "1"),
         ("synth_samples", "0"), ("synth_features", "0"), ("init_radius", "nan"),
         ("init_radius", "inf"), ("project_radius", "nan"), ("project_radius", "-1"),
     ])
     def test_out_of_range_value_reports_its_key_line(self, key, value):
         with pytest.raises(ConfigParseError) as err:
-            parse_config_text(f"steps = 5\nmu_zero = false\n{key} = {value}\nk = 4\n")
+            parse_config_text(f"steps = 5\nclients = 4\n{key} = {value}\nk = 4\n")
         assert err.value.line == 3
         assert str(err.value).startswith(f"line 3, column 1: {key} ")
 
@@ -236,12 +237,24 @@ class TestRun:
         assert err == f"error: {cfg}: line 2, column 1: quad_dim must be >= 1, got 0\n"
         assert not (tmp_path / "o").exists()
 
+    def test_empty_shard_exit_2(self, tmp_path, capsys):
+        # non-IID labels leave client 20 no rows: the same one error line
+        # whether its shard is read in batches or whole
+        for whole in ("false", "true"):
+            cfg = tmp_path / f"empty_{whole}.cfg"
+            cfg.write_text(
+                "synth_samples = 20\nsynth_classes = 4\nclients = 40\ndistribution = noniid\n"
+                f"full_local_data = {whole}\nsteps = 5\neval_every = 5\nk = 4\nbeta = 0\n")
+            assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == "error: client 20 received an empty shard\n"
+            assert not (tmp_path / "o").exists()
+
     def test_divergent_run_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(
             "model = quadratic\nquad_dim = 8\nclients = 2\nbeta = 0.0\n"
             "mu = 0.001\nk = 2\neta = 1e300\nsteps = 40\n"
-            "direction_mode = sphere\ninit = sphere\n"
+            "direction_mode = sphere\ninit_radius = 1.0\n"
         )
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
@@ -256,8 +269,8 @@ class TestRun:
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(
             "model = quadratic\nquad_dim = 16\nclients = 4\nalpha = 0\nbeta = 0\n"
-            "mu = 0\nmu_zero = true\nk = 4\neta = 1e308\nsteps = 5\n"
-            "direction_mode = sphere\ninit = sphere\nproject_radius = 1.0\n" + engine
+            "mu = 0\nk = 4\neta = 1e308\nsteps = 5\n"
+            "direction_mode = sphere\ninit_radius = 1.0\nproject_radius = 1.0\n" + engine
         )
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
@@ -271,7 +284,7 @@ class TestRun:
         cfg.write_text(
             "model = quadratic\nquad_dim = 8\nclients = 2\nbeta = 0.0\n"
             "algorithm = fedavg\neta = 1e300\nsteps = 40\neval_every = 40\n"
-            "init = sphere\n"
+            "init_radius = 1.0\n"
         )
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
@@ -290,12 +303,11 @@ FUZZ_VALUES = {
     "attack": st.sampled_from([kind.value for kind in AttackKind]),
     "distribution": st.sampled_from(["iid", "noniid"]),
     "direction_mode": st.sampled_from(["gaussian", "sphere"]),
-    "init": st.sampled_from(["zeros", "sphere"]),
+    "init_radius": st.sampled_from([0.0, 1.0]),
     "clients": st.integers(1, 9),
     "alpha": st.sampled_from([0.0, 0.2, 0.34]),
     "beta": st.sampled_from([0.0, 0.25, 0.45]),
-    "mu": st.sampled_from([1e-3, 0.1]),
-    "mu_zero": st.booleans(),  # sets mu = 0
+    "mu": st.sampled_from([0.0, 1e-3, 0.1]),
     "k": st.integers(1, 5),
     "eta": st.sampled_from([0.05, 1e300]),  # 1e300 diverges
     "steps": st.integers(1, 3),
@@ -309,22 +321,23 @@ FUZZ_VALUES = {
     "full_local_data": st.booleans(),
     "project_radius": st.sampled_from([0.0, 0.5]),
 }
-FUZZ_BREAKS = [("clients", 0), ("alpha", 0.5), ("beta", 0.5), ("mu", 0.0), ("mu_zero", True),
-               ("synth_classes", 1), ("batch_size", 0), ("eta", "nan"), ("k", "two"),
-               ("bogus", 1)]
+FUZZ_BREAKS = [("clients", 0), ("alpha", 0.5), ("beta", 0.5), ("mu", -1.0),
+               ("init_radius", "inf"), ("synth_classes", 1), ("batch_size", 0), ("eta", "nan"),
+               ("k", "two"), ("bogus", 1)]
 
 
 class TestConfigFuzz:
     @settings(max_examples=150, deadline=None)
     @given(st.fixed_dictionaries({}, optional=FUZZ_VALUES),
            st.lists(st.sampled_from(FUZZ_BREAKS), max_size=1))
-    @example({"model": "quadratic", "init": "sphere", "eta": 1e300}, [])  # diverges: exit 3
-    @example({"model": "quadratic", "init": "sphere", "eta": 1e300, "algorithm": "fedavg"}, [])
+    @example({"model": "quadratic", "init_radius": 1.0, "eta": 1e300}, [])  # diverges: exit 3
+    @example({"model": "quadratic", "init_radius": 1.0, "eta": 1e300, "algorithm": "fedavg"}, [])
+    # non-IID labels leave client 20 an empty shard, read whole: exit 2
+    @example({"synth_samples": 20, "synth_classes": 4, "clients": 40, "distribution": "noniid",
+              "full_local_data": True, "steps": 5, "eval_every": 5, "k": 4, "beta": 0.0}, [])
     def test_run_exits_cleanly(self, overrides, breaks):
         # run exits 0, 2 or 3, never raises, and a failure prints one error line
         cfg = {"steps": 3, "synth_samples": 60, "k": 5, **overrides}
-        if cfg.get("mu_zero"):
-            cfg["mu"] = 0.0
         cfg.update(breaks)
         text = "".join(f"{key} = {str(v).lower() if isinstance(v, bool) else v}\n"
                        for key, v in cfg.items())

@@ -257,10 +257,6 @@ class TestBatchCursor:
         b = BatchCursor(shard, 32, data_seed=9, client_id=1).next_rows()
         assert not np.array_equal(a, b)
 
-    def test_empty_shard_rejected(self):
-        with pytest.raises(ValueError):
-            BatchCursor(np.empty(0, dtype=int), 8, 1, 0)
-
 
 class TestClientData:
     @pytest.fixture
@@ -288,6 +284,15 @@ class TestClientData:
                 assert np.shares_memory(a, stack) and not a.flags.writeable
                 assert np.array_equal(a, want[shards[i]])
         assert list(data._whole) == [(0, 2)]  # clients 1 and 3 read nothing: no gathers
+
+    def test_empty_shard_rejected(self, parts):
+        # one check serves both read modes: whole shards build no cursor
+        train, shards = parts
+        shards = shards[:2] + [np.empty(0, dtype=np.int64)] + shards[2:]
+        for whole_shard in (False, True):
+            with pytest.raises(ValueError, match="^client 2 received an empty shard$"):
+                ClientData(train, shards, batch_size=8, seed=5, whole_shard=whole_shard,
+                           flipped=())
 
     def test_only_flipped_clients_labels_change(self, parts):
         train, shards = parts

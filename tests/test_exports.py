@@ -1,8 +1,9 @@
-"""Every name the ``cyber0`` package exports has a caller outside the tests.
+"""Every public top-level name of every ``cyber0`` module has a caller
+outside the tests.
 
-A public name that only tests call is API the simulator does not need. The
-callers searched are the package's other modules, the benchmark harness in
-perfbench/ (its own tests excluded) and scripts/.
+A public function, class or constant that only tests use is API the
+simulator does not need. The callers searched are the package's modules,
+the benchmark harness in perfbench/ (its own tests excluded) and scripts/.
 """
 
 import ast
@@ -16,16 +17,25 @@ PACKAGE = ROOT / "src" / "cyber0"
 TEST_ONLY = {"zo_coefficient"}
 
 
-def exported_names() -> set[str]:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    return {alias.asname or alias.name for node in tree.body
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+def public_names() -> set[str]:
+    """The functions, classes and assigned names at the top level of each
+    module whose names do not start with an underscore; a name a module
+    imports is another module's."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
 
 
 def loaded_names() -> set[str]:
     """Every name the callers read, bare or as an attribute; a definition,
-    an assignment target, a string or a comment is no caller."""
-    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    an assignment target, an import, a string or a comment is no caller."""
+    files = list(PACKAGE.glob("*.py"))
     files += (ROOT / "perfbench").glob("*.py")
     files += (ROOT / "scripts").glob("*.py")
     names = set()
@@ -40,4 +50,4 @@ def loaded_names() -> set[str]:
 
 
 def test_every_export_has_a_caller_outside_tests():
-    assert exported_names() - loaded_names() == TEST_ONLY
+    assert public_names() - loaded_names() == TEST_ONLY

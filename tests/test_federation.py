@@ -36,8 +36,8 @@ SYNTH = dict(
 
 QUAD = dict(
     model="quadratic", quad_dim=12, quad_lambda=1.0, clients=4, alpha=0.0,
-    beta=0.0, mu=0.0, mu_zero=True, k=6, eta=0.3, steps=20,
-    direction_mode="sphere", attack="none", init="sphere", init_radius=1.0,
+    beta=0.0, mu=0.0, k=6, eta=0.3, steps=20,
+    direction_mode="sphere", attack="none", init_radius=1.0,
     root_seed=5, eval_every=1,
 )
 
@@ -51,9 +51,9 @@ GOLDEN = [
     ("e1", SYNTH, (1.304872021422769, 87.0, 0.3881549867563766)),
     ("e3", {**SYNTH, "local_epochs": 3, "steps": 8},
      (1.324579769462808, 53.666666666666664, 0.3509503553901397)),
-    ("mu_zero_e2", {**SYNTH, "mu": 0.0, "mu_zero": True, "local_epochs": 2, "steps": 10},
+    ("mu_zero_e2", {**SYNTH, "mu": 0.0, "local_epochs": 2, "steps": 10},
      (1.3311752194576396, 49.333333333333336, 0.3030342301013686)),
-    ("quad_mu_e2", {**QUAD, "mu": 1e-3, "mu_zero": False, "local_epochs": 2, "steps": 10},
+    ("quad_mu_e2", {**QUAD, "mu": 1e-3, "local_epochs": 2, "steps": 10},
      (0.0002627932637543838, NAN, 0.01919240699343684)),
     ("full_knowledge_noniid", {**SYNTH, "distribution": "noniid", "clients": 8, "alpha": 0.25,
                                "attack": "full_knowledge"},
@@ -101,7 +101,7 @@ REGENERATED = [
     ("full_knowledge_e2", {**BYZ, "attack": "full_knowledge", "local_epochs": 2, "steps": 7},
      3, False),
     ("quad_mu_zero", {**QUAD, "steps": 7}, 3, False),
-    ("quad_mu_e2_projected", {**QUAD, "mu": 1e-3, "mu_zero": False, "local_epochs": 2,
+    ("quad_mu_e2_projected", {**QUAD, "mu": 1e-3, "local_epochs": 2,
                               "project_radius": 0.5, "steps": 7}, 3, False),
     ("mnist_size", {**SYNTH, "synth_features": 784, "synth_classes": 10, "k": 64, "steps": 3},
      None, False),
@@ -151,7 +151,7 @@ class TestDeterminism:
         assert len(aggs) == cfg.steps
 
         w = np.zeros(d)
-        if cfg.init == "sphere":
+        if cfg.init_radius > 0:
             init_seed = derive_seed(cfg.root_seed, 2, 0, 0, StreamKind.INIT)
             w = cfg.init_radius * sphere_direction(init_seed, d)
         for t, agg in enumerate(aggs):
@@ -257,14 +257,14 @@ class TestEnginePathsAgree:
         # the clients' brackets carry the run: without them its first
         # round's coefficients are not finite
         monkeypatch.setattr(LogisticRegressionModel, "_brackets",
-                            lambda self, prepared, X, y, w, mu: np.full(cfg.k, np.nan))
+                            lambda self, prepared, X, y, w: np.full(cfg.k, np.nan))
         with pytest.raises(NonFiniteLossError, match="at step 0, epoch 0"):
             run_experiment(cfg)
 
     def test_mu_zero_engine_matches_mu_positive_on_quadratic(self):
         # quadratic: the finite difference is exact, so the two modes coincide
         a = run_experiment(ExperimentConfig(**QUAD))
-        b = run_experiment(ExperimentConfig(**{**QUAD, "mu": 1e-4, "mu_zero": False}))
+        b = run_experiment(ExperimentConfig(**{**QUAD, "mu": 1e-4}))
         for x, y in zip(a.logs, b.logs):
             assert x.train_loss == pytest.approx(y.train_loss, rel=1e-6, abs=1e-12)
 
@@ -275,7 +275,7 @@ class TestDirectionWindow:
     def test_output_does_not_depend_on_window(self, base, local_epochs, monkeypatch):
         # the default budget holds the whole run here; 3 rounds per window
         # leaves a short last window (10 steps), 1 round is a window per step
-        cfg = ExperimentConfig(**{**base, "mu": 1e-3, "mu_zero": False, "steps": 10,
+        cfg = ExperimentConfig(**{**base, "mu": 1e-3, "steps": 10,
                                   "eval_every": 3, "local_epochs": local_epochs})
         per_round = local_epochs * cfg.k * model_dimension(cfg)
         assert federation.WINDOW_VALUES // per_round >= cfg.steps
@@ -307,8 +307,8 @@ GROUP_CASES = {
                       "local_epochs": 3},
     "label_flip_noniid_k64": {"alpha": 1 / 3, "beta": 1 / 3, "attack": "label_flip",
                               "distribution": "noniid", "synth_samples": 120, "k": 64},
-    "mu_zero_e3": {"mu": 0.0, "mu_zero": True, "local_epochs": 3},
-    "mu_zero_noniid_k1": {"mu": 0.0, "mu_zero": True, "distribution": "noniid",
+    "mu_zero_e3": {"mu": 0.0, "local_epochs": 3},
+    "mu_zero_noniid_k1": {"mu": 0.0, "distribution": "noniid",
                           "synth_samples": 120, "k": 1},
     "fedavg": {"algorithm": "fedavg"},
     "coordwise_tm_label_flip_noniid": {"algorithm": "coordwise_tm", "alpha": 1 / 3,
@@ -534,8 +534,7 @@ class TestAttackPlumbing:
 class TestFailureModes:
     def test_nonfinite_abort_carries_context(self):
         # a divergent step size on the quadratic overflows quickly
-        cfg = ExperimentConfig(**{**QUAD, "eta": 1e300, "steps": 50, "mu": 1e-3,
-                                  "mu_zero": False})
+        cfg = ExperimentConfig(**{**QUAD, "eta": 1e300, "steps": 50, "mu": 1e-3})
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteLossError) as err:
                 run_experiment(cfg)
@@ -567,13 +566,27 @@ class TestFailureModes:
         # epoch 0 brackets the finite w0, and the step of 1e308 overflows the
         # drifted w's squared norms. (A logreg run does not serve: its
         # gradient is bounded, so its epoch-1 coefficients stay finite.)
-        cfg = ExperimentConfig(**{**QUAD, "mu": 1e-3, "mu_zero": False, "k": 4,
+        cfg = ExperimentConfig(**{**QUAD, "mu": 1e-3, "k": 4,
                                   "local_epochs": 2, "eta": 1e308, "steps": 3})
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteLossError,
                                match="epoch 1, direction 0, client 0$") as err:
                 run_experiment(cfg)
         assert (err.value.epoch, err.value.direction, err.value.client) == (1, 0, 0)
+
+    def test_early_epoch_is_named_before_the_drift_replays_it(self):
+        # a start 1e300 out overflows epoch 0's squared norms: at E = 2 its
+        # block is reported before epoch 1's drift replays it, as at E = 1
+        for epochs in (1, 2):
+            cfg = ExperimentConfig(**{**QUAD, "quad_dim": 8, "mu": 1e-3, "k": 4, "steps": 3,
+                                      "local_epochs": epochs, "init_radius": 1e300})
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFiniteLossError,
+                                   match="^non-finite coefficient at step 0, epoch 0, "
+                                         "direction 0, client 0$") as err:
+                    run_experiment(cfg)
+            assert (err.value.step, err.value.epoch, err.value.direction,
+                    err.value.client) == (0, 0, 0, 0)
 
     def test_first_order_nonfinite_gradient_aborts(self):
         # no logged round before the end, so the overflowed gradient is
@@ -600,16 +613,54 @@ class TestFailureModes:
             ExperimentConfig(**{**SYNTH, "alpha": 0.5})
         with pytest.raises(ValueError):
             ExperimentConfig(**{**SYNTH, "beta": 0.6})
-        with pytest.raises(ValueError):
-            ExperimentConfig(**{**SYNTH, "mu": 0.0})
-        with pytest.raises(ValueError, match="mu_zero = true requires mu = 0"):
-            ExperimentConfig(**{**SYNTH, "mu_zero": True})
+        for mu in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^mu must be finite and >= 0"):
+                ExperimentConfig(**{**SYNTH, "mu": mu})
         with pytest.raises(ValueError):
             ExperimentConfig(**{**SYNTH, "eta": -1.0})
         with pytest.raises(ValueError):
             ExperimentConfig(**{**SYNTH, "attack": "bogus"})
         with pytest.raises(ValueError):
             ExperimentConfig(**{**SYNTH, "algorithm": "fedavg", "local_epochs": 2})
+
+
+# quadratic runs of the power-of-two relation: sphere and Gaussian
+# directions, mu = 0, E = 2, and a ball that binds from the first step
+SCALED = {
+    "sphere": {**QUAD, "mu": 1e-3},
+    "gaussian": {**QUAD, "mu": 1e-3, "direction_mode": "gaussian"},
+    "mu_zero": QUAD,
+    "e2": {**QUAD, "mu": 1e-3, "local_epochs": 2, "steps": 10},
+    "projected": {**QUAD, "mu": 1e-3, "project_radius": 0.5, "steps": 10},
+}
+
+
+class TestPowerOfTwoScaling:
+    @pytest.mark.parametrize("overrides", SCALED.values(), ids=SCALED.keys())
+    def test_lengths_times_two_to_the_j_scale_w_and_loss_exactly(self, overrides, monkeypatch):
+        # w* = 0: with the start, mu and the ball scaled by 2^j, every
+        # bracket point scales by 2^j, every loss by 4^j and every
+        # coefficient by 2^j, each exactly, so the run is the base run
+        # scaled bit for bit
+        radii = []
+
+        def spy(w, radius):
+            radii.append((float(np.linalg.norm(w)), radius))
+            return project_ball(w, radius)
+
+        monkeypatch.setattr(federation, "project_ball", spy)
+        base = run_experiment(ExperimentConfig(**overrides))
+        if overrides.get("project_radius"):
+            assert radii[0][0] > radii[0][1]  # the ball binds
+        for j in (1, 5, -7):
+            s = 2.0 ** j
+            res = run_experiment(ExperimentConfig(**{
+                **overrides, "init_radius": s * overrides["init_radius"],
+                "mu": s * overrides["mu"],
+                "project_radius": s * overrides.get("project_radius", 0.0)}))
+            assert np.array_equal(res.final_w, s * base.final_w)
+            assert ([log.train_loss for log in res.logs]
+                    == [s * s * log.train_loss for log in base.logs])
 
 
 class TestEndToEndSynth:

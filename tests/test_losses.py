@@ -20,11 +20,11 @@ def naive_logreg_loss(w, X, y, p, C):
     return total / len(X)
 
 
-def one_client(model, prepared, batch, w, mu):
+def one_client(model, prepared, batch, w):
     """The kernel on a group of one client: its (k,) differences
-    f(w + mu z_r) - f(w - mu z_r)."""
+    f(w + mu z_r) - f(w - mu z_r), with mu laid out in ``prepared``."""
     counts = [1 if batch is None else len(batch[0])]
-    return model.loss_batch_multi(prepared, batch, counts, w[None], mu)[0]
+    return model.loss_batch_multi(prepared, batch, counts, w[None])[0]
 
 
 def assert_matches_eval_brackets(model, diff, w, dirs, mu, batch, rtol):
@@ -129,15 +129,15 @@ class TestLogreg:
         w = self.rng.normal(size=self.model.dimension)
         dirs = self.rng.normal(size=(7, self.model.dimension))
         mu = 0.1
-        diff = one_client(self.model, self.model.prepare_variants(dirs), (X, y), w, mu)
+        diff = one_client(self.model, self.model.prepare_variants(dirs, mu), (X, y), w)
         assert_matches_eval_brackets(self.model, diff, w, dirs, mu, (X, y), 1e-12)
 
     def test_layout_buffer_is_reused(self):
         dirs = self.rng.normal(size=(3, self.model.dimension))
-        first = self.model.prepare_variants(dirs)
-        again = self.model.prepare_variants(2.0 * dirs, first)
+        first = self.model.prepare_variants(dirs, 0.1)
+        again = self.model.prepare_variants(dirs, 0.2, first)
         assert again is first
-        for part, fresh in zip(first, self.model.prepare_variants(dirs)):
+        for part, fresh in zip(first, self.model.prepare_variants(dirs, 0.1)):
             assert np.array_equal(part, 2.0 * fresh)
 
     def test_shape_mismatch_rejected(self):
@@ -148,10 +148,10 @@ class TestLogreg:
                             (np.zeros((2, 12)), np.array([0, 9])))
         with pytest.raises(ValueError):
             self.model.eval(np.zeros(self.model.dimension), None)
-        prepared = self.model.prepare_variants(np.zeros((2, self.model.dimension)))
+        prepared = self.model.prepare_variants(np.zeros((2, self.model.dimension)), 0.1)
         with pytest.raises(ValueError):
             one_client(self.model, prepared, (np.zeros((3, 7)), np.zeros(3, int)),
-                       np.zeros(self.model.dimension), 0.1)
+                       np.zeros(self.model.dimension))
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,7 +169,7 @@ def test_logreg_kernel_matches_eval_at_both_brackets(p, C, k, b, mu, seed):
     X, y = random_batch(rng, b, p, C)
     w = rng.normal(size=model.dimension)
     dirs = rng.normal(size=(k, model.dimension))
-    diff = one_client(model, model.prepare_variants(dirs), (X, y), w, mu)
+    diff = one_client(model, model.prepare_variants(dirs, mu), (X, y), w)
     assert diff.shape == (k,)
     assert_matches_eval_brackets(model, diff, w, dirs, mu, (X, y), 1e-12)
 
@@ -207,7 +207,7 @@ def test_logreg_kernel_against_longdouble_differences(mu, scale, seed):
     X, y = random_batch(rng, 64, 784, 10)
     w = scale * rng.normal(size=model.dimension)
     dirs = rng.normal(size=(8, model.dimension))
-    diff = one_client(model, model.prepare_variants(dirs), (X, y), w, mu)
+    diff = one_client(model, model.prepare_variants(dirs, mu), (X, y), w)
     ref = longdouble_differences(model, X, y, w, dirs, mu)
     assert np.max(np.abs(diff - ref)) <= 1e-13 * np.median(np.abs(ref))
 
@@ -215,13 +215,13 @@ def test_logreg_kernel_against_longdouble_differences(mu, scale, seed):
 def grouped_equals_each_client_alone(model, rng, counts, k, mu):
     X, y = random_batch(rng, sum(counts), model.input_dim, model.num_classes)
     ws = rng.normal(size=(len(counts), model.dimension))
-    prepared = model.prepare_variants(rng.normal(size=(k, model.dimension)))
-    diff = model.loss_batch_multi(prepared, (X, y), counts, ws, mu)
+    prepared = model.prepare_variants(rng.normal(size=(k, model.dimension)), mu)
+    diff = model.loss_batch_multi(prepared, (X, y), counts, ws)
     assert diff.shape == (len(counts), k)
     ends = np.cumsum(counts)
     for j, w in enumerate(ws):
         rows = slice(ends[j] - counts[j], ends[j])
-        alone = one_client(model, prepared, (X[rows].copy(), y[rows].copy()), w, mu)
+        alone = one_client(model, prepared, (X[rows].copy(), y[rows].copy()), w)
         assert np.array_equal(diff[j], alone)
 
 
@@ -263,28 +263,28 @@ def test_clients_out_of_range_take_their_brackets_in_a_group(case, monkeypatch):
     X, y = random_batch(rng, 7, 50, 4)
     ws = 0.1 * rng.normal(size=(2, model.dimension))
     dirs = rng.normal(size=(5, model.dimension))
-    prepared = model.prepare_variants(dirs)
     mu = 100.0 if case == "exp_overflows" else 1e-3
+    prepared = model.prepare_variants(dirs, mu)
     if case == "exp_overflows":
         X[:3] *= 1e-3
         Zp, bias = prepared
-        peaks = [np.abs(mu * (X[rows] @ Zp + bias)).max() for rows in (slice(0, 3), slice(3, 7))]
+        peaks = [np.abs(X[rows] @ Zp + bias).max() for rows in (slice(0, 3), slice(3, 7))]
         assert peaks[0] < np.log(np.finfo(float).max) < peaks[1]
     else:
         ws[1] *= 1e4
     redone = []
     brackets = LogisticRegressionModel._brackets
 
-    def spy(self, prepared, X, y, w, mu):
+    def spy(self, prepared, X, y, w):
         redone.append(len(X))
-        return brackets(self, prepared, X, y, w, mu)
+        return brackets(self, prepared, X, y, w)
 
     monkeypatch.setattr(LogisticRegressionModel, "_brackets", spy)
-    diff = model.loss_batch_multi(prepared, (X, y), [3, 4], ws, mu)
+    diff = model.loss_batch_multi(prepared, (X, y), [3, 4], ws)
     assert redone == [4]
     for j, rows in enumerate((slice(0, 3), slice(3, 7))):
         batch = X[rows].copy(), y[rows].copy()
-        assert np.array_equal(diff[j], one_client(model, prepared, batch, ws[j], mu))
+        assert np.array_equal(diff[j], one_client(model, prepared, batch, ws[j]))
         assert_matches_eval_brackets(model, diff[j], ws[j], dirs, mu, batch, 1e-12)
 
 
@@ -318,7 +318,7 @@ class TestQuadratic:
         w = rng.normal(size=6)
         dirs = rng.normal(size=(5, 6))
         mu = 0.1
-        diff = one_client(m, m.prepare_variants(dirs), None, w, mu)
+        diff = one_client(m, m.prepare_variants(dirs, mu), None, w)
         assert_matches_eval_brackets(m, diff, w, dirs, mu, None, 1e-14)
 
     @pytest.mark.parametrize("k, d", [(1, 1), (3, 5), (16, 16), (7, 33), (4, 100)])
@@ -330,7 +330,7 @@ class TestQuadratic:
         w = rng.normal(size=d)
         dirs = rng.normal(size=(k, d))
         mu = 1e-3
-        diff = one_client(m, m.prepare_variants(dirs), None, w, mu)
+        diff = one_client(m, m.prepare_variants(dirs, mu), None, w)
         for r, z in enumerate(dirs):
             vp = z * mu + w - m.w_star
             vm = z * (-2.0 * mu) + (z * mu + w) - m.w_star

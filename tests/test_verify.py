@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,19 +24,19 @@ from cyber0.verify import (
 
 class TestTheoryParams:
     def test_tau_mu_zero(self):
-        p = TheoryParams(lam=1.0, l_smooth=1.0, d=16, k=16, mu_zero=True)
+        p = TheoryParams(lam=1.0, l_smooth=1.0, d=16, k=16, mu=0.0)
         assert p.tau == pytest.approx(31 / 16)
         assert p.eta == pytest.approx(16 / 31)
         assert p.rate_bound == pytest.approx(1 - 16 / 62)
 
     def test_tau_mu_positive(self):
-        p = TheoryParams(lam=1.0, l_smooth=1.0, d=16, k=16, mu_zero=False)
+        p = TheoryParams(lam=1.0, l_smooth=1.0, d=16, k=16, mu=1e-3)
         assert p.tau == pytest.approx((32 + 15 * 5) / 16)
         assert p.eta == pytest.approx(1 / (2 * p.tau))
 
     def test_tau_limits(self):
-        assert TheoryParams(1, 1, d=50, k=1, mu_zero=True).tau == 50.0
-        big_k = TheoryParams(1, 1, d=8, k=100_000, mu_zero=True).tau
+        assert TheoryParams(1, 1, d=50, k=1, mu=0.0).tau == 50.0
+        big_k = TheoryParams(1, 1, d=8, k=100_000, mu=0.0).tau
         assert big_k == pytest.approx(1.0, abs=1e-3)
 
 
@@ -108,16 +110,16 @@ class TestContraction:
         assert res.passed
 
     def test_floor_shrinks_with_mu_small_budget(self):
-        params = TheoryParams(lam=1.0, l_smooth=1.0, d=16, k=16, mu_zero=False)
+        params = TheoryParams(lam=1.0, l_smooth=1.0, d=16, k=16, mu=1e-3)
         floors = {}
         for mu in (1e-3, 1e-4):
-            cfg = _theory_config(params, mu=mu, steps=900, seed=6000)
+            cfg = _theory_config(replace(params, mu=mu), steps=900, seed=6000)
             floors[mu] = error_floor(cfg, n_seeds=3)
         assert floors[1e-3] / floors[1e-4] >= 5.0
 
     def test_contraction_rate_deterministic(self):
-        params = TheoryParams(lam=1.0, l_smooth=1.0, d=8, k=8, mu_zero=True)
-        cfg = _theory_config(params, mu=0.0, steps=25, seed=123)
+        params = TheoryParams(lam=1.0, l_smooth=1.0, d=8, k=8, mu=0.0)
+        cfg = _theory_config(params, steps=25, seed=123)
         assert contraction_rate(cfg, 3, 20) == contraction_rate(cfg, 3, 20)
 
 

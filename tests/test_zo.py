@@ -71,8 +71,8 @@ class TestCoefficient:
         # the engine's mu = 0 coefficients at the minimiser are exact zeros,
         # so w = w* = 0 never moves
         cfg = ExperimentConfig(model="quadratic", quad_dim=6, quad_lambda=2.0, clients=4,
-                               alpha=0.0, mu=0.0, mu_zero=True, k=10, steps=3,
-                               direction_mode="sphere", init="zeros")
+                               alpha=0.0, mu=0.0, k=10, steps=3,
+                               direction_mode="sphere", init_radius=0.0)
         assert np.array_equal(run_experiment(cfg).final_w, np.zeros(6))
 
     def test_logreg_halving_mu_shrinks_gap(self):
