@@ -14,6 +14,7 @@ error, 3 runtime divergence (non-finite values).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -134,9 +135,13 @@ def _execute_run(config: ExperimentConfig, out_dir: Path) -> int:
         # files, fewer samples than clients
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_log_csv(result.logs, out_dir / "log.csv")
-    write_manifest(config, out_dir, time.monotonic() - started, ["log.csv"])
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_log_csv(result.logs, out_dir / "log.csv")
+        write_manifest(config, out_dir, time.monotonic() - started, ["log.csv"])
+    except OSError as exc:  # what _out_dir_usable cannot see: permissions, a full disk
+        print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
+        return 2
     last = result.logs[-1]
     print(f"wrote {out_dir / 'log.csv'}: {len(result.logs)} rows, "
           f"final step {last.step}, train_loss {last.train_loss:.6g}, "
@@ -160,11 +165,40 @@ def _read_config(path: str) -> ExperimentConfig | None:
     return None
 
 
+def _out_dir_usable(path: Path) -> bool:
+    """Whether ``mkdir`` can make or reuse ``path`` as far as the file system
+    shows without writing: the nearest of it and its parents that exists is
+    a directory. Otherwise prints one ``error:`` line naming ``path``. A path
+    that cannot be examined (no permission) counts as missing; the write
+    reports it."""
+    for existing in (path, *path.parents):
+        if os.path.exists(existing):
+            if os.path.isdir(existing):
+                return True
+            print(f"error: cannot write to {path}: {existing} is not a directory",
+                  file=sys.stderr)
+            return False
+    return True
+
+
+def _run_dir_name(param: str, value: str) -> str:
+    """One sweep run's directory under ``--out``: ``param=value`` with ``%``
+    and the path separators percent-encoded, so a value stays one path
+    component and two values never share a directory."""
+    for char in ("%", os.sep, os.altsep):
+        if char:
+            value = value.replace(char, f"%{ord(char):02X}")
+    return f"{param}={value}"
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = _read_config(args.config)
     if config is None:
         return 2
-    return _execute_run(config, Path(args.out))
+    out_dir = Path(args.out)
+    if not _out_dir_usable(out_dir):
+        return 2
+    return _execute_run(config, out_dir)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -201,17 +235,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"error: {args.param}={value}: {exc}", file=sys.stderr)
             return 2
     out_root = Path(args.out)
+    sub_dirs = [out_root / _run_dir_name(args.param, value) for value in values]
+    if not all(_out_dir_usable(sub_dir) for sub_dir in sub_dirs):
+        return 2
     summary = ["param,value,final_step,final_train_loss,final_test_acc,"
                "uplink_scalars,downlink_scalars"]
-    for value, config in zip(values, configs):
-        sub_dir = out_root / f"{args.param}={value}"
+    for value, config, sub_dir in zip(values, configs, sub_dirs):
         code = _execute_run(config, sub_dir)
         if code != 0:
             return code
         last_line = (sub_dir / "log.csv").read_text(encoding="utf-8").rstrip().splitlines()[-1]
         step, tr, acc, up, down, _ = last_line.split(",")
         summary.append(f"{args.param},{value},{step},{tr},{acc},{up},{down}")
-    (out_root / "summary.csv").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    try:
+        (out_root / "summary.csv").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write to {out_root}: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {out_root / 'summary.csv'} ({len(values)} runs)")
     return 0
 

@@ -10,7 +10,10 @@ aggregated coefficients along the directions regenerated from the seeds.
 A first-order baseline runs the same round with E = 1 and no directions:
 clients report d-vector gradients, trimmed per coordinate.
 Clients 0..h-1 are honest and the Byzantine ones are the suffix h..m-1, so
-the round's report matrix is filled and read by slices of two counts.
+the round's report matrix is filled and read by slices of two counts. The
+data-free quadratic's one report row stands for every client: with no
+coefficient attack it is the round's aggregate as it is, since the trimmed
+mean of m copies of a finite row is that row, and no matrix is built.
 Everything is a pure function of the config: reruns produce byte-identical
 logs.
 """
@@ -232,10 +235,11 @@ class _Setup:
 
     def train_loss(self, w: np.ndarray, losses: dict) -> float:
         """Mean over the honest clients of their loss at w: ``losses`` holds
-        those already computed, by client id, and any other is evaluated
-        here without a batch (every client of the data-free quadratic)."""
-        return float(np.mean([losses[i] if i in losses else self.model.eval(w, None)
-                              for i in range(self.honest)]))
+        them by client id, except on the data-free quadratic, whose one
+        loss, evaluated here without a batch, stands for every client."""
+        if self.data is None:
+            return float(np.mean([self.model.eval(w, None)] * self.honest))
+        return float(np.mean([losses[i] for i in range(self.honest)]))
 
     def test_acc(self, w: np.ndarray) -> float:
         if self.test is None:
@@ -352,7 +356,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     product per group (one per client where it is small, see
     ``losses.SMALL_PRODUCT``), then each client's differences at its own w
     (setup.w in epoch 0, its row of an (n, d) block of drifted copies after
-    that). Both budgets set speed and memory, not the run."""
+    that). Both budgets set speed and memory, not the run. Where one report
+    row stands for every client (the data-free quadratic) and no attack
+    substitutes coefficients, that row is the aggregate: the report matrix,
+    the oracle and the trim are skipped, bit for bit. Under a coefficient
+    attack the Byzantine rows differ from it and the general path runs."""
     setup = _Setup(config)
     zeroth = config.algorithm == "cyber0"
     E, k, d = config.local_epochs, config.k, setup.d
@@ -397,10 +405,15 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             _check_finite(coeffs[:, : e + 1], t, gradients=not zeroth)
         tr_loss = setup.train_loss(setup.w, losses) if do_log else float("nan")
 
-        matrix = np.empty((config.clients, E * width))  # clients' rows, then the adversary's
-        matrix[:setup.computing] = coeffs.reshape(n, E * width)
-        _substitute_byzantine(setup, matrix, t)
-        agg = robust_direction_aggregate(matrix, beta)
+        if n == 1 and setup.computing == config.clients:
+            # one finite row that every client reports, none replaced: the
+            # trimmed mean of m copies of it is that row, bit for bit
+            agg = coeffs.reshape(E * width)
+        else:
+            matrix = np.empty((config.clients, E * width))  # clients' rows, then the adversary's
+            matrix[:setup.computing] = coeffs.reshape(n, E * width)
+            _substitute_byzantine(setup, matrix, t)
+            agg = robust_direction_aggregate(matrix, beta)
         if zeroth:
             for e in range(E):
                 apply_update(setup.w, agg[e * k : (e + 1) * k], step_dirs[e], config.eta, t)

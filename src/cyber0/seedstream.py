@@ -43,7 +43,7 @@ call over the window's (step, epoch, sample) grid, and one
 ``make_direction`` call that fills the window's rows, drawing the first
 polar batch of many rows in one vectorised pass. A window holds as many
 rounds as fit ``WINDOW_VALUES`` doubles, at least one. A row whose first
-batch holds too few accepted pairs (about one in fifteen at d = 7850, one
+batch holds too few accepted pairs (about one in 700 at d = 7850, one
 in 3,000 at d = 16) keeps them and continues on its own ``RngStream``, as the
 reference does. Sphere rows are normalised with one stacked matmul per
 CHUNK-wide column slice, which sums each slice with the same dot routine
@@ -184,7 +184,7 @@ def first_uniforms(seeds: np.ndarray) -> np.ndarray:
 def _polar_batch(want_pairs: int) -> int:
     """Uniform pairs drawn at once when ``want_pairs`` accepted pairs are
     still needed: the expected need at acceptance rate pi/4, with slack."""
-    return min(want_pairs * 9 // 7 + 8, 1 << 16)
+    return min(want_pairs * 13 // 10 + 8, 1 << 16)
 
 
 def _polar_factor(s: np.ndarray) -> np.ndarray:

@@ -293,6 +293,26 @@ class TestRun:
         assert "diverged" in err and "non-finite gradient" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_under_a_file_exit_2(self, fast_config, tmp_path, capsys, monkeypatch, out):
+        # refused before the run starts, and nothing is created
+        (tmp_path / "afile").write_text("keep\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("cyber0.cli.run_experiment", None)  # the run must not start
+        assert main(["run", str(fast_config), "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write to {out}: afile is not a directory\n")
+        assert (tmp_path / "afile").read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "fast.cfg"]
+
+    def test_unwritable_log_exit_2(self, fast_config, tmp_path, capsys):
+        # an OSError at write time, past the check: log.csv is a directory
+        (tmp_path / "o" / "log.csv").mkdir(parents=True)
+        assert main(["run", str(fast_config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write to {tmp_path / 'o'}: ")
+        assert len(err.strip().splitlines()) == 1
+
 
 # small config texts over every algorithm, attack and model: valid values
 # per key, to which at most one break (a bad value or an unknown key) is
@@ -372,6 +392,38 @@ class TestSweep:
         assert summary[0].startswith("param,value,")
         assert len(summary) == 4
         assert summary[1].split(",")[:2] == ["k", "1"]
+
+    def test_run_dirs_stay_under_out(self, fast_config, tmp_path, monkeypatch):
+        # a value's path separators are percent-encoded, as is %, so every
+        # run directory is one path component under --out; summary.csv keeps
+        # the raw value (mnist_dir is unused with data = synth)
+        monkeypatch.chdir(tmp_path)
+        values = ["../../../escaped", "a%2Fb", "a/b"]
+        assert main(["sweep", str(fast_config), "--param", "mnist_dir",
+                     "--values", ",".join(values), "--out", "root/out"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.cfg", "root"]
+        assert sorted(p.name for p in (tmp_path / "root").iterdir()) == ["out"]
+        assert sorted(p.name for p in (tmp_path / "root" / "out").iterdir()) == [
+            "mnist_dir=..%2F..%2F..%2Fescaped", "mnist_dir=a%252Fb", "mnist_dir=a%2Fb",
+            "summary.csv"]
+        summary = (tmp_path / "root" / "out" / "summary.csv").read_text().splitlines()
+        assert [line.split(",")[1] for line in summary[1:]] == values
+
+    @pytest.mark.parametrize("out,blocked", [("afile", "afile"), ("s", "s/k=2")])
+    def test_out_under_a_file_exit_2(self, fast_config, tmp_path, capsys, monkeypatch,
+                                     out, blocked):
+        # --out or one run's directory is a file: refused before the first run
+        (tmp_path / "afile").write_text("keep\n")
+        (tmp_path / "s").mkdir()
+        (tmp_path / "s" / "k=2").write_text("keep\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", str(fast_config), "--param", "k",
+                     "--values", "1,2", "--out", out]) == 2
+        target = Path(out) / "k=1"
+        assert capsys.readouterr().err == (
+            f"error: cannot write to {target if out == 'afile' else Path(blocked)}: "
+            f"{blocked} is not a directory\n")
+        assert not (tmp_path / "s" / "k=1").exists()
 
     def test_empty_values_exit_2(self, fast_config, tmp_path, capsys):
         assert main(["sweep", str(fast_config), "--param", "k",

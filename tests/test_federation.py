@@ -140,14 +140,26 @@ class TestDeterminism:
         if rounds is not None:
             monkeypatch.setattr(federation, "WINDOW_VALUES", rounds * per_round)
         assert max(1, federation.WINDOW_VALUES // per_round) < cfg.steps
-        aggs = []
+        # each step's aggregate as the engine applies it to the run's
+        # synchronized w, epoch by epoch; a drifting client's w is another array
+        setups, slices = [], []
 
-        def spy(matrix, beta):
-            aggs.append(robust_direction_aggregate(matrix, beta))
-            return aggs[-1].copy()
+        def setup_spy(config):
+            setups.append(real_setup(config))
+            return setups[-1]
 
-        monkeypatch.setattr(federation, "robust_direction_aggregate", spy)
+        def update_spy(w, coeffs, directions, eta, step):
+            if w is setups[-1].w:
+                slices.append(np.array(coeffs))
+            real_update(w, coeffs, directions, eta, step)
+
+        real_setup, real_update = federation._Setup, federation.apply_update
+        monkeypatch.setattr(federation, "_Setup", setup_spy)
+        monkeypatch.setattr(federation, "apply_update", update_spy)
         final_w = run_experiment(cfg).final_w
+        assert len(setups) == 1 and len(slices) == cfg.steps * cfg.local_epochs
+        aggs = [np.concatenate(slices[t : t + cfg.local_epochs])
+                for t in range(0, len(slices), cfg.local_epochs)]
         assert len(aggs) == cfg.steps
 
         w = np.zeros(d)

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cyber0 import federation
+from cyber0.federation import ExperimentConfig, run_experiment
 from cyber0.robust import (
     AggregationError,
     coordwise_trimmed_mean,
     robust_direction_aggregate,
+    trim_count,
 )
 
 
@@ -170,3 +175,46 @@ class TestCoordwise:
         g = np.array([[1.0, -2.0, 3.0]])
         for beta in (0.0, 0.25):
             assert np.array_equal(coordwise_trimmed_mean(g, beta), g[0])
+
+
+class TestBroadcastRow:
+    """m clients that all report one row: the data-free round takes that row
+    as its aggregate without the matrix, the oracle or the trim."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(row=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                        max_size=8),
+           beta=st.floats(0.0, 0.5, exclude_max=True))
+    @example(row=[1.0 + 2.0**-52, -(1.0 + 2.0**-52)], beta=0.0)  # the m-fold sum rounds
+    @example(row=[1e308, -1e308, 5e-324], beta=0.25)  # the m-fold sum overflows
+    @example(row=[-0.0, 0.0], beta=0.0)
+    def test_trimmed_mean_of_copies_is_the_row(self, row, beta):
+        row = np.array(row)
+        for m in range(1, 41):
+            # every trim count of m rows, then the drawn beta
+            betas = [g / m + 1e-9 for g in range((m - 1) // 2 + 1)] + [beta]
+            assert sorted({trim_count(b, m) for b in betas[:-1]}) == list(range((m - 1) // 2 + 1))
+            for b in betas:
+                with np.errstate(over="ignore"):  # the sum may pass the float range
+                    out = coordwise_trimmed_mean(np.broadcast_to(row, (m, len(row))), b)
+                assert np.array_equal(out.view(np.int64), row.view(np.int64))
+
+    @pytest.mark.parametrize("algorithm,attack,per_round", [
+        ("cyber0", "none", 0), ("cyber0", "label_flip", 0), ("fedavg", "none", 0),
+        ("cyber0", "full_knowledge", 1)])
+    def test_oracle_and_trim_run_only_under_a_coefficient_attack(
+            self, monkeypatch, algorithm, attack, per_round):
+        # a coefficient attack submits rows other than the honest one, which
+        # with more attackers than trimmed values survive the trim
+        cfg = ExperimentConfig(model="quadratic", quad_dim=12, clients=4, alpha=0.25, beta=0.25,
+                               k=6, eta=0.3, steps=5, direction_mode="sphere", attack=attack,
+                               algorithm=algorithm, init_radius=1.0, root_seed=5)
+        calls = {"byzantine_value": 0, "robust_direction_aggregate": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(federation, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(federation, name, counted)
+        run_experiment(cfg)
+        assert calls == {"byzantine_value": per_round * cfg.steps,
+                         "robust_direction_aggregate": per_round * cfg.steps}

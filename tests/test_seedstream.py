@@ -205,16 +205,16 @@ class TestDirectionBlock:
         assert_rows_match_reference(make_direction(seeds, d, mode), seeds, d, mode)
         assert_rows_match_reference(make_direction(seeds[:1], d, mode), seeds[:1], d, mode)
 
-    # seeds per d that hold short rows: a row whose first polar batch has
-    # too few accepted pairs is about one in fifteen at d = 7850 and one in
-    # 3,000 at d = 16
-    SHORT_ROW_SEEDS = {16: 4096, 7850: 64}
+    # samples of the direction seeds (5, 3, sample, 0) per d that hold short
+    # rows: a row whose first polar batch has too few accepted pairs is about
+    # one in 700 at d = 7850 (sample 1916 is one) and one in 3,000 at d = 16
+    SHORT_ROW_SAMPLES = {16: range(4096), 7850: range(1900, 1964)}
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("d", sorted(SHORT_ROW_SEEDS))
+    @pytest.mark.parametrize("d", sorted(SHORT_ROW_SAMPLES))
     def test_short_rows_fall_back_to_their_stream(self, mode, d, monkeypatch):
         # a short row keeps its accepted pairs and continues on its own stream
-        seeds = direction_seed(5, 3, np.arange(self.SHORT_ROW_SEEDS[d]), 0)
+        seeds = direction_seed(5, 3, np.array(self.SHORT_ROW_SAMPLES[d]), 0)
         fallback = []
 
         class CountingStream(RngStream):
@@ -229,11 +229,11 @@ class TestDirectionBlock:
         assert_rows_match_reference(block, seeds, d, mode)
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("d", sorted(SHORT_ROW_SEEDS))
+    @pytest.mark.parametrize("d", sorted(SHORT_ROW_SAMPLES))
     def test_output_does_not_depend_on_chunk_budget(self, mode, d, monkeypatch):
         # the seeds of the short-row test, so that short rows also sit
         # inside a many-row chunk
-        seeds = direction_seed(5, 3, np.arange(self.SHORT_ROW_SEEDS[d]), 0)
+        seeds = direction_seed(5, 3, np.array(self.SHORT_ROW_SAMPLES[d]), 0)
         default = make_direction(seeds, d, mode)
         for budget in (1, 1 << 62):  # one row per chunk; the whole block in one chunk
             monkeypatch.setattr(seedstream, "BLOCK_WORDS", budget)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cyber0.federation import run_experiment
 from cyber0.seedstream import RngStream
 from cyber0.verify import (
     TheoryParams,
@@ -121,6 +122,51 @@ class TestContraction:
         params = TheoryParams(lam=1.0, l_smooth=1.0, d=8, k=8, mu=0.0)
         cfg = _theory_config(params, steps=25, seed=123)
         assert contraction_rate(cfg, 3, 20) == contraction_rate(cfg, 3, 20)
+
+
+
+class TestRateIdentity:
+    """On the isotropic quadratic (lambda = 1, w* = 0) one round of k sphere
+    directions with c = d gives E||w'||^2 = (1 - 2 eta + eta^2 nu) ||w||^2
+    exactly, nu = (d + k - 1) / k, for mu = 0 and, central differences
+    being exact on a quadratic, for mu > 0. The estimate is the per-step
+    ratio (M_T / M_0)^(1/T) of the seed mean M_t of ||w_t||^2 = 2 train_loss,
+    which log row t + 1 holds, over 200 seeds of 10 steps at eta = 1 / (2 nu).
+    Over 15 disjoint sets of 200 seeds it had a standard deviation of 0.0024
+    at (d, k) = (16, 16) and 0.0010 at (64, 4); the tolerance is four of
+    them. The engine run at 0.7 eta or 1.3 eta misses the identity at eta by
+    7 to 38 of those standard deviations."""
+
+    TOL = {(16, 16): 0.0096, (64, 4): 0.0040}
+
+    @staticmethod
+    def identity(d, k, eta):
+        return 1.0 - 2.0 * eta + eta**2 * (d + k - 1) / k
+
+    @staticmethod
+    def measured_ratio(d, k, mu, eta, steps=10, n_seeds=200):
+        params = TheoryParams(lam=1.0, l_smooth=1.0, d=d, k=k, mu=mu)
+        mean = np.zeros(steps)
+        for seed in range(n_seeds):
+            cfg = replace(_theory_config(params, steps, seed), eta=eta)
+            mean += [2.0 * log.train_loss for log in run_experiment(cfg).logs]
+        mean /= n_seeds
+        assert mean[0] == pytest.approx(1.0)  # init_radius = 1
+        return (mean[-1] / mean[0]) ** (1.0 / (steps - 1))
+
+    @pytest.mark.parametrize("d,k,mu", [(16, 16, 0.0), (16, 16, 1e-3), (64, 4, 1e-3)])
+    def test_per_step_ratio_matches_identity(self, d, k, mu):
+        eta = k / (2.0 * (d + k - 1))
+        got = self.measured_ratio(d, k, mu, eta)
+        assert abs(got - self.identity(d, k, eta)) <= self.TOL[d, k]
+
+    @pytest.mark.parametrize("d,k,mu", [(16, 16, 0.0), (64, 4, 1e-3)])
+    @pytest.mark.parametrize("factor", [0.7, 1.3])
+    def test_wrong_step_size_misses_identity(self, d, k, mu, factor):
+        # the negative control: the engine run at factor * eta, the identity at eta
+        eta = k / (2.0 * (d + k - 1))
+        got = self.measured_ratio(d, k, mu, factor * eta)
+        assert abs(got - self.identity(d, k, eta)) > self.TOL[d, k]
 
 
 class TestCheckReports:
