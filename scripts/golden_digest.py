@@ -7,9 +7,16 @@ prints one line
 
     name sha256(final_w)[:16] sha256(log.csv bytes)[:16]
 
-where the log bytes are built exactly as ``cyber0 run`` writes log.csv.
-A change meant to keep outputs bit-identical prints the same lines before
-and after; diff the two outputs.
+where the log bytes are built exactly as ``cyber0 run`` writes log.csv,
+then one line per ``verify.lemma_suite()`` check
+
+    name repr(estimate)
+
+The lemma checks are the only code that draws odd-length, interleaved
+requests from one ``RngStream`` (its pending half-pair); the runs reach
+``RngStream`` only through synthetic data and ``init_radius``. The lemma
+lines take about 1.3 s. A change meant to keep outputs bit-identical
+prints the same lines before and after; diff the two outputs.
 
 Usage:
     python3 scripts/golden_digest.py
@@ -27,6 +34,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from cyber0.cli import csv_lines, load_config  # noqa: E402
 from cyber0.federation import ExperimentConfig, run_experiment  # noqa: E402
+from cyber0.verify import lemma_suite  # noqa: E402
 from test_federation import GOLDEN  # noqa: E402
 
 PROFILES = ("synth_demo.cfg", "quad_mu_floor.cfg")
@@ -47,6 +55,8 @@ def main() -> int:
              for name in PROFILES]
     for name, config in runs:
         print(name, digest(config), flush=True)
+    for check in lemma_suite():
+        print(check.name, repr(check.estimate), flush=True)
     return 0
 
 

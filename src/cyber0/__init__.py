@@ -25,4 +25,4 @@ from .seedstream import (
     make_direction,
     sphere_direction,
 )
-from .zo import NonFiniteLossError, apply_update, direction_seed, zo_coefficient
+from .zo import NonFiniteLossError, apply_update, direction_seed

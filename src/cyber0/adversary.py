@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .robust import trim_count
+from .robust import ordered_column_sums, trim_count
 from .seedstream import first_uniforms
 
 
@@ -59,7 +59,7 @@ def byzantine_value(
     s = np.sort(honest, axis=0)
     small, large = s[j - 1], s[len(s) - j]
     if kind == AttackKind.FULL_KNOWLEDGE:
-        return np.where(np.cumsum(honest, axis=0)[-1] / m >= 0.0, small, large)
+        return np.where(ordered_column_sums(honest, m) >= 0.0, small, large)
     if kind == AttackKind.ALWAYS_SMALL:
         return small
     if kind == AttackKind.ALWAYS_LARGE:

@@ -155,9 +155,9 @@ def load_mnist(mnist_dir: str) -> tuple[Dataset, Dataset]:
     return splits[0], splits[1]
 
 
-def synth_generate(seed: int, n: int, p: int, num_classes: int,
-                   spread: float = 0.6, noise: float = 0.08, split: int = 0) -> Dataset:
-    """Class-conditional Gaussians around seeded centroids, clipped to [0, 1].
+def synth_generate(seed: int, n: int, p: int, num_classes: int, split: int = 0) -> Dataset:
+    """Class-conditional Gaussians (standard deviation 0.08) around seeded
+    centroids uniform in [0.2, 0.8]^p, clipped to [0, 1].
 
     Labels cycle 0..C-1 so classes stay balanced; ``split`` selects an
     independent stream (0 = train, 1 = held-out test) for the same seed.
@@ -168,12 +168,12 @@ def synth_generate(seed: int, n: int, p: int, num_classes: int,
     # so train and held-out rows come from the same class-conditional law
     cstream = RngStream(derive_seed(seed, 0, 0, 0, StreamKind.INIT))
     centroids = cstream.uniforms(num_classes * p).reshape(num_classes, p)
-    centroids *= spread
-    centroids += (1.0 - spread) / 2.0
+    centroids *= 0.6
+    centroids += 0.2
     labels = np.arange(n, dtype=np.int64) % num_classes
     stream = RngStream(derive_seed(seed, 0, 1 + split, 0, StreamKind.INIT))
     features = stream.gaussians(n * p).reshape(n, p)
-    features *= noise
+    features *= 0.08
     for c in range(num_classes):  # no (n, p) gather: each row still gets one add
         features[c::num_classes] += centroids[c]
     np.clip(features, 0.0, 1.0, out=features)

@@ -18,8 +18,6 @@ labels; the quadratic model ignores it (every sample yields the same loss).
 
 from __future__ import annotations
 
-from typing import Protocol
-
 import numpy as np
 
 Batch = tuple[np.ndarray, np.ndarray] | None
@@ -28,20 +26,6 @@ Batch = tuple[np.ndarray, np.ndarray] | None
 # row of a stacked product differently from the same row multiplied alone;
 # below this size each client of a group gets its own X Z product
 SMALL_PRODUCT = 10**6
-
-
-class LossModel(Protocol):
-    dimension: int
-
-    def eval(self, w: np.ndarray, batch: Batch) -> float: ...
-
-    def grad(self, w: np.ndarray, batch: Batch) -> np.ndarray: ...
-
-    def prepare_variants(self, directions: np.ndarray, mu: float, out: object = None) -> object: ...
-
-    def loss_batch_multi(
-        self, prepared: object, batch: Batch, counts: np.ndarray, ws: np.ndarray
-    ) -> np.ndarray: ...
 
 
 class LogisticRegressionModel:

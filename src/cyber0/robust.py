@@ -25,6 +25,21 @@ def trim_count(beta: float, m: int) -> int:
     return int(math.floor(beta * m))
 
 
+def ordered_column_sums(block: np.ndarray, divisor: int) -> np.ndarray:
+    """The sum down each column of an (n, k) block in row order, over divisor.
+    A column of finite values whose sum overflows is summed at the exact
+    scale 2**-e, 2**e > n, and scaled back after the divide; every other
+    column keeps the plain cumsum's bits."""
+    with np.errstate(over="ignore"):
+        out = block.cumsum(axis=0)[-1]
+    out /= divisor
+    if not np.isfinite(out).all():
+        over = ~np.isfinite(out) & np.isfinite(block).all(axis=0)
+        e = len(block).bit_length()
+        out[over] = np.ldexp(np.ldexp(block[:, over], -e).cumsum(axis=0)[-1] / divisor, e)
+    return out
+
+
 def coordwise_trimmed_mean(matrix: np.ndarray, beta: float) -> np.ndarray:
     """Trimmed mean down each column of an (m, n) matrix, e.g. per
     coordinate of m full gradients.
@@ -45,8 +60,7 @@ def coordwise_trimmed_mean(matrix: np.ndarray, beta: float) -> np.ndarray:
         raise AggregationError(f"trimming {g} from each end of {m} values leaves nothing")
     s = np.sort(matrix, axis=0)
     kept = s[g : m - g]
-    out = kept.cumsum(axis=0)[-1]
-    out /= survivors
+    out = ordered_column_sums(kept, survivors)
     # a constant survivor set means the exact answer is that constant; the
     # sum/divide route can be one ulp off (n * c / n need not round to c)
     np.copyto(out, kept[0], where=kept[0] == kept[-1])

@@ -43,14 +43,14 @@ call over the window's (step, epoch, sample) grid, and one
 ``make_direction`` call that fills the window's rows, drawing the first
 polar batch of many rows in one vectorised pass. A window holds as many
 rounds as fit ``WINDOW_VALUES`` doubles, at least one. A row whose first
-batch holds too few accepted pairs (about one in 700 at d = 7850, one
-in 3,000 at d = 16) keeps them and continues on its own ``RngStream``, as the
-reference does. Sphere rows are normalised with one stacked matmul per
-CHUNK-wide column slice, which sums each slice with the same dot routine
-and in the same chunk order as ``_chunked_sumsq``. Windowed, block and
-batched-norm generation are bit-identical to the per-seed streams and are
-not part of the frozen identity: how rows are grouped into windows and
-chunks (``WINDOW_VALUES``, ``BLOCK_WORDS``) changes speed and memory only.
+batch holds too few accepted pairs (binomial odds 1 in 749 at d = 7850,
+1 in 3,245 at d = 16) is redrawn whole by its own ``RngStream``: the same
+row. Sphere rows are normalised with one stacked matmul per CHUNK-wide
+column slice, which sums each slice with the same dot routine and in the
+same chunk order as ``_chunked_sumsq``. Windowed, block and batched-norm
+generation are bit-identical to the per-seed streams and are not part of
+the frozen identity: how rows are grouped into windows and chunks
+(``WINDOW_VALUES``, ``BLOCK_WORDS``) changes speed and memory only.
 """
 
 from __future__ import annotations
@@ -183,8 +183,9 @@ def first_uniforms(seeds: np.ndarray) -> np.ndarray:
 
 def _polar_batch(want_pairs: int) -> int:
     """Uniform pairs drawn at once when ``want_pairs`` accepted pairs are
-    still needed: the expected need at acceptance rate pi/4, with slack."""
-    return min(want_pairs * 13 // 10 + 8, 1 << 16)
+    still needed: the expected need at acceptance rate pi/4, with slack.
+    Uncapped: ``make_direction`` redraws a row it leaves short whole."""
+    return want_pairs * 13 // 10 + 8
 
 
 def _polar_factor(s: np.ndarray) -> np.ndarray:
@@ -203,9 +204,9 @@ class RngStream:
     position exactly as the scalar reference algorithm would.
     """
 
-    def __init__(self, seed: int, position: int = 0):
+    def __init__(self, seed: int):
         self._seed = int(seed) & _MASK64
-        self._pos = position  # word position of the next draw
+        self._pos = 0  # word position of the next draw
         self._pending: float | None = None  # second half of an odd polar pair
 
     def words(self, n: int) -> np.ndarray:
@@ -300,8 +301,8 @@ def make_direction(
     Every row is bit-identical to ``RngStream(seed).gaussians(d)`` or
     ``sphere_direction(seed, d)``. Rows are generated about BLOCK_WORDS
     raw words at a time: each chunk draws every row's first polar batch in
-    one pass, a row whose batch holds too few accepted pairs continues on
-    its own ``RngStream``, and sphere rows take their norms from
+    one pass, a row whose batch holds too few accepted pairs is redrawn
+    whole by its own ``RngStream``, and sphere rows take their norms from
     ``_rows_sumsq``.
     """
     if d < 1:
@@ -343,8 +344,9 @@ def _gaussian_rows(seeds: np.ndarray, positions: np.ndarray, want: int, out: np.
     and the pairs' s back to the first. The accepted pairs of the whole
     chunk come from one flatnonzero, and a searchsorted at the row starts
     splits them by row. A row with at least ``want`` accepted pairs takes
-    the first ``want``; a shorter row keeps all of them and continues its
-    own stream after the batch, exactly as ``RngStream.gaussians`` does.
+    the first ``want``; a shorter row (counted: 18 of 12,800 at d = 7850,
+    69 of 204,800 at d = 16) is redrawn whole as
+    ``RngStream(seed).gaussians(d)``, which starts with the same pairs.
     """
     n, d = out.shape
     pairs = positions.shape[2]
@@ -362,7 +364,7 @@ def _gaussian_rows(seeds: np.ndarray, positions: np.ndarray, want: int, out: np.
     s += np.multiply(v2, v2, out=s2)
     acc = np.flatnonzero((s > 0.0) & (s < 1.0))
     if n == 1:  # every chunk at d = 7,850: its pairs are a slice of acc, no index grid
-        starts, full = (0, len(acc)), np.array([len(acc) >= want])
+        full = np.array([len(acc) >= want])
         sel = acc[: want if full[0] else 0].reshape(-1, want)
     else:
         starts = np.searchsorted(acc, np.arange(n + 1) * pairs)
@@ -373,9 +375,4 @@ def _gaussian_rows(seeds: np.ndarray, positions: np.ndarray, want: int, out: np.
     out[rows, 0::2] = v1[sel] * f
     out[rows, 1::2] = v2[sel[:, : d // 2]] * f[:, : d // 2]
     for r in np.flatnonzero(~full):
-        sel = acc[starts[r] : starts[r + 1]]
-        got = 2 * len(sel)
-        f = _polar_factor(s[sel])
-        out[r, 0:got:2] = v1[sel] * f
-        out[r, 1:got:2] = v2[sel] * f
-        out[r, got:] = RngStream(int(seeds[r]), 2 * pairs).gaussians(d - got)
+        out[r] = RngStream(int(seeds[r])).gaussians(d)

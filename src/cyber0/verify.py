@@ -204,10 +204,10 @@ def contraction_rate(config: ExperimentConfig, n_seeds: int, fit_steps: int) -> 
     return float((window[-1] / window[0]) ** (1.0 / fit_steps))
 
 
-def error_floor(config: ExperimentConfig, n_seeds: int, tail_frac: float = 0.1) -> float:
-    """Mean distance over the trailing steps (the convergence plateau)."""
+def error_floor(config: ExperimentConfig, n_seeds: int) -> float:
+    """Mean distance over the last 10% of steps (the convergence plateau)."""
     mean_dist = _distance_trace(config, n_seeds)
-    tail = max(int(len(mean_dist) * tail_frac), 1)
+    tail = max(int(len(mean_dist) * 0.1), 1)
     return float(np.mean(mean_dist[-tail:]))
 
 

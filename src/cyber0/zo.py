@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .losses import Batch, LossModel
 from .seedstream import StreamKind, derive_seeds
 
 
@@ -37,34 +36,6 @@ def direction_seed(
     under the DIRECTION tag, the uint64 array of the broadcast shape of the
     integers or integer arrays step, sample and epoch."""
     return derive_seeds(root, step, sample, epoch, StreamKind.DIRECTION)
-
-
-def zo_coefficient(
-    model: LossModel, w: np.ndarray, batch: Batch, z: np.ndarray, mu: float, scale: float
-) -> float:
-    """Finite-difference coefficient along direction z, one literal bracket:
-    the reference that the engine's batched kernel is tested against.
-
-    Evaluates f at w + mu z and then at (w + mu z) - 2 mu z, exactly the
-    in-place perturbation schedule of the round protocol. The bracket runs
-    on a scratch copy: an in-place add/subtract cycle can leave individual
-    float64 coordinates one ulp off (fl(w + a) is not injective in w), and
-    the caller's w must be bit-identical on return.
-    """
-    if not mu > 0.0:
-        raise ValueError(f"zo_coefficient requires mu > 0, got {mu!r}")
-    scratch = w.copy()
-    scratch += mu * z
-    loss_plus = model.eval(scratch, batch)
-    scratch += (-2.0 * mu) * z
-    loss_minus = model.eval(scratch, batch)
-    coeff = scale * (loss_plus - loss_minus) / (2.0 * mu)
-    if not np.isfinite(coeff):
-        raise NonFiniteLossError(
-            f"non-finite zero-order coefficient ({coeff}) from losses "
-            f"{loss_plus}, {loss_minus} at mu={mu}"
-        )
-    return float(coeff)
 
 
 def apply_update(

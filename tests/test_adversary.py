@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyber0 import federation
 from cyber0.adversary import (
@@ -10,7 +14,7 @@ from cyber0.adversary import (
 from cyber0.federation import ExperimentConfig
 from cyber0.robust import robust_direction_aggregate
 from cyber0.seedstream import StreamKind, derive_seed, derive_seeds
-from test_robust import column_trimmed_mean
+from test_robust import HUGE_BLOCKS, column_trimmed_mean
 
 FK = AttackKind.FULL_KNOWLEDGE
 SMALL = AttackKind.ALWAYS_SMALL
@@ -43,6 +47,22 @@ class TestFullKnowledge:
             assert np.array_equal(v, honest[0])
             agg = robust_direction_aggregate(np.vstack([honest, np.tile(v, (3, 1))]), 0.25)
             assert np.array_equal(agg, honest[0])
+
+    def test_side_from_a_sum_past_float_range(self):
+        # the honest sum 2 * 1.7e308 - 3 * 1.7e308 is negative: the large value
+        honest = col([1.7e308] * 2 + [-1.7e308] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert byzantine_value(FK, honest, beta=0.0, m=6)[0] == 1.7e308
+            assert byzantine_value(FK, -honest, beta=0.0, m=6)[0] == -1.7e308
+
+    @settings(max_examples=80, deadline=None)
+    @given(honest=HUGE_BLOCKS, beta=st.floats(0.0, 0.5, exclude_max=True))
+    @example(honest=np.array([[1.7e308, 1.0]] * 2 + [[-1.7e308, -1.0]] * 3), beta=0.0)
+    def test_side_at_a_power_of_two_scale(self, honest, beta):
+        m = len(honest)
+        want = np.ldexp(byzantine_value(FK, np.ldexp(honest, -8), beta, m), 8)
+        assert np.array_equal(byzantine_value(FK, honest, beta, m), want)
 
     def test_order_statistic_index(self):
         # m=16, beta=0.25 -> 4th smallest / largest, per column

@@ -12,10 +12,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cyber0"
 
-# the literal mu > 0 bracket, the reference the engine's batched kernel is
-# tested against
-TEST_ONLY = {"zo_coefficient"}
-
 
 def public_names() -> set[str]:
     """The functions, classes and assigned names at the top level of each
@@ -50,4 +46,4 @@ def loaded_names() -> set[str]:
 
 
 def test_every_export_has_a_caller_outside_tests():
-    assert public_names() - loaded_names() == TEST_ONLY
+    assert public_names() - loaded_names() == set()

@@ -23,8 +23,9 @@ from cyber0.seedstream import (
     make_direction,
     sphere_direction,
 )
-from cyber0.zo import NonFiniteLossError, apply_update, direction_seed, zo_coefficient
+from cyber0.zo import NonFiniteLossError, apply_update, direction_seed
 from test_data import write_idx
+from test_zo import zo_coefficient
 
 
 SYNTH = dict(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -95,6 +97,40 @@ class TestTrimmedMean:
         for m in range(1, 30):
             for beta in (0.0, 0.1, 0.25, 0.4, 0.49):
                 assert m - 2 * int(np.floor(beta * m)) >= 1
+
+
+# (m, n) blocks of integers times 2**e, large and moderate, never subnormal:
+# their columns' sums overflow at large e, and 2**-8 rescales them exactly
+HUGE_BLOCKS = st.integers(1, 40).flatmap(lambda m: st.lists(
+    st.lists(st.builds(np.ldexp, st.integers(-2**52, 2**52), st.sampled_from([-60, 0, 971, 971])),
+             min_size=m, max_size=m),
+    min_size=1, max_size=4).map(lambda cols: np.array(cols, dtype=np.float64).T))
+
+
+class TestOverflow:
+    """Finite values whose sum passes the float range still have a finite
+    trimmed mean."""
+
+    def test_sum_past_float_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert column_trimmed_mean([1e308, 1.5e308], 0.0) == 1.25e308
+            # a running sum that overflows midway and comes back in range
+            assert column_trimmed_mean([1.7e308, 1.7e308, -1.7e308], 0.0) == 1.7e308 / 3
+
+    def test_non_finite_columns_stay_non_finite(self):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            out = coordwise_trimmed_mean([[np.inf, 1e308, np.inf], [1.0, 1.5e308, -np.inf]], 0.0)
+        assert out[0] == np.inf and out[1] == 1.25e308 and np.isnan(out[2])
+
+    @settings(max_examples=80, deadline=None)
+    @given(block=HUGE_BLOCKS, beta=st.floats(0.0, 0.5, exclude_max=True))
+    @example(block=np.array([[1.7e308, 1.0], [1.7e308, 2.0], [-1.7e308, 3.0]]), beta=0.0)
+    def test_equals_the_mean_at_a_power_of_two_scale(self, block, beta):
+        # 2**8 > m: the scaled sums stay in range, and every column, whether
+        # its sum overflows or not, gets the bits of the scaled route
+        want = np.ldexp(coordwise_trimmed_mean(np.ldexp(block, -8), beta), 8)
+        assert np.array_equal(coordwise_trimmed_mean(block, beta), want)
 
 
 class TestDirectionAggregate:
@@ -195,8 +231,7 @@ class TestBroadcastRow:
             betas = [g / m + 1e-9 for g in range((m - 1) // 2 + 1)] + [beta]
             assert sorted({trim_count(b, m) for b in betas[:-1]}) == list(range((m - 1) // 2 + 1))
             for b in betas:
-                with np.errstate(over="ignore"):  # the sum may pass the float range
-                    out = coordwise_trimmed_mean(np.broadcast_to(row, (m, len(row))), b)
+                out = coordwise_trimmed_mean(np.broadcast_to(row, (m, len(row))), b)
                 assert np.array_equal(out.view(np.int64), row.view(np.int64))
 
     @pytest.mark.parametrize("algorithm,attack,per_round", [

@@ -210,23 +210,46 @@ class TestDirectionBlock:
     # one in 700 at d = 7850 (sample 1916 is one) and one in 3,000 at d = 16
     SHORT_ROW_SAMPLES = {16: range(4096), 7850: range(1900, 1964)}
 
+    @staticmethod
+    def short_seeds(seeds, d):
+        """The seeds whose first polar batch of ``_polar_batch((d + 1) // 2)``
+        pairs, read off their own streams, holds fewer than (d + 1) // 2
+        accepted pairs."""
+        want = (d + 1) // 2
+        pairs = seedstream._polar_batch(want)
+        short = []
+        for seed in map(int, seeds):
+            v = RngStream(seed).uniforms(2 * pairs) * 2.0 - 1.0
+            s = v[0::2] ** 2 + v[1::2] ** 2
+            if np.count_nonzero((s > 0.0) & (s < 1.0)) < want:
+                short.append(seed)
+        return short
+
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("d", sorted(SHORT_ROW_SAMPLES))
     def test_short_rows_fall_back_to_their_stream(self, mode, d, monkeypatch):
-        # a short row keeps its accepted pairs and continues on its own stream
+        # exactly the short rows are redrawn whole from their own streams,
+        # in one-row chunks and in one many-row chunk alike
         seeds = direction_seed(5, 3, np.array(self.SHORT_ROW_SAMPLES[d]), 0)
+        short = self.short_seeds(seeds, d)
+        assert len(short) >= 1
         fallback = []
 
         class CountingStream(RngStream):
-            def __init__(self, seed, position=0):
+            def __init__(self, seed):
                 fallback.append(seed)
-                super().__init__(seed, position)
+                super().__init__(seed)
 
         monkeypatch.setattr(seedstream, "RngStream", CountingStream)
-        block = make_direction(seeds, d, mode)
+        blocks = []
+        for budget in (1, 1 << 62):
+            monkeypatch.setattr(seedstream, "BLOCK_WORDS", budget)
+            fallback.clear()
+            blocks.append(make_direction(seeds, d, mode))
+            assert fallback == short
         monkeypatch.undo()
-        assert len(fallback) >= 1
-        assert_rows_match_reference(block, seeds, d, mode)
+        assert np.array_equal(blocks[0], blocks[1])
+        assert_rows_match_reference(blocks[0], seeds, d, mode)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("d", sorted(SHORT_ROW_SAMPLES))

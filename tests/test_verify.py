@@ -126,47 +126,67 @@ class TestContraction:
 
 
 class TestRateIdentity:
-    """On the isotropic quadratic (lambda = 1, w* = 0) one round of k sphere
-    directions with c = d gives E||w'||^2 = (1 - 2 eta + eta^2 nu) ||w||^2
-    exactly, nu = (d + k - 1) / k, for mu = 0 and, central differences
-    being exact on a quadratic, for mu > 0. The estimate is the per-step
-    ratio (M_T / M_0)^(1/T) of the seed mean M_t of ||w_t||^2 = 2 train_loss,
-    which log row t + 1 holds, over 200 seeds of 10 steps at eta = 1 / (2 nu).
-    Over 15 disjoint sets of 200 seeds it had a standard deviation of 0.0024
-    at (d, k) = (16, 16) and 0.0010 at (64, 4); the tolerance is four of
-    them. The engine run at 0.7 eta or 1.3 eta misses the identity at eta by
-    7 to 38 of those standard deviations."""
+    """On the isotropic quadratic (lambda = 1, w* = 0) one epoch of k
+    directions gives E||w'||^2 = (1 - 2 eta + eta^2 nu) ||w||^2 exactly, with
+    nu = (d + k - 1) / k for sphere directions (c = d) and nu = (d + k + 1) / k
+    for Gaussian ones (c = 1), for mu = 0 and, central differences being
+    exact on a quadratic, for mu > 0; a round of E epochs multiplies E such
+    factors. The estimate is the per-step ratio (M_T / M_0)^(1/T) of the seed
+    mean M_t of ||w_t||^2 = 2 train_loss, which log row t + 1 holds, over 200
+    seeds of 10 steps at eta = 1 / (2 nu). The tolerance is four standard
+    deviations of the estimate over 15 disjoint sets of 200 seeds: sphere
+    0.0024 at (d, k) = (16, 16) and 0.0010 at (64, 4), Gaussian 0.0020 at
+    (16, 16) and 0.0008 at (64, 4), sphere with E = 2 0.0025 at (16, 16).
+    The engine run at 0.7 eta or 1.3 eta misses the identity at eta by 7 to
+    46 of those standard deviations."""
 
-    TOL = {(16, 16): 0.0096, (64, 4): 0.0040}
+    # (d, k, mode, E) -> tolerance
+    TOL = {(16, 16, "sphere", 1): 0.0096, (64, 4, "sphere", 1): 0.0040,
+           (16, 16, "gaussian", 1): 0.0080, (64, 4, "gaussian", 1): 0.0032,
+           (16, 16, "sphere", 2): 0.0100}
+    SPHERE_16 = pytest.param(16, 16, 0.0, "sphere", 1, id="16-16-0.0")
+    SPHERE_64 = pytest.param(64, 4, 1e-3, "sphere", 1, id="64-4-0.001")
+    GAUSSIAN_16 = pytest.param(16, 16, 1e-3, "gaussian", 1, id="gaussian-16-16-0.001")
+    TWO_EPOCHS = pytest.param(16, 16, 0.0, "sphere", 2, id="e2-16-16-0.0")
 
     @staticmethod
-    def identity(d, k, eta):
-        return 1.0 - 2.0 * eta + eta**2 * (d + k - 1) / k
+    def eta(d, k, mode):
+        """1 / (2 nu), nu = (d + k - 1) / k (sphere) or (d + k + 1) / k."""
+        return k / (2.0 * (d + k - 1 if mode == "sphere" else d + k + 1))
 
     @staticmethod
-    def measured_ratio(d, k, mu, eta, steps=10, n_seeds=200):
+    def identity(d, k, eta, mode, epochs):
+        nu = (d + k - 1 if mode == "sphere" else d + k + 1) / k
+        return (1.0 - 2.0 * eta + eta**2 * nu) ** epochs
+
+    @staticmethod
+    def measured_ratio(d, k, mu, eta, mode, epochs, steps=10, n_seeds=200):
         params = TheoryParams(lam=1.0, l_smooth=1.0, d=d, k=k, mu=mu)
         mean = np.zeros(steps)
         for seed in range(n_seeds):
-            cfg = replace(_theory_config(params, steps, seed), eta=eta)
+            cfg = replace(_theory_config(params, steps, seed), eta=eta, direction_mode=mode,
+                          local_epochs=epochs)
             mean += [2.0 * log.train_loss for log in run_experiment(cfg).logs]
         mean /= n_seeds
         assert mean[0] == pytest.approx(1.0)  # init_radius = 1
         return (mean[-1] / mean[0]) ** (1.0 / (steps - 1))
 
-    @pytest.mark.parametrize("d,k,mu", [(16, 16, 0.0), (16, 16, 1e-3), (64, 4, 1e-3)])
-    def test_per_step_ratio_matches_identity(self, d, k, mu):
-        eta = k / (2.0 * (d + k - 1))
-        got = self.measured_ratio(d, k, mu, eta)
-        assert abs(got - self.identity(d, k, eta)) <= self.TOL[d, k]
+    @pytest.mark.parametrize("d,k,mu,mode,epochs", [
+        SPHERE_16, pytest.param(16, 16, 1e-3, "sphere", 1, id="16-16-0.001"), SPHERE_64,
+        GAUSSIAN_16, pytest.param(64, 4, 1e-3, "gaussian", 1, id="gaussian-64-4-0.001"),
+        TWO_EPOCHS])
+    def test_per_step_ratio_matches_identity(self, d, k, mu, mode, epochs):
+        eta = self.eta(d, k, mode)
+        got = self.measured_ratio(d, k, mu, eta, mode, epochs)
+        assert abs(got - self.identity(d, k, eta, mode, epochs)) <= self.TOL[d, k, mode, epochs]
 
-    @pytest.mark.parametrize("d,k,mu", [(16, 16, 0.0), (64, 4, 1e-3)])
+    @pytest.mark.parametrize("d,k,mu,mode,epochs", [SPHERE_16, SPHERE_64, GAUSSIAN_16, TWO_EPOCHS])
     @pytest.mark.parametrize("factor", [0.7, 1.3])
-    def test_wrong_step_size_misses_identity(self, d, k, mu, factor):
+    def test_wrong_step_size_misses_identity(self, d, k, mu, mode, epochs, factor):
         # the negative control: the engine run at factor * eta, the identity at eta
-        eta = k / (2.0 * (d + k - 1))
-        got = self.measured_ratio(d, k, mu, factor * eta)
-        assert abs(got - self.identity(d, k, eta)) > self.TOL[d, k]
+        eta = self.eta(d, k, mode)
+        got = self.measured_ratio(d, k, mu, factor * eta, mode, epochs)
+        assert abs(got - self.identity(d, k, eta, mode, epochs)) > self.TOL[d, k, mode, epochs]
 
 
 class TestCheckReports:

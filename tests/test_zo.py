@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyber0.federation import ExperimentConfig, _Setup, run_experiment
-from cyber0.losses import LogisticRegressionModel, QuadraticModel
+from cyber0.losses import Batch, LogisticRegressionModel, QuadraticModel
 from cyber0.seedstream import (
     DirectionMode,
     RngStream,
@@ -13,11 +13,39 @@ from cyber0.seedstream import (
     make_direction,
     sphere_direction,
 )
-from cyber0.zo import NonFiniteLossError, apply_update, direction_seed, zo_coefficient
+from cyber0.zo import NonFiniteLossError, apply_update, direction_seed
 
 
 def gaussian_reference(seed, d):
     return RngStream(seed).gaussians(d)
+
+
+def zo_coefficient(
+    model, w: np.ndarray, batch: Batch, z: np.ndarray, mu: float, scale: float
+) -> float:
+    """Finite-difference coefficient along direction z, one literal bracket:
+    the reference that the engine's batched kernel is tested against.
+
+    Evaluates f at w + mu z and then at (w + mu z) - 2 mu z, exactly the
+    in-place perturbation schedule of the round protocol. The bracket runs
+    on a scratch copy: an in-place add/subtract cycle can leave individual
+    float64 coordinates one ulp off (fl(w + a) is not injective in w), and
+    the caller's w must be bit-identical on return.
+    """
+    if not mu > 0.0:
+        raise ValueError(f"zo_coefficient requires mu > 0, got {mu!r}")
+    scratch = w.copy()
+    scratch += mu * z
+    loss_plus = model.eval(scratch, batch)
+    scratch += (-2.0 * mu) * z
+    loss_minus = model.eval(scratch, batch)
+    coeff = scale * (loss_plus - loss_minus) / (2.0 * mu)
+    if not np.isfinite(coeff):
+        raise NonFiniteLossError(
+            f"non-finite zero-order coefficient ({coeff}) from losses "
+            f"{loss_plus}, {loss_minus} at mu={mu}"
+        )
+    return float(coeff)
 
 
 class TestCoefficient:
