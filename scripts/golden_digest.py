@@ -7,8 +7,8 @@ prints one line
 
     name sha256(final_w)[:16] sha256(log.csv bytes)[:16]
 
-where the log bytes are built exactly as ``cyber0 run`` writes log.csv,
-then one line per ``verify.lemma_suite()`` check
+where the log bytes are ``cli.csv_text``, the text ``cyber0 run`` writes
+to log.csv, then one line per ``verify.lemma_suite()`` check
 
     name repr(estimate)
 
@@ -32,7 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from cyber0.cli import csv_lines, load_config  # noqa: E402
+from cyber0.cli import csv_text, load_config  # noqa: E402
 from cyber0.federation import ExperimentConfig, run_experiment  # noqa: E402
 from cyber0.verify import lemma_suite  # noqa: E402
 from test_federation import GOLDEN  # noqa: E402
@@ -44,7 +44,7 @@ PROFILE_STEPS = 200
 def digest(config: ExperimentConfig) -> str:
     """``sha256(final_w)[:16] sha256(log.csv)[:16]`` of one run."""
     result = run_experiment(config)
-    log_bytes = ("\n".join(csv_lines(result.logs)) + "\n").encode("utf-8")
+    log_bytes = csv_text(result.logs).encode("utf-8")
     return " ".join(hashlib.sha256(b).hexdigest()[:16]
                     for b in (result.final_w.tobytes(), log_bytes))
 

@@ -46,7 +46,8 @@ def byzantine_value(
     block of honest coefficients: one column per direction.
 
     Each column gets its j-th smallest or j-th largest honest value, with
-    j = floor(beta m), or 1 when beta m < 1 so tiny setups stay defined.
+    j = floor(beta m), or 1 when beta m < 1 so tiny setups stay defined;
+    a block of fewer than j honest rows is a ValueError.
     full_knowledge pushes against the sign of the honest sum divided by m
     (only the sign is used, so the denominator is harmless); random_choice
     takes the small value when the first uniform of the column's adversary
@@ -56,6 +57,8 @@ def byzantine_value(
     if honest.ndim != 2 or len(honest) == 0:
         raise ValueError("attack oracle needs a nonempty (h, n) honest coefficient block")
     j = max(trim_count(beta, m), 1)
+    if j > len(honest):
+        raise ValueError(f"order statistic j = {j} needs j honest rows, got h = {len(honest)}")
     s = np.sort(honest, axis=0)
     small, large = s[j - 1], s[len(s) - j]
     if kind == AttackKind.FULL_KNOWLEDGE:

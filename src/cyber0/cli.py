@@ -96,30 +96,22 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
-def csv_lines(logs: list[RoundLog]) -> list[str]:
-    # wall_ms is written as 0: the log must be byte-identical across reruns;
-    # measured timing lives in the manifest comments
-    lines = [CSV_HEADER]
-    for log in logs:
-        lines.append(
-            f"{log.step},{log.train_loss!r},{log.test_acc!r},"
-            f"{log.uplink_scalars},{log.downlink_scalars},0"
-        )
-    return lines
+def csv_text(logs: list[RoundLog]) -> str:
+    """The exact text of ``log.csv``. wall_ms is written as 0: the log must
+    be byte-identical across reruns; measured timing lives in the manifest
+    comments."""
+    rows = [f"{log.step},{log.train_loss!r},{log.test_acc!r},"
+            f"{log.uplink_scalars},{log.downlink_scalars},0" for log in logs]
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
-def write_log_csv(logs: list[RoundLog], path: Path) -> None:
-    path.write_text("\n".join(csv_lines(logs)) + "\n", encoding="utf-8")
-
-
-def write_manifest(config: ExperimentConfig, out_dir: Path, wall_seconds: float,
-                   outputs: list[str]) -> None:
+def write_manifest(config: ExperimentConfig, out_dir: Path, wall_seconds: float) -> None:
     lines = [
         f"# cyber0 run manifest (version {__version__})",
         f"# wall_seconds: {wall_seconds:.3f}",
+        "# output: log.csv",
+        *config_lines(config),
     ]
-    lines += [f"# output: {name}" for name in outputs]
-    lines += config_lines(config)
     (out_dir / "manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -137,8 +129,8 @@ def _execute_run(config: ExperimentConfig, out_dir: Path) -> int:
         return 2
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_log_csv(result.logs, out_dir / "log.csv")
-        write_manifest(config, out_dir, time.monotonic() - started, ["log.csv"])
+        (out_dir / "log.csv").write_text(csv_text(result.logs), encoding="utf-8")
+        write_manifest(config, out_dir, time.monotonic() - started)
     except OSError as exc:  # what _out_dir_usable cannot see: permissions, a full disk
         print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return 2

@@ -84,7 +84,6 @@ class ExperimentConfig:
     eval_every: int = 1
     init_radius: float = 0.0
     project_radius: float = 0.0
-    broadcast_model: bool = False
 
     def __post_init__(self) -> None:
         for name, allowed in _CHOICES.items():
@@ -136,7 +135,6 @@ class RoundLog:
 
 @dataclass
 class RunResult:
-    config: ExperimentConfig
     logs: list[RoundLog]
     final_w: np.ndarray
 
@@ -152,8 +150,8 @@ class RunResult:
 def comm_cost(config: ExperimentConfig, t: int) -> tuple[int, int]:
     """Cumulative per-client (uplink, downlink) scalar counts after t rounds.
 
-    CyBeR-0 uplink is E*k per round, independent of d; the downlink counts
-    the broadcast coefficients plus the one-time seed and initial model.
+    CyBeR-0 moves E*k coefficients per round each way, independent of d;
+    the downlink also counts the one-time seed and initial model.
     First-order baselines move full d-vectors both ways.
     """
     if t <= 0:
@@ -161,8 +159,7 @@ def comm_cost(config: ExperimentConfig, t: int) -> tuple[int, int]:
     d = model_dimension(config)
     if config.algorithm == "cyber0":
         per_round = config.local_epochs * config.k
-        down_per_round = d if config.broadcast_model else per_round
-        return t * per_round, d + 1 + t * down_per_round
+        return t * per_round, d + 1 + t * per_round
     return t * d, d + t * d
 
 
@@ -432,4 +429,4 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             logs.append(RoundLog(step=t + 1, train_loss=tr_loss, test_acc=acc,
                                  uplink_scalars=up, downlink_scalars=down,
                                  wall_ms=int((time.monotonic() - started) * 1000)))
-    return RunResult(config, logs, setup.w)
+    return RunResult(logs, setup.w)

@@ -76,6 +76,15 @@ class TestFullKnowledge:
         with pytest.raises(ValueError):  # one direction's values, not a block
             byzantine_value(FK, [1.0, 2.0], beta=0.25, m=4)
 
+    @pytest.mark.parametrize("kind", COEFFICIENT_ATTACKS)
+    @pytest.mark.parametrize("h,m,j", [(2, 40, 10), (2, 12, 3)])
+    def test_missing_order_statistic_rejected(self, kind, h, m, j):
+        # j = floor(beta m) > h, far past h and at h + 1: no j-th smallest
+        # or largest honest value
+        seeds = np.arange(3, dtype=np.uint64)
+        with pytest.raises(ValueError, match=rf"j = {j} .* h = {h}$"):
+            byzantine_value(kind, np.zeros((h, 3)), beta=0.25, m=m, rc_seeds=seeds)
+
     def test_kind_and_seeds_checked(self):
         with pytest.raises(ValueError):
             byzantine_value(AttackKind.LABEL_FLIPPING, col([1.0]), beta=0.25, m=4)

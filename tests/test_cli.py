@@ -153,6 +153,26 @@ class TestRun:
         main(["run", str(out1 / "manifest"), "--out", str(out2)])
         assert (out1 / "log.csv").read_bytes() == (out2 / "log.csv").read_bytes()
 
+    @pytest.mark.parametrize("removed", ["broadcast_model = false", "mu_zero = false",
+                                         "init = zeros", "debug_replicas = false"],
+                             ids=lambda line: line.split(" ")[0])
+    def test_removed_key_exit_2_at_its_line(self, fast_config, tmp_path, capsys, removed):
+        # a manifest written before the key was removed holds its line: exit 2
+        # at that line, and the manifest without it reproduces the run
+        out1 = tmp_path / "a"
+        main(["run", str(fast_config), "--out", str(out1)])
+        lines = (out1 / "manifest").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if not line.startswith("#") and line > removed)
+        old = tmp_path / "old_manifest"
+        old.write_text("\n".join([*lines[:at], removed, *lines[at:]]) + "\n")
+        capsys.readouterr()
+        assert main(["run", str(old), "--out", str(tmp_path / "b")]) == 2
+        key = removed.split(" ")[0]
+        assert f"line {at + 1}, column 1: unknown config key '{key}'" in capsys.readouterr().err
+        old.write_text("\n".join(lines) + "\n")
+        assert main(["run", str(old), "--out", str(tmp_path / "c")]) == 0
+        assert (out1 / "log.csv").read_bytes() == (tmp_path / "c" / "log.csv").read_bytes()
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("model = logreg\nsteps = soon\n")

@@ -5,7 +5,7 @@ import pytest
 
 from cyber0 import data as data_module
 from cyber0 import federation
-from cyber0.cli import csv_lines, load_config, main
+from cyber0.cli import csv_text, load_config, main
 from cyber0.data import MNIST_FILES, BatchCursor, ClientData, Dataset
 from cyber0.federation import (
     ExperimentConfig,
@@ -296,12 +296,12 @@ class TestDirectionWindow:
         def run(budget):
             monkeypatch.setattr(federation, "WINDOW_VALUES", budget)
             res = run_experiment(cfg)
-            return res.final_w, csv_lines(res.logs)
+            return res.final_w, csv_text(res.logs)
 
         default = run(federation.WINDOW_VALUES)
         for rounds in (1, 3):
-            w, lines = run(rounds * per_round)
-            assert np.array_equal(w, default[0]) and lines == default[1]
+            w, text = run(rounds * per_round)
+            assert np.array_equal(w, default[0]) and text == default[1]
 
 
 # configs whose clients the engine evaluates in row groups: E in {1, 3},
@@ -344,10 +344,10 @@ class TestClientGroups:
             monkeypatch.setattr(data_module, "GROUP_VALUES", budget)
             sizes.append(len(setup.data.groups(range(n), width)))
             res = run_experiment(cfg)
-            runs.append((res.final_w, csv_lines(res.logs)))
+            runs.append((res.final_w, csv_text(res.logs)))
         assert sizes[0] == n and 1 < sizes[1] < n and sizes[3] == 1
-        for w, lines in runs[1:]:
-            assert np.array_equal(w, runs[0][0]) and lines == runs[0][1]
+        for w, text in runs[1:]:
+            assert np.array_equal(w, runs[0][0]) and text == runs[0][1]
 
 
 class TestClientPermutation:
@@ -495,13 +495,6 @@ class TestCommAccounting:
 
     def test_zero_rounds_zero_cost(self):
         assert comm_cost(ExperimentConfig(**SYNTH), 0) == (0, 0)
-
-    def test_broadcast_model_option(self):
-        cfg = ExperimentConfig(**{**SYNTH, "broadcast_model": True})
-        d = model_dimension(cfg)
-        up, down = comm_cost(cfg, 10)
-        assert up == 10 * cfg.k
-        assert down == d + 1 + 10 * d
 
     def test_logged_counters_match_comm_cost_and_are_monotone(self):
         cfg = ExperimentConfig(**{**SYNTH, "steps": 12, "eval_every": 3})

@@ -180,6 +180,14 @@ class TestRateIdentity:
         got = self.measured_ratio(d, k, mu, eta, mode, epochs)
         assert abs(got - self.identity(d, k, eta, mode, epochs)) <= self.TOL[d, k, mode, epochs]
 
+    def test_factor_at_theory_step_size(self):
+        # the run at TheoryParams.eta itself against a target from d and k
+        # alone, so a wrong step size in TheoryParams misses it
+        d, k = 16, 16
+        eta = TheoryParams(lam=1.0, l_smooth=1.0, d=d, k=k, mu=0.0).eta
+        got = self.measured_ratio(d, k, 0.0, eta, "sphere", 1)
+        assert abs(got - (1.0 - k / (d + k - 1))) <= 4 * 0.0036
+
     @pytest.mark.parametrize("d,k,mu,mode,epochs", [SPHERE_16, SPHERE_64, GAUSSIAN_16, TWO_EPOCHS])
     @pytest.mark.parametrize("factor", [0.7, 1.3])
     def test_wrong_step_size_misses_identity(self, d, k, mu, mode, epochs, factor):
