@@ -51,7 +51,7 @@ def byzantine_value(
     full_knowledge pushes against the sign of the honest sum divided by m
     (only the sign is used, so the denominator is harmless); random_choice
     takes the small value when the first uniform of the column's adversary
-    stream in ``rc_seeds`` is below 1/2.
+    stream in ``rc_seeds``, one seed per column, is below 1/2.
     """
     honest = np.asarray(honest, dtype=np.float64)
     if honest.ndim != 2 or len(honest) == 0:
@@ -68,8 +68,10 @@ def byzantine_value(
     if kind == AttackKind.ALWAYS_LARGE:
         return large
     if kind == AttackKind.RANDOM_CHOICE:
-        if rc_seeds is None:
-            raise ValueError("random_choice needs its adversary seeds")
+        seeds = 0 if rc_seeds is None else len(rc_seeds)
+        if seeds != honest.shape[1]:
+            raise ValueError(f"random_choice needs one adversary seed per column: "
+                             f"got {seeds} seeds for {honest.shape[1]} columns")
         return np.where(first_uniforms(rc_seeds) < 0.5, small, large)
     raise ValueError(f"{kind} does not substitute coefficients")
 

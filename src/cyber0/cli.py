@@ -39,15 +39,11 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _parse_value(key: str, text: str) -> object:
-    """The value of config key ``key`` spelled as ``text``: true/false, an
-    integer, a Python float literal, or a bare string."""
+    """The value of config key ``key`` spelled as ``text``: an integer, a
+    Python float literal, or a bare string."""
     kind = _FIELD_TYPES.get(key)
     if kind is None:
         raise ValueError(f"unknown config key {key!r}")
-    if kind == "bool":
-        if text.lower() not in ("true", "false"):
-            raise ValueError(f"{key}: expected true/false, got {text!r}")
-        return text.lower() == "true"
     if kind == "str":
         return text
     try:
@@ -60,8 +56,7 @@ def _parse_value(key: str, text: str) -> object:
 def config_lines(config: ExperimentConfig) -> list[str]:
     """Every field as a ``key = value`` line that ``_parse_value`` reads back
     exactly (a float prints as its repr), sorted by key."""
-    return [f"{key} = {str(value).lower() if isinstance(value, bool) else value}"
-            for key, value in sorted(vars(config).items())]
+    return [f"{key} = {value}" for key, value in sorted(vars(config).items())]
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

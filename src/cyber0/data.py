@@ -223,8 +223,8 @@ class BatchCursor:
     """Per-client batch sampling: a seeded without-replacement shuffle per pass.
 
     Batches are consecutive slices of the pass permutation; a tail shorter
-    than the batch size is dropped and a fresh pass begins. Shards smaller
-    than the batch size yield the whole permuted shard each time.
+    than the batch size is dropped and a fresh pass begins. A shard no
+    larger than the batch size is read whole, in shard order, every time.
     ``ClientData`` rejects an empty shard.
     """
 
@@ -238,6 +238,8 @@ class BatchCursor:
         self._perm = self._shuffle()
 
     def _shuffle(self) -> np.ndarray:
+        if self.batch_size == len(self.shard):
+            return self.shard
         seed = derive_seed(self.data_seed, self.pass_index, self.client_id, 0,
                            StreamKind.DATA_SHUFFLE)
         return self.shard[RngStream(seed).permutation(len(self.shard))]
@@ -256,12 +258,12 @@ class ClientData:
     """Every client's training data: its shard of ``train``, with the labels
     of the ``flipped`` clients' shards flipped once, read one group of
     clients at a time: ``gather`` advances each reader's own cursor once and
-    takes the whole group's rows with one fancy index, or, when
-    ``whole_shard`` is set, gathers the group's whole shards on its first
-    read and returns the same read-only arrays on every later one."""
+    takes the whole group's rows with one fancy index. A client whose shard
+    holds no more rows than the batch reads that shard, in shard order, on
+    every read."""
 
     def __init__(self, train: Dataset, shards: list[np.ndarray], batch_size: int, seed: int,
-                 whole_shard: bool, flipped):
+                 flipped):
         for i, shard in enumerate(shards):
             if len(shard) == 0:
                 raise ValueError(f"client {i} received an empty shard")
@@ -269,14 +271,7 @@ class ClientData:
         self.labels = train.labels.copy()
         for i in flipped:
             self.labels[shards[i]] = flip_labels(train.labels[shards[i]], train.num_classes)
-        self.shards = shards
-        self.cursors = None if whole_shard else [BatchCursor(shard, batch_size, seed, i)
-                                                 for i, shard in enumerate(shards)]
-        self._whole: dict[tuple[int, ...], tuple] = {}
-
-    def rows_per_read(self, i: int) -> int:
-        """Rows one read of client ``i`` returns: its batch, or its whole shard."""
-        return len(self.shards[i]) if self.cursors is None else self.cursors[i].batch_size
+        self.cursors = [BatchCursor(shard, batch_size, seed, i) for i, shard in enumerate(shards)]
 
     def groups(self, readers, width: int) -> list[slice]:
         """``readers`` cut, in order, into runs whose stacked (rows, width)
@@ -284,7 +279,7 @@ class ClientData:
         reader whose own block does not fit is a run of one."""
         out, start, used = [], 0, 0
         for j, i in enumerate(readers):
-            size = self.rows_per_read(i) * width
+            size = self.cursors[i].batch_size * width
             if j > start and used + size > GROUP_VALUES:
                 out.append(slice(start, j))
                 start, used = j, 0
@@ -298,19 +293,10 @@ class ClientData:
         the readers' cursors advance; each cursor is its own stream, so a
         client's batches do not depend on which other clients read, nor on
         how the readers are grouped."""
-        counts = np.array([self.rows_per_read(i) for i in readers])
-        if self.cursors is not None:
-            rows = np.concatenate([self.cursors[i].next_rows() for i in readers])
-            batch = self.features[rows], self.labels[rows]
-            return batch, counts, _split(batch, counts)
-        key = tuple(int(i) for i in readers)
-        if key not in self._whole:
-            rows = np.concatenate([self.shards[i] for i in readers])
-            batch = self.features[rows], self.labels[rows]
-            for a in batch:
-                a.setflags(write=False)
-            self._whole[key] = batch, counts, _split(batch, counts)
-        return self._whole[key]
+        counts = np.array([self.cursors[i].batch_size for i in readers])
+        rows = np.concatenate([self.cursors[i].next_rows() for i in readers])
+        batch = self.features[rows], self.labels[rows]
+        return batch, counts, _split(batch, counts)
 
 
 def _split(batch: tuple[np.ndarray, np.ndarray], counts) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -11,9 +11,10 @@ A first-order baseline runs the same round with E = 1 and no directions:
 clients report d-vector gradients, trimmed per coordinate.
 Clients 0..h-1 are honest and the Byzantine ones are the suffix h..m-1, so
 the round's report matrix is filled and read by slices of two counts. The
-data-free quadratic's one report row stands for every client: with no
-coefficient attack it is the round's aggregate as it is, since the trimmed
-mean of m copies of a finite row is that row, and no matrix is built.
+data-free quadratic's one report row stands for every client and is the
+round's aggregate as it is, under any attack: a colluding row is an order
+statistic of copies of it, so it is that row, and the trimmed mean of m
+copies of a finite row is that row. No matrix is built.
 Everything is a pure function of the config: reruns produce byte-identical
 logs.
 """
@@ -26,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import AttackKind, byzantine_value
-from .data import (MNIST_CLASSES, MNIST_FEATURES, ClientData, Dataset, load_mnist,
-                   partition_iid, partition_noniid, synth_generate)
+from .data import ClientData, Dataset, load_mnist, partition_iid, partition_noniid, synth_generate
 from .losses import LogisticRegressionModel, QuadraticModel
 from .robust import robust_direction_aggregate
 from .seedstream import (
@@ -75,7 +75,6 @@ class ExperimentConfig:
     steps: int = 400
     local_epochs: int = 1
     batch_size: int = 64
-    full_local_data: bool = False
     direction_mode: str = "gaussian"
     attack: str = "none"
     algorithm: str = "cyber0"
@@ -147,8 +146,9 @@ class RunResult:
         return self.logs[-1].train_loss
 
 
-def comm_cost(config: ExperimentConfig, t: int) -> tuple[int, int]:
-    """Cumulative per-client (uplink, downlink) scalar counts after t rounds.
+def comm_cost(config: ExperimentConfig, d: int, t: int) -> tuple[int, int]:
+    """Cumulative per-client (uplink, downlink) scalar counts after t rounds
+    of training a model of dimension d.
 
     CyBeR-0 moves E*k coefficients per round each way, independent of d;
     the downlink also counts the one-time seed and initial model.
@@ -156,19 +156,10 @@ def comm_cost(config: ExperimentConfig, t: int) -> tuple[int, int]:
     """
     if t <= 0:
         return 0, 0
-    d = model_dimension(config)
     if config.algorithm == "cyber0":
         per_round = config.local_epochs * config.k
         return t * per_round, d + 1 + t * per_round
     return t * d, d + t * d
-
-
-def model_dimension(config: ExperimentConfig) -> int:
-    if config.model == "quadratic":
-        return config.quad_dim
-    if config.data == "mnist":
-        return (MNIST_FEATURES + 1) * MNIST_CLASSES
-    return (config.synth_features + 1) * config.synth_classes
 
 
 class _Setup:
@@ -207,7 +198,7 @@ class _Setup:
             flipped = (range(self.honest, config.clients)
                        if self.attack == AttackKind.LABEL_FLIPPING else ())
             self.data = ClientData(train, part.shards, config.batch_size, config.data_seed,
-                                   config.full_local_data, flipped)
+                                   flipped)
 
         self.d = self.model.dimension
         sphere = config.direction_mode == "sphere"
@@ -354,10 +345,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     ``losses.SMALL_PRODUCT``), then each client's differences at its own w
     (setup.w in epoch 0, its row of an (n, d) block of drifted copies after
     that). Both budgets set speed and memory, not the run. Where one report
-    row stands for every client (the data-free quadratic) and no attack
-    substitutes coefficients, that row is the aggregate: the report matrix,
-    the oracle and the trim are skipped, bit for bit. Under a coefficient
-    attack the Byzantine rows differ from it and the general path runs."""
+    row stands for every client (the data-free quadratic), that row is the
+    aggregate under every attack: the oracle's order statistics over copies
+    of it return it, so the report matrix, the oracle and the trim are
+    skipped, bit for bit."""
     setup = _Setup(config)
     zeroth = config.algorithm == "cyber0"
     E, k, d = config.local_epochs, config.k, setup.d
@@ -402,9 +393,9 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             _check_finite(coeffs[:, : e + 1], t, gradients=not zeroth)
         tr_loss = setup.train_loss(setup.w, losses) if do_log else float("nan")
 
-        if n == 1 and setup.computing == config.clients:
-            # one finite row that every client reports, none replaced: the
-            # trimmed mean of m copies of it is that row, bit for bit
+        if n == 1:
+            # one finite row that every honest client reports, and so every
+            # Byzantine one too: the trimmed mean of m copies of it is that row
             agg = coeffs.reshape(E * width)
         else:
             matrix = np.empty((config.clients, E * width))  # clients' rows, then the adversary's
@@ -425,7 +416,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             acc = setup.test_acc(setup.w)
             if not np.isfinite(tr_loss):
                 raise NonFiniteLossError(f"non-finite train loss at step {t}", step=t)
-            up, down = comm_cost(config, t + 1)
+            up, down = comm_cost(config, d, t + 1)
             logs.append(RoundLog(step=t + 1, train_loss=tr_loss, test_acc=acc,
                                  uplink_scalars=up, downlink_scalars=down,
                                  wall_ms=int((time.monotonic() - started) * 1000)))

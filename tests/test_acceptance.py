@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from cyber0.cli import load_config, main
+from cyber0.data import MNIST_CLASSES, MNIST_FEATURES
 from cyber0.federation import (
     ExperimentConfig,
     comm_cost,
-    model_dimension,
     run_experiment,
 )
 from cyber0.losses import LogisticRegressionModel
@@ -170,18 +170,19 @@ class TestAccountingAndDeterminism:
     def test_criterion_10_communication_accounting(self):
         zo_cfg = ExperimentConfig(model="logreg", data="mnist", k=64)
         fo_cfg = ExperimentConfig(model="logreg", data="mnist", algorithm="fedavg")
-        per_step_up = comm_cost(zo_cfg, 1)[0]
+        d = LogisticRegressionModel(MNIST_FEATURES, MNIST_CLASSES).dimension
+        per_step_up = comm_cost(zo_cfg, d, 1)[0]
         ok = (
             per_step_up == zo_cfg.local_epochs * zo_cfg.k
-            and comm_cost(fo_cfg, 1)[0] == 7850
-            and comm_cost(zo_cfg, 400)[0] == 25_600
-            and comm_cost(fo_cfg, 400)[0] == 3_140_000
+            and comm_cost(fo_cfg, d, 1)[0] == 7850
+            and comm_cost(zo_cfg, d, 400)[0] == 25_600
+            and comm_cost(fo_cfg, d, 400)[0] == 3_140_000
         )
         report("10 comm-accounting", ok)
         assert per_step_up == zo_cfg.local_epochs * zo_cfg.k == 64
-        assert comm_cost(fo_cfg, 1)[0] == model_dimension(fo_cfg) == 7850
-        assert comm_cost(zo_cfg, 400)[0] == 25_600
-        assert comm_cost(fo_cfg, 400)[0] == 3_140_000
+        assert comm_cost(fo_cfg, d, 1)[0] == d == 7850
+        assert comm_cost(zo_cfg, d, 400)[0] == 25_600
+        assert comm_cost(fo_cfg, d, 400)[0] == 3_140_000
 
     def test_criterion_11_byte_identical_logs(self, profile_dir, tmp_path):
         profile = profile_dir / "synth_demo.cfg"

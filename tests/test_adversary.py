@@ -91,6 +91,13 @@ class TestFullKnowledge:
         with pytest.raises(ValueError):
             byzantine_value(RC, col([1.0]), beta=0.25, m=4)
 
+    @pytest.mark.parametrize("seeds", [1, 2])
+    def test_random_choice_needs_one_seed_per_column(self, seeds):
+        # one seed would broadcast over the 4 columns, two would not broadcast
+        honest = np.tile(np.arange(4.0), (3, 1))
+        with pytest.raises(ValueError, match=f"got {seeds} seeds for 4 columns$"):
+            byzantine_value(RC, honest, beta=0.25, m=4, rc_seeds=np.arange(seeds, dtype=np.uint64))
+
 
 class TestOtherCoefficientAttacks:
     def test_always_small_large_hand_trace(self):

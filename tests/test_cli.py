@@ -105,11 +105,11 @@ class TestConfigParsing:
         assert str(err.value).startswith(f"line 3, column 1: {key} ")
 
     def test_config_mapping_round_trip(self):
-        # every field type: str, int (a full 64-bit seed), float, bool
+        # every field type: str, int (a full 64-bit seed), float
         cfg = ExperimentConfig(model="quadratic", quad_dim=7, alpha=1 / 3, beta=1 / 3,
-                               eta=0.1 + 0.2, full_local_data=True, root_seed=2**64 - 1)
+                               eta=0.1 + 0.2, root_seed=2**64 - 1)
         lines = config_lines(cfg)
-        assert "full_local_data = true" in lines and "eta = 0.30000000000000004" in lines
+        assert "root_seed = 18446744073709551615" in lines and "eta = 0.30000000000000004" in lines
         assert parse_config_text("\n".join(lines)) == cfg
 
     def test_readme_config_table_names_every_field(self):
@@ -154,7 +154,8 @@ class TestRun:
         assert (out1 / "log.csv").read_bytes() == (out2 / "log.csv").read_bytes()
 
     @pytest.mark.parametrize("removed", ["broadcast_model = false", "mu_zero = false",
-                                         "init = zeros", "debug_replicas = false"],
+                                         "init = zeros", "debug_replicas = false",
+                                         "full_local_data = false"],
                              ids=lambda line: line.split(" ")[0])
     def test_removed_key_exit_2_at_its_line(self, fast_config, tmp_path, capsys, removed):
         # a manifest written before the key was removed holds its line: exit 2
@@ -259,12 +260,12 @@ class TestRun:
 
     def test_empty_shard_exit_2(self, tmp_path, capsys):
         # non-IID labels leave client 20 no rows: the same one error line
-        # whether its shard is read in batches or whole
-        for whole in ("false", "true"):
-            cfg = tmp_path / f"empty_{whole}.cfg"
+        # whether the other shards are read in batches or whole
+        for batch_size in (1, 64):
+            cfg = tmp_path / f"empty_{batch_size}.cfg"
             cfg.write_text(
                 "synth_samples = 20\nsynth_classes = 4\nclients = 40\ndistribution = noniid\n"
-                f"full_local_data = {whole}\nsteps = 5\neval_every = 5\nk = 4\nbeta = 0\n")
+                f"batch_size = {batch_size}\nsteps = 5\neval_every = 5\nk = 4\nbeta = 0\n")
             assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
             assert capsys.readouterr().err == "error: client 20 received an empty shard\n"
             assert not (tmp_path / "o").exists()
@@ -352,13 +353,12 @@ FUZZ_VALUES = {
     "eta": st.sampled_from([0.05, 1e300]),  # 1e300 diverges
     "steps": st.integers(1, 3),
     "local_epochs": st.integers(1, 2),
-    "batch_size": st.integers(1, 16),
+    "batch_size": st.integers(1, 64),  # shards hold 0 to 60 rows
     "eval_every": st.integers(1, 3),
     "synth_samples": st.integers(1, 60),
     "synth_features": st.integers(1, 6),
     "synth_classes": st.integers(2, 4),
     "quad_dim": st.integers(1, 6),
-    "full_local_data": st.booleans(),
     "project_radius": st.sampled_from([0.0, 0.5]),
 }
 FUZZ_BREAKS = [("clients", 0), ("alpha", 0.5), ("beta", 0.5), ("mu", -1.0),
@@ -372,15 +372,14 @@ class TestConfigFuzz:
            st.lists(st.sampled_from(FUZZ_BREAKS), max_size=1))
     @example({"model": "quadratic", "init_radius": 1.0, "eta": 1e300}, [])  # diverges: exit 3
     @example({"model": "quadratic", "init_radius": 1.0, "eta": 1e300, "algorithm": "fedavg"}, [])
-    # non-IID labels leave client 20 an empty shard, read whole: exit 2
+    # non-IID labels leave client 20 an empty shard, the others read whole: exit 2
     @example({"synth_samples": 20, "synth_classes": 4, "clients": 40, "distribution": "noniid",
-              "full_local_data": True, "steps": 5, "eval_every": 5, "k": 4, "beta": 0.0}, [])
+              "batch_size": 64, "steps": 5, "eval_every": 5, "k": 4, "beta": 0.0}, [])
     def test_run_exits_cleanly(self, overrides, breaks):
         # run exits 0, 2 or 3, never raises, and a failure prints one error line
         cfg = {"steps": 3, "synth_samples": 60, "k": 5, **overrides}
         cfg.update(breaks)
-        text = "".join(f"{key} = {str(v).lower() if isinstance(v, bool) else v}\n"
-                       for key, v in cfg.items())
+        text = "".join(f"{key} = {v}\n" for key, v in cfg.items())
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "fuzz.cfg"

@@ -241,8 +241,8 @@ class TestBatchCursor:
     def test_small_shard_returns_whole_shard(self):
         shard = np.array([3, 9, 11])
         cur = BatchCursor(shard, batch_size=64, data_seed=4, client_id=0)
-        rows = cur.next_rows()
-        assert sorted(rows.tolist()) == [3, 9, 11]
+        for _ in range(3):
+            assert cur.next_rows().tolist() == [3, 9, 11]
 
     def test_deterministic_across_instances(self):
         shard = np.arange(40)
@@ -265,38 +265,44 @@ class TestClientData:
         return train, partition_iid(train, 4, seed=5).shards
 
     def test_whole_shard_every_step(self, parts):
-        train, shards = parts
-        data = ClientData(train, shards, batch_size=8, seed=5, whole_shard=True, flipped=())
+        train, shards = parts  # 60 rows each, within the batch
+        data = ClientData(train, shards, batch_size=64, seed=5, flipped=())
         for _ in range(3):
             for i, (X, y) in enumerate(data.gather(range(4))[2]):
                 assert np.array_equal(X, train.features[shards[i]])
                 assert np.array_equal(y, train.labels[shards[i]])
 
-    def test_whole_shard_gathered_once_read_only(self, parts):
+    def test_shard_within_its_batch_is_read_whole_in_order(self, parts):
+        # clients 0 and 2 hold no more rows than the batch and read their
+        # shard as it is; clients 1 and 3 read 8-row slices of each pass's
+        # seeded permutation, the tail dropped
         train, shards = parts
-        data = ClientData(train, shards, batch_size=8, seed=5, whole_shard=True, flipped=())
-        first, second = data.gather([0, 2]), data.gather([0, 2])
-        assert list(first[1]) == [len(shards[0]), len(shards[2])]
-        for a, b in zip(first[0], second[0]):
-            assert a is b and not a.flags.writeable
-        for i, view in zip((0, 2), first[2]):
-            for a, stack, want in zip(view, first[0], (train.features, train.labels)):
-                assert np.shares_memory(a, stack) and not a.flags.writeable
-                assert np.array_equal(a, want[shards[i]])
-        assert list(data._whole) == [(0, 2)]  # clients 1 and 3 read nothing: no gathers
+        shards = [shards[0][:5], shards[1], shards[2][:8], shards[3][:20]]
+        data = ClientData(train, shards, batch_size=8, seed=5, flipped=())
+        want = {}
+        for i in (1, 3):
+            perms = [shards[i][RngStream(derive_seed(5, p, i, 0, StreamKind.DATA_SHUFFLE))
+                               .permutation(len(shards[i]))] for p in range(5)]
+            want[i] = [perm[j : j + 8] for perm in perms for j in range(0, len(perm) - 7, 8)]
+        for step in range(10):  # client 3 starts a new pass every other step
+            (X, _), counts, views = data.gather(range(4))
+            assert list(counts) == [5, 8, 8, 8] and len(X) == 29
+            for i in (0, 2):
+                assert np.array_equal(views[i][0], train.features[shards[i]])
+            for i in (1, 3):
+                assert np.array_equal(views[i][0], train.features[want[i][step]])
 
     def test_empty_shard_rejected(self, parts):
-        # one check serves both read modes: whole shards build no cursor
+        # the same error whether the other shards are read in batches or whole
         train, shards = parts
         shards = shards[:2] + [np.empty(0, dtype=np.int64)] + shards[2:]
-        for whole_shard in (False, True):
+        for batch_size in (8, 64):
             with pytest.raises(ValueError, match="^client 2 received an empty shard$"):
-                ClientData(train, shards, batch_size=8, seed=5, whole_shard=whole_shard,
-                           flipped=())
+                ClientData(train, shards, batch_size=batch_size, seed=5, flipped=())
 
     def test_only_flipped_clients_labels_change(self, parts):
         train, shards = parts
-        data = ClientData(train, shards, batch_size=8, seed=5, whole_shard=True, flipped=(1, 3))
+        data = ClientData(train, shards, batch_size=64, seed=5, flipped=(1, 3))
         for i, (_, y) in enumerate(data.gather(range(4))[2]):
             want = train.labels[shards[i]]
             assert np.array_equal(y, 3 - want if i in (1, 3) else want)
@@ -306,7 +312,7 @@ class TestClientData:
         train, shards = parts
 
         def fresh():
-            return ClientData(train, shards, batch_size=8, seed=5, whole_shard=False, flipped=())
+            return ClientData(train, shards, batch_size=8, seed=5, flipped=())
 
         together, in_pairs, alone = fresh(), fresh(), [fresh() for _ in range(4)]
         for _ in range(20):  # several passes over each 60-row shard
@@ -322,8 +328,7 @@ class TestClientData:
 
     def test_groups_fit_the_budget(self, parts, monkeypatch):
         train, shards = parts
-        data = ClientData(train, shards[:3] + [shards[3][:5]], batch_size=8, seed=5,
-                          whole_shard=False, flipped=())
+        data = ClientData(train, shards[:3] + [shards[3][:5]], batch_size=8, seed=5, flipped=())
         readers = [0, 1, 2, 3]  # rows per read 8, 8, 8, 5
         for budget, want in ((1, [[0], [1], [2], [3]]), (16 * 10, [[0, 1], [2, 3]]),
                              (24 * 10, [[0, 1, 2], [3]]), (1 << 30, [readers])):

@@ -6,14 +6,8 @@ import pytest
 from cyber0 import data as data_module
 from cyber0 import federation
 from cyber0.cli import csv_text, load_config, main
-from cyber0.data import MNIST_FILES, BatchCursor, ClientData, Dataset
-from cyber0.federation import (
-    ExperimentConfig,
-    comm_cost,
-    model_dimension,
-    project_ball,
-    run_experiment,
-)
+from cyber0.data import MNIST_CLASSES, MNIST_FEATURES, MNIST_FILES, BatchCursor, ClientData, Dataset
+from cyber0.federation import ExperimentConfig, comm_cost, project_ball, run_experiment
 from cyber0.losses import LogisticRegressionModel, QuadraticModel
 from cyber0.robust import robust_direction_aggregate
 from cyber0.seedstream import (
@@ -75,7 +69,8 @@ GOLDEN = [
      (1.3048061715413752, 82.33333333333334, 0.3881557475947562)),
     ("quad_projection", {**QUAD, "project_radius": 0.5, "steps": 10},
      (0.0022809247201371207, NAN, 0.0536821877526723)),
-    ("full_local_label_flip", {**BYZ, "attack": "label_flip", "full_local_data": True,
+    # 40-row shards within the batch: each client reads its whole shard
+    ("full_local_label_flip", {**BYZ, "attack": "label_flip", "batch_size": 64,
                                "synth_samples": 240, "steps": 10},
      (1.357930259324307, 35.0, 0.1826083128252486)),
     ("coordwise_tm_noniid_label_flip", {**BYZ, "algorithm": "coordwise_tm",
@@ -83,7 +78,7 @@ GOLDEN = [
                                         "clients": 8, "alpha": 0.25, "beta": 0.25},
      (1.283802280733976, 50.0, 0.8124607243762099)),
     # the data-free quadratic: one view serves every first-order client, and
-    # under a coefficient attack one computing row fills the honest rows
+    # under a coefficient attack the one computing row is the aggregate
     ("fedavg_quad", {**QUAD, "algorithm": "fedavg"},
      (6.496740572356155e-07, NAN, 0.0007979226629761202)),
     ("quad_full_knowledge", {**QUAD, "attack": "full_knowledge", "alpha": 0.25, "beta": 0.25},
@@ -136,7 +131,7 @@ class TestDeterminism:
         # step's E*k aggregates rebuilds the engine's w bit for bit from
         # the documented identity alone, across window boundaries
         cfg = ExperimentConfig(**overrides)
-        k, d = cfg.k, model_dimension(cfg)
+        k, d = cfg.k, federation._Setup(cfg).d
         per_round = cfg.local_epochs * k * d
         if rounds is not None:
             monkeypatch.setattr(federation, "WINDOW_VALUES", rounds * per_round)
@@ -290,7 +285,7 @@ class TestDirectionWindow:
         # leaves a short last window (10 steps), 1 round is a window per step
         cfg = ExperimentConfig(**{**base, "mu": 1e-3, "steps": 10,
                                   "eval_every": 3, "local_epochs": local_epochs})
-        per_round = local_epochs * cfg.k * model_dimension(cfg)
+        per_round = local_epochs * cfg.k * federation._Setup(cfg).d
         assert federation.WINDOW_VALUES // per_round >= cfg.steps
 
         def run(budget):
@@ -306,7 +301,8 @@ class TestDirectionWindow:
 
 # configs whose clients the engine evaluates in row groups: E in {1, 3},
 # k in {1, 8, 64}, unequal batches (non-IID shards of 15 and 30 rows against
-# batch 32), whole shards, computing Byzantine clients (label_flip), mu = 0
+# batch 32), whole 40-row shards against batch 64, computing Byzantine
+# clients (label_flip), mu = 0
 GROUP_CASES = {
     "iid_k8": {},
     "iid_e3_k1": {"local_epochs": 3, "k": 1},
@@ -314,7 +310,7 @@ GROUP_CASES = {
     "noniid_small_shards_e3": {"distribution": "noniid", "synth_samples": 120,
                                "local_epochs": 3},
     "noniid_small_shards_k1": {"distribution": "noniid", "synth_samples": 120, "k": 1},
-    "full_local_data_e3_k64": {"full_local_data": True, "synth_samples": 240,
+    "full_local_data_e3_k64": {"batch_size": 64, "synth_samples": 240,
                                "local_epochs": 3, "k": 64},
     "label_flip_e3": {"alpha": 1 / 3, "beta": 1 / 3, "attack": "label_flip",
                       "local_epochs": 3},
@@ -338,7 +334,7 @@ class TestClientGroups:
         cfg = ExperimentConfig(**{**SYNTH, "steps": 8, "eval_every": 2, **overrides})
         setup = federation._Setup(cfg)
         n, width = setup.computing, cfg.k * cfg.synth_classes
-        pair = 2 * width * setup.data.rows_per_read(0)
+        pair = 2 * width * setup.data.cursors[0].batch_size
         runs, sizes = [], []
         for budget in (1, pair, data_module.GROUP_VALUES, 1 << 62):
             monkeypatch.setattr(data_module, "GROUP_VALUES", budget)
@@ -369,8 +365,7 @@ class TestClientPermutation:
         for order in (np.arange(h)[::-1], np.random.default_rng(3).permutation(h)):
             def permuted(self, *args, order=order):
                 init(self, *args)
-                moved = list(order) + list(range(h, len(self.shards)))
-                self.shards = [self.shards[i] for i in moved]
+                moved = list(order) + list(range(h, len(self.cursors)))
                 self.cursors = [self.cursors[i] for i in moved]
 
             monkeypatch.setattr(ClientData, "__init__", permuted)
@@ -378,8 +373,8 @@ class TestClientPermutation:
 
         def shards_only(self, *args):  # the cursors stay: not a symmetry
             init(self, *args)
-            self.shards = self.shards[:h][::-1] + self.shards[h:]
-            for cursor, shard in zip(self.cursors, self.shards):
+            shards = [cursor.shard for cursor in self.cursors]
+            for cursor, shard in zip(self.cursors, shards[:h][::-1] + shards[h:]):
                 cursor.shard = shard
                 cursor._perm = cursor._shuffle()
 
@@ -476,51 +471,56 @@ class TestBaselines:
 class TestCommAccounting:
     def test_cyber0_uplink_is_ek_per_step(self):
         cfg = ExperimentConfig(**{**SYNTH, "k": 64, "steps": 400})
-        up, down = comm_cost(cfg, 400)
+        d = federation._Setup(cfg).d
+        up, down = comm_cost(cfg, d, 400)
         assert up == 25_600
-        assert down == 400 * 64 + model_dimension(cfg) + 1
+        assert down == 400 * 64 + d + 1
 
     def test_fedavg_uplink_is_d_per_step(self):
         cfg = ExperimentConfig(model="logreg", data="mnist", algorithm="fedavg", steps=400)
-        assert model_dimension(cfg) == 7850
-        up, _ = comm_cost(cfg, 400)
-        assert up == 3_140_000
+        d = LogisticRegressionModel(MNIST_FEATURES, MNIST_CLASSES).dimension
+        up, _ = comm_cost(cfg, d, 400)
+        assert d == 7850 and up == 3_140_000
 
     def test_hundredfold_saving_ratio(self):
         zo_cfg = ExperimentConfig(model="logreg", data="mnist", k=64)
         fo_cfg = ExperimentConfig(model="logreg", data="mnist", algorithm="fedavg")
-        up_zo, _ = comm_cost(zo_cfg, 400)
-        up_fo, _ = comm_cost(fo_cfg, 400)
+        up_zo, _ = comm_cost(zo_cfg, 7850, 400)
+        up_fo, _ = comm_cost(fo_cfg, 7850, 400)
         assert up_fo / up_zo == pytest.approx(7850 / 64)
 
     def test_zero_rounds_zero_cost(self):
-        assert comm_cost(ExperimentConfig(**SYNTH), 0) == (0, 0)
+        assert comm_cost(ExperimentConfig(**SYNTH), 68, 0) == (0, 0)
 
     def test_logged_counters_match_comm_cost_and_are_monotone(self):
         cfg = ExperimentConfig(**{**SYNTH, "steps": 12, "eval_every": 3})
         res = run_experiment(cfg)
         prev_up = prev_down = -1
         for log in res.logs:
-            assert (log.uplink_scalars, log.downlink_scalars) == comm_cost(cfg, log.step)
+            assert (log.uplink_scalars, log.downlink_scalars) == comm_cost(cfg, len(res.final_w),
+                                                                           log.step)
             assert log.uplink_scalars > prev_up and log.downlink_scalars > prev_down
             prev_up, prev_down = log.uplink_scalars, log.downlink_scalars
 
     def test_uplink_independent_of_dimension(self):
-        small = ExperimentConfig(**{**SYNTH, "synth_features": 8})
-        large = ExperimentConfig(**{**SYNTH, "synth_features": 64})
-        assert comm_cost(small, 7)[0] == comm_cost(large, 7)[0]
+        cfg = ExperimentConfig(**SYNTH)
+        assert comm_cost(cfg, 36, 7)[0] == comm_cost(cfg, 260, 7)[0]
 
 
 class TestAttackPlumbing:
     def test_attack_inert_on_constant_columns(self):
         # identical client data -> identical honest coefficients per column ->
-        # every attack leaves the aggregate unchanged
-        base = {**QUAD, "clients": 8, "alpha": 0.25, "beta": 0.25, "steps": 8}
-        clean = run_experiment(ExperimentConfig(**base))
-        for attack in ("full_knowledge", "always_small", "always_large", "random_choice"):
-            attacked = run_experiment(ExperimentConfig(**{**base, "attack": attack}))
-            assert logs_equal(clean.logs, attacked.logs)
-            assert np.array_equal(clean.final_w, attacked.final_w)
+        # every attack leaves the aggregate unchanged, bit for bit, with and
+        # without the smoothing and the local drift
+        for mu, local_epochs in ((0.0, 1), (1e-3, 2)):
+            base = {**QUAD, "clients": 8, "alpha": 0.25, "beta": 0.25, "steps": 8, "mu": mu,
+                    "local_epochs": local_epochs}
+            clean = run_experiment(ExperimentConfig(**base))
+            for attack in ("full_knowledge", "always_small", "always_large", "random_choice",
+                           "label_flip"):
+                attacked = run_experiment(ExperimentConfig(**{**base, "attack": attack}))
+                assert csv_text(attacked.logs) == csv_text(clean.logs)
+                assert np.array_equal(clean.final_w, attacked.final_w)
 
     def test_full_knowledge_slows_convergence_on_synth(self):
         base = {**SYNTH, "clients": 9, "alpha": 1 / 3, "beta": 1 / 3, "steps": 40,
@@ -712,7 +712,6 @@ class TestMnistWiring:
             mu=1e-3, k=4, eta=0.01, steps=3, batch_size=64,
             attack="full_knowledge", eval_every=1,
         )
-        assert model_dimension(cfg) == 7850
         res = run_experiment(cfg)
         assert len(res.final_w) == 7850
         assert res.logs[-1].uplink_scalars == 3 * 4
@@ -734,9 +733,9 @@ class TestMnistWiring:
             algorithm="fedavg", clients=12, steps=2, batch_size=32, eval_every=1,
         )
         res = run_experiment(cfg)
-        assert len(res.final_w) == model_dimension(cfg)
+        assert len(res.final_w) == 7850
         assert ([(log.uplink_scalars, log.downlink_scalars) for log in res.logs]
-                == [comm_cost(cfg, t) for t in (1, 2)])
+                == [comm_cost(cfg, 7850, t) for t in (1, 2)])
 
     @pytest.mark.parametrize("side,classes,message", [(14, 10, "196 pixels"), (28, 11, "label 10")])
     def test_files_not_of_mnist_shape_exit_2(self, tmp_path, capsys, side, classes, message):
@@ -749,16 +748,13 @@ class TestMnistWiring:
 
 
 def test_full_local_data_uses_whole_shard_every_step():
-    cfg = ExperimentConfig(**{**SYNTH, "full_local_data": True, "steps": 3,
+    # 40-row shards within the batch: every read is the whole shard, in order
+    cfg = ExperimentConfig(**{**SYNTH, "batch_size": 64, "steps": 3,
                               "synth_samples": 120, "clients": 3})
-    from cyber0.federation import _Setup
-
-    setup = _Setup(cfg)
-    first = setup.gather(slice(None))[2]
-    second = setup.gather(slice(None))[2]
-    for i in range(3):
-        assert len(first[i][0]) == len(setup.data.shards[i])
-        assert np.array_equal(first[i][0], second[i][0])
+    setup = federation._Setup(cfg)
+    for _ in range(2):
+        for i, (X, _) in enumerate(setup.gather(slice(None))[2]):
+            assert np.array_equal(X, setup.data.features[setup.data.cursors[i].shard])
     run_experiment(cfg)  # engine runs end to end in this mode
 
 
