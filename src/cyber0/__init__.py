@@ -6,7 +6,7 @@ sides rebuild the update by replaying the seeds."""
 __version__ = "0.1.0"
 
 from .adversary import AttackKind
-from .data import Dataset, Partition, load_idx, partition_iid, partition_noniid, synth_generate
+from .data import Dataset, load_idx, partition_iid, partition_noniid, synth_generate
 from .federation import (
     ExperimentConfig,
     RoundLog,
@@ -16,7 +16,7 @@ from .federation import (
     run_experiment,
 )
 from .losses import LogisticRegressionModel, QuadraticModel
-from .robust import coordwise_trimmed_mean, robust_direction_aggregate
+from .robust import coordwise_trimmed_mean
 from .seedstream import (
     DirectionMode,
     RngStream,

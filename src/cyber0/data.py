@@ -75,18 +75,6 @@ class Dataset:
         return len(self.features)
 
 
-@dataclass
-class Partition:
-    """Disjoint shards of distinct row indices, one per client."""
-
-    shards: list[np.ndarray]
-
-    def __post_init__(self) -> None:
-        rows = np.concatenate(self.shards)
-        if len(np.unique(rows)) < len(rows):
-            raise ValueError("shards are not disjoint")
-
-
 def _read_idx(path: str | Path, expected_magic: int) -> tuple[tuple[int, ...], bytes]:
     """The dimensions and payload of the IDX file at ``path``; every error
     names the file, so the train and the test split read apart."""
@@ -180,13 +168,13 @@ def synth_generate(seed: int, n: int, p: int, num_classes: int, split: int = 0) 
     return Dataset(features=features, labels=labels, num_classes=num_classes)
 
 
-def partition_iid(dataset: Dataset, m: int, seed: int) -> Partition:
+def partition_iid(dataset: Dataset, m: int, seed: int) -> list[np.ndarray]:
     """Seeded shuffle then round-robin; remainder rows go to the lowest ids."""
     n = len(dataset)
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= clients <= {n}, got {m}")
     perm = RngStream(derive_seed(seed, 1, 0, 0, StreamKind.INIT)).permutation(n)
-    return Partition([np.sort(perm[i::m]) for i in range(m)])
+    return [np.sort(perm[i::m]) for i in range(m)]
 
 
 def noniid_label_owners(num_classes: int, m: int) -> list[list[int]]:
@@ -194,7 +182,7 @@ def noniid_label_owners(num_classes: int, m: int) -> list[list[int]]:
     return [[i for i in range(m) if i % num_classes == ell % m] for ell in range(num_classes)]
 
 
-def partition_noniid(dataset: Dataset, m: int, seed: int) -> Partition:
+def partition_noniid(dataset: Dataset, m: int, seed: int) -> list[np.ndarray]:
     """Restricted label sets per client (round-robin label ownership).
 
     Rows of each label are split evenly among the clients owning it, so
@@ -212,11 +200,10 @@ def partition_noniid(dataset: Dataset, m: int, seed: int) -> Partition:
         shuffled = rows[stream.permutation(len(rows))]
         for slot, client in enumerate(owners[ell]):
             pieces[client].append(shuffled[slot :: len(owners[ell])])
-    shards = [
+    return [
         np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
         for parts in pieces
     ]
-    return Partition(shards)
 
 
 class BatchCursor:

@@ -22,6 +22,7 @@ logs.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from .adversary import AttackKind, byzantine_value
 from .data import ClientData, Dataset, load_mnist, partition_iid, partition_noniid, synth_generate
 from .losses import LogisticRegressionModel, QuadraticModel
-from .robust import robust_direction_aggregate
+from .robust import coordwise_trimmed_mean as robust_direction_aggregate
 from .seedstream import (
     WINDOW_VALUES,
     DirectionMode,
@@ -146,6 +147,18 @@ class RunResult:
         return self.logs[-1].train_loss
 
 
+@dataclass(frozen=True)
+class RoundRecord:
+    """Round ``step`` as ``run_experiment``'s ``record`` sees it once w is
+    updated: the computing clients' (n, E * width) ``reports`` before
+    Byzantine substitution (n = 1 on the data-free quadratic) and the
+    (E * width,) ``aggregate`` that w replayed or a baseline stepped by."""
+
+    step: int
+    reports: np.ndarray
+    aggregate: np.ndarray
+
+
 def comm_cost(config: ExperimentConfig, d: int, t: int) -> tuple[int, int]:
     """Cumulative per-client (uplink, downlink) scalar counts after t rounds
     of training a model of dimension d.
@@ -190,14 +203,14 @@ class _Setup:
                     config.synth_features, config.synth_classes, split=1,
                 )
             self.model = LogisticRegressionModel(train.features.shape[1], train.num_classes)
-            part = (
+            shards = (
                 partition_iid(train, config.clients, config.data_seed)
                 if config.distribution == "iid"
                 else partition_noniid(train, config.clients, config.data_seed)
             )
             flipped = (range(self.honest, config.clients)
                        if self.attack == AttackKind.LABEL_FLIPPING else ())
-            self.data = ClientData(train, part.shards, config.batch_size, config.data_seed,
+            self.data = ClientData(train, shards, config.batch_size, config.data_seed,
                                    flipped)
 
         self.d = self.model.dimension
@@ -323,7 +336,8 @@ def project_ball(w: np.ndarray, radius: float) -> np.ndarray:
     return out * (1.0 - 4.0 * np.finfo(float).eps)
 
 
-def run_experiment(config: ExperimentConfig) -> RunResult:
+def run_experiment(config: ExperimentConfig, *,
+                   record: Callable[[RoundRecord], object] | None = None) -> RunResult:
     """The one round engine. CyBeR-0: each client runs E local epochs of k
     directions per step and uploads the E*k coefficients. A first-order
     baseline: each client uploads its d-dimensional batch gradient, the
@@ -348,7 +362,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     row stands for every client (the data-free quadratic), that row is the
     aggregate under every attack: the oracle's order statistics over copies
     of it return it, so the report matrix, the oracle and the trim are
-    skipped, bit for bit."""
+    skipped, bit for bit. ``record``, if given, gets each round's
+    ``RoundRecord``, whose arrays it may keep or overwrite: it cannot change the run."""
     setup = _Setup(config)
     zeroth = config.algorithm == "cyber0"
     E, k, d = config.local_epochs, config.k, setup.d
@@ -412,6 +427,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             if not np.isfinite(setup.w).all():
                 raise NonFiniteLossError(f"non-finite parameters at step {t}", step=t)
             setup.w[:] = project_ball(setup.w, config.project_radius)
+        if record is not None:
+            record(RoundRecord(t, coeffs.reshape(n, E * width), agg))
         if do_log:
             acc = setup.test_acc(setup.w)
             if not np.isfinite(tr_loss):

@@ -65,7 +65,3 @@ def coordwise_trimmed_mean(matrix: np.ndarray, beta: float) -> np.ndarray:
     # sum/divide route can be one ulp off (n * c / n need not round to c)
     np.copyto(out, kept[0], where=kept[0] == kept[-1])
     return out
-
-
-# the per-direction trimmed mean of the (m, k) client coefficient matrix
-robust_direction_aggregate = coordwise_trimmed_mean

@@ -12,7 +12,7 @@ from cyber0.adversary import (
     flip_labels,
 )
 from cyber0.federation import ExperimentConfig
-from cyber0.robust import robust_direction_aggregate
+from cyber0.robust import coordwise_trimmed_mean
 from cyber0.seedstream import StreamKind, derive_seed, derive_seeds
 from test_robust import HUGE_BLOCKS, column_trimmed_mean
 
@@ -45,7 +45,7 @@ class TestFullKnowledge:
         for kind in COEFFICIENT_ATTACKS:
             v = byzantine_value(kind, honest, 0.25, 12, rc_seeds=np.arange(3, dtype=np.uint64))
             assert np.array_equal(v, honest[0])
-            agg = robust_direction_aggregate(np.vstack([honest, np.tile(v, (3, 1))]), 0.25)
+            agg = coordwise_trimmed_mean(np.vstack([honest, np.tile(v, (3, 1))]), 0.25)
             assert np.array_equal(agg, honest[0])
 
     def test_side_from_a_sum_past_float_range(self):
@@ -227,5 +227,5 @@ class TestAttackTrimInterplay:
             n_byz = int(np.floor(beta * m))
             honest = rng.normal(size=(m - n_byz, 8))
             v = byzantine_value(FK, honest, beta, m)
-            agg = robust_direction_aggregate(np.vstack([honest, np.tile(v, (n_byz, 1))]), beta)
+            agg = coordwise_trimmed_mean(np.vstack([honest, np.tile(v, (n_byz, 1))]), beta)
             assert np.all(honest.min(axis=0) <= agg) and np.all(agg <= honest.max(axis=0))

@@ -13,7 +13,6 @@ from cyber0.data import (
     BatchCursor,
     ClientData,
     IdxFormatError,
-    Partition,
     load_idx,
     noniid_label_owners,
     partition_iid,
@@ -150,22 +149,22 @@ class TestSynth:
 class TestPartitions:
     def test_iid_single_client_gets_everything(self):
         ds = synth_generate(1, 57, 4, 3)
-        part = partition_iid(ds, 1, seed=3)
-        assert np.array_equal(part.shards[0], np.arange(57))
+        shards = partition_iid(ds, 1, seed=3)
+        assert np.array_equal(shards[0], np.arange(57))
 
     def test_iid_sizes_differ_by_at_most_one(self):
         ds = synth_generate(1, 103, 4, 3)
-        part = partition_iid(ds, 12, seed=3)
-        sizes = [len(s) for s in part.shards]
+        shards = partition_iid(ds, 12, seed=3)
+        sizes = [len(s) for s in shards]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 103
         assert sizes == sorted(sizes, reverse=True)  # remainder to lowest ids
 
     def test_iid_label_histograms_close_to_global(self):
         ds = synth_generate(2, 40_000, 4, 10)
-        part = partition_iid(ds, 4, seed=9)  # 10k rows per client
+        shards = partition_iid(ds, 4, seed=9)  # 10k rows per client
         global_hist = np.bincount(ds.labels, minlength=10) / len(ds)
-        for shard in part.shards:
+        for shard in shards:
             hist = np.bincount(ds.labels[shard], minlength=10) / len(shard)
             assert np.abs(hist - global_hist).sum() < 0.05
 
@@ -173,26 +172,21 @@ class TestPartitions:
         ds = synth_generate(3, 500, 4, 5)
         p1 = partition_iid(ds, 7, seed=11)
         p2 = partition_iid(ds, 7, seed=11)
-        for a, b in zip(p1.shards, p2.shards):
+        for a, b in zip(p1, p2):
             assert np.array_equal(a, b)
-        assert len(np.concatenate(p1.shards)) == len(np.unique(np.concatenate(p1.shards)))
-
-    def test_overlapping_shards_rejected(self):
-        Partition([np.array([0, 2]), np.array([1, 3])])
-        with pytest.raises(ValueError, match="shards are not disjoint"):
-            Partition([np.array([0, 2]), np.array([1, 2])])
+        assert len(np.concatenate(p1)) == len(np.unique(np.concatenate(p1)))
 
     def test_noniid_bijection_case(self):
         # m = C: client i holds exactly label i
         ds = synth_generate(4, 1000, 4, 10)
-        part = partition_noniid(ds, 10, seed=5)
-        for i, shard in enumerate(part.shards):
+        shards = partition_noniid(ds, 10, seed=5)
+        for i, shard in enumerate(shards):
             assert set(ds.labels[shard].tolist()) == {i}
 
     def test_noniid_twelve_clients_share_low_labels(self):
         ds = synth_generate(5, 2400, 4, 10)
-        part = partition_noniid(ds, 12, seed=6)
-        labels_of = [set(ds.labels[s].tolist()) for s in part.shards]
+        shards = partition_noniid(ds, 12, seed=6)
+        labels_of = [set(ds.labels[s].tolist()) for s in shards]
         assert labels_of[10] == {0} and labels_of[0] == {0}
         assert labels_of[11] == {1} and labels_of[1] == {1}
         for i in range(2, 10):
@@ -209,16 +203,16 @@ class TestPartitions:
 
     def test_noniid_partition_covers_every_row_once(self):
         ds = synth_generate(6, 997, 4, 10)
-        part = partition_noniid(ds, 12, seed=7)
-        allrows = np.concatenate(part.shards)
+        shards = partition_noniid(ds, 12, seed=7)
+        allrows = np.concatenate(shards)
         assert len(allrows) == 997
         assert len(np.unique(allrows)) == 997
 
     def test_label_sets_strict_subset(self):
         ds = synth_generate(7, 3000, 4, 10)
         for m in (4, 10, 12, 40):
-            part = partition_noniid(ds, m, seed=8)
-            for shard in part.shards:
+            shards = partition_noniid(ds, m, seed=8)
+            for shard in shards:
                 assert len(set(ds.labels[shard].tolist())) < 10
 
     def test_too_many_clients_rejected(self):
@@ -262,7 +256,7 @@ class TestClientData:
     @pytest.fixture
     def parts(self):
         train = synth_generate(5, 240, 6, 4)
-        return train, partition_iid(train, 4, seed=5).shards
+        return train, partition_iid(train, 4, seed=5)
 
     def test_whole_shard_every_step(self, parts):
         train, shards = parts  # 60 rows each, within the batch

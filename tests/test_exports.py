@@ -30,18 +30,23 @@ def public_names() -> set[str]:
 
 def loaded_names() -> set[str]:
     """Every name the callers read, bare or as an attribute; a definition,
-    an assignment target, an import, a string or a comment is no caller."""
+    an assignment target, an import, a string or a comment is no caller.
+    A name imported ``as`` another is read where its file reads the other."""
     files = list(PACKAGE.glob("*.py"))
     files += (ROOT / "perfbench").glob("*.py")
     files += (ROOT / "scripts").glob("*.py")
     names = set()
     for path in files:
+        read, renamed = set(), {}
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(getattr(node, "ctx", None), ast.Load):
                 if isinstance(node, ast.Name):
-                    names.add(node.id)
+                    read.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
+                    read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                renamed.update((alias.asname, alias.name) for alias in node.names if alias.asname)
+        names |= read | {renamed[name] for name in read & renamed.keys()}
     return names
 
 

@@ -8,8 +8,7 @@ from cyber0 import federation
 from cyber0.cli import csv_text, load_config, main
 from cyber0.data import MNIST_CLASSES, MNIST_FEATURES, MNIST_FILES, BatchCursor, ClientData, Dataset
 from cyber0.federation import ExperimentConfig, comm_cost, project_ball, run_experiment
-from cyber0.losses import LogisticRegressionModel, QuadraticModel
-from cyber0.robust import robust_direction_aggregate
+from cyber0.losses import LogisticRegressionModel
 from cyber0.seedstream import (
     RngStream,
     StreamKind,
@@ -104,6 +103,12 @@ REGENERATED = [
 ]
 
 
+def recorded(cfg):
+    """The run of ``cfg`` and the ``RoundRecord`` of each of its rounds."""
+    records = []
+    return run_experiment(cfg, record=records.append), records
+
+
 def logs_equal(a, b):
     return len(a) == len(b) and all(
         x.step == y.step
@@ -136,27 +141,10 @@ class TestDeterminism:
         if rounds is not None:
             monkeypatch.setattr(federation, "WINDOW_VALUES", rounds * per_round)
         assert max(1, federation.WINDOW_VALUES // per_round) < cfg.steps
-        # each step's aggregate as the engine applies it to the run's
-        # synchronized w, epoch by epoch; a drifting client's w is another array
-        setups, slices = [], []
-
-        def setup_spy(config):
-            setups.append(real_setup(config))
-            return setups[-1]
-
-        def update_spy(w, coeffs, directions, eta, step):
-            if w is setups[-1].w:
-                slices.append(np.array(coeffs))
-            real_update(w, coeffs, directions, eta, step)
-
-        real_setup, real_update = federation._Setup, federation.apply_update
-        monkeypatch.setattr(federation, "_Setup", setup_spy)
-        monkeypatch.setattr(federation, "apply_update", update_spy)
-        final_w = run_experiment(cfg).final_w
-        assert len(setups) == 1 and len(slices) == cfg.steps * cfg.local_epochs
-        aggs = [np.concatenate(slices[t : t + cfg.local_epochs])
-                for t in range(0, len(slices), cfg.local_epochs)]
-        assert len(aggs) == cfg.steps
+        # each step's E*k aggregate as the engine broadcasts it
+        res, records = recorded(cfg)
+        assert [rec.step for rec in records] == list(range(cfg.steps))
+        aggs = [rec.aggregate for rec in records]
 
         w = np.zeros(d)
         if cfg.init_radius > 0:
@@ -171,9 +159,38 @@ class TestDeterminism:
                     w += (-(cfg.eta * agg[e * k + r]) / k) * z
             if cfg.project_radius > 0:
                 w = project_ball(w, cfg.project_radius)
-        assert np.array_equal(final_w, w)
+        assert np.array_equal(res.final_w, w)
         if binds:
             assert np.linalg.norm(w) == pytest.approx(cfg.project_radius, rel=1e-12)
+
+    @pytest.mark.parametrize("overrides", [
+        {**BYZ, "attack": "full_knowledge", "local_epochs": 2, "steps": 7,
+         "project_radius": 0.05},
+        {**QUAD, "attack": "full_knowledge", "alpha": 0.25, "beta": 0.25, "steps": 7},
+        {**SYNTH, "algorithm": "fedavg", "steps": 7},
+    ], ids=["full_knowledge_e2_projected", "quad_full_knowledge", "fedavg"])
+    def test_record_does_not_change_the_run(self, overrides):
+        # the record observes: a run with one, even one that overwrites the
+        # arrays it is handed, has the plain run's log bytes and final w
+        cfg = ExperimentConfig(**overrides)
+        plain = run_experiment(cfg)
+        res, records = recorded(cfg)
+
+        def scribble(rec):
+            rec.reports.fill(np.nan)
+            rec.aggregate.fill(np.nan)
+
+        for run in (res, run_experiment(cfg, record=scribble)):
+            assert csv_text(run.logs) == csv_text(plain.logs)
+            assert run.final_w.tobytes() == plain.final_w.tobytes()
+        if cfg.project_radius > 0:  # the ball binds
+            assert np.linalg.norm(plain.final_w) == pytest.approx(cfg.project_radius)
+        setup = federation._Setup(cfg)
+        width = cfg.local_epochs * cfg.k if cfg.algorithm == "cyber0" else setup.d
+        n = 1 if setup.data is None else setup.computing
+        assert [rec.step for rec in records] == list(range(cfg.steps))
+        for rec in records:
+            assert rec.reports.shape == (n, width) and rec.aggregate.shape == (width,)
 
 
 @pytest.mark.parametrize("overrides,expected", [g[1:] for g in GOLDEN],
@@ -201,21 +218,14 @@ class TestLocalEpochs:
 
 class TestEnginePathsAgree:
     @pytest.mark.parametrize("local_epochs", [1, 2])
-    def test_fast_path_matches_literal_zo_coefficient(self, monkeypatch, local_epochs):
+    def test_fast_path_matches_literal_zo_coefficient(self, local_epochs):
         # one round, no attack: the engine's coefficients vs the per-client
         # op, at the synchronized w in epoch 0 and at each client's drifted
         # w in later epochs
         cfg = ExperimentConfig(**{**SYNTH, "steps": 1, "clients": 3, "k": 4, "eval_every": 1,
                                   "local_epochs": local_epochs})
-        seen = []
-
-        def spy(matrix, beta):
-            seen.append(matrix.copy())
-            return robust_direction_aggregate(matrix, beta)
-
-        monkeypatch.setattr(federation, "robust_direction_aggregate", spy)
-        run_experiment(cfg)
-        (matrix,) = seen
+        (rec,) = recorded(cfg)[1]
+        matrix = rec.reports
         setup = federation._Setup(cfg)
         epoch_batches = [setup.gather(slice(None))[2] for _ in range(cfg.local_epochs)]
         k, d, mode = cfg.k, setup.d, setup.direction_mode
@@ -239,29 +249,21 @@ class TestEnginePathsAgree:
         cfg = ExperimentConfig(**{**SYNTH, "synth_features": 784, "synth_classes": 10,
                                   "clients": 4, "alpha": 0.0, "k": 8, "steps": 3,
                                   "eta": 1e-4, "mu": mu})
-        calls, views = [], []
-        gather, map_clients = federation._Setup.gather, federation._map_clients
-
-        def spy_gather(self, rows):
-            out = gather(self, rows)
-            views.extend(out[2])
-            return out
-
-        def spy_map(setup, groups, ws, layout, dirs, losses, out):
-            del views[:]
-            map_clients(setup, groups, ws, layout, dirs, losses, out)
-            calls.append((setup, ws.copy(), dirs.copy(), list(views), out.copy()))
-            return out
-
-        monkeypatch.setattr(federation._Setup, "gather", spy_gather)
-        monkeypatch.setattr(federation, "_map_clients", spy_map)
-        assert np.all(np.isfinite(run_experiment(cfg).final_w))
-        assert len(calls) == cfg.steps
-        for setup, ws, dirs, batches, coeffs in calls:
-            for w, batch, row in zip(ws, batches, coeffs):
+        res, records = recorded(cfg)
+        assert np.all(np.isfinite(res.final_w)) and len(records) == cfg.steps
+        # each round's clients at the synchronized w, which the test replays
+        # from the aggregates, on the batches a fresh setup's cursors read
+        setup = federation._Setup(cfg)
+        w = setup.w.copy()
+        for rec in records:
+            dirs = make_direction(direction_seed(cfg.root_seed, rec.step, np.arange(cfg.k), 0),
+                                  setup.d, setup.direction_mode)
+            for batch, row in zip(setup.gather(slice(None))[2], rec.reports, strict=True):
                 literal = [zo_coefficient(setup.model, w.copy(), batch, z, mu, setup.scale)
                            for z in dirs]
                 assert row == pytest.approx(literal, rel=1e-9)
+            apply_update(w, rec.aggregate, dirs, cfg.eta, rec.step)
+        assert np.array_equal(w, res.final_w)
         # the clients' brackets carry the run: without them its first
         # round's coefficients are not finite
         monkeypatch.setattr(LogisticRegressionModel, "_brackets",
@@ -414,21 +416,14 @@ class TestClientBatches:
 
 
 class TestDataFreeQuadratic:
-    def test_one_worker_serves_every_client(self, profile_dir, monkeypatch):
+    def test_one_worker_serves_every_client(self, profile_dir):
         # every client starts from the synchronized w with no batch, so one
         # client's E epochs are computed once per round, not once per client
         cfg = replace(load_config(profile_dir / "quad_mu_floor.cfg"), local_epochs=2, steps=5)
         assert cfg.clients == 4
-        calls = []
-        kernel = QuadraticModel.loss_batch_multi
-
-        def counting(self, *args):
-            calls.append(1)
-            return kernel(self, *args)
-
-        monkeypatch.setattr(QuadraticModel, "loss_batch_multi", counting)
-        run_experiment(cfg)
-        assert len(calls) == cfg.steps * cfg.local_epochs
+        records = recorded(cfg)[1]
+        assert len(records) == cfg.steps
+        assert all(rec.reports.shape == (1, cfg.local_epochs * cfg.k) for rec in records)
 
 
 class TestBaselines:
@@ -440,7 +435,7 @@ class TestBaselines:
 
         train = synth_generate(cfg.data_seed, cfg.synth_samples, cfg.synth_features,
                                cfg.synth_classes, split=0)
-        shard = partition_iid(train, 1, cfg.data_seed).shards[0]
+        (shard,) = partition_iid(train, 1, cfg.data_seed)
         cur = BatchCursor(shard, cfg.batch_size, cfg.data_seed, 0)
         model = LogisticRegressionModel(cfg.synth_features, cfg.synth_classes)
         w = np.zeros(model.dimension)
@@ -643,21 +638,16 @@ SCALED = {
 
 class TestPowerOfTwoScaling:
     @pytest.mark.parametrize("overrides", SCALED.values(), ids=SCALED.keys())
-    def test_lengths_times_two_to_the_j_scale_w_and_loss_exactly(self, overrides, monkeypatch):
+    def test_lengths_times_two_to_the_j_scale_w_and_loss_exactly(self, overrides):
         # w* = 0: with the start, mu and the ball scaled by 2^j, every
         # bracket point scales by 2^j, every loss by 4^j and every
         # coefficient by 2^j, each exactly, so the run is the base run
         # scaled bit for bit
-        radii = []
-
-        def spy(w, radius):
-            radii.append((float(np.linalg.norm(w)), radius))
-            return project_ball(w, radius)
-
-        monkeypatch.setattr(federation, "project_ball", spy)
         base = run_experiment(ExperimentConfig(**overrides))
-        if overrides.get("project_radius"):
-            assert radii[0][0] > radii[0][1]  # the ball binds
+        radius = overrides.get("project_radius", 0.0)
+        if radius:  # the ball binds: one unconstrained step leaves it
+            free = ExperimentConfig(**{**overrides, "steps": 1, "project_radius": 0.0})
+            assert np.linalg.norm(run_experiment(free).final_w) > radius
         for j in (1, 5, -7):
             s = 2.0 ** j
             res = run_experiment(ExperimentConfig(**{

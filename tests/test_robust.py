@@ -11,7 +11,6 @@ from cyber0.federation import ExperimentConfig, run_experiment
 from cyber0.robust import (
     AggregationError,
     coordwise_trimmed_mean,
-    robust_direction_aggregate,
     trim_count,
 )
 
@@ -137,27 +136,27 @@ class TestOverflow:
 class TestDirectionAggregate:
     def test_per_column_hand_trace(self):
         M = np.array([[1.0, -1.0], [2.0, 0.0], [3.0, 1.0], [4.0, 2.0]])
-        agg = robust_direction_aggregate(M, 0.25)
+        agg = coordwise_trimmed_mean(M, 0.25)
         assert np.array_equal(agg, [2.5, 0.5])
 
     def test_beta_zero_column_means(self):
         rng = np.random.default_rng(4)
         M = rng.normal(size=(5, 7))
-        agg = robust_direction_aggregate(M, 0.0)
+        agg = coordwise_trimmed_mean(M, 0.0)
         assert np.allclose(agg, M.mean(axis=0), rtol=1e-14)
 
     def test_matches_scalar_routine_bitwise(self):
         rng = np.random.default_rng(5)
         M = rng.normal(size=(11, 9))
-        agg = robust_direction_aggregate(M, 0.2)
+        agg = coordwise_trimmed_mean(M, 0.2)
         for col in range(9):
             assert agg[col] == column_trimmed_mean(M[:, col], 0.2)
 
     def test_client_order_irrelevant(self):
         rng = np.random.default_rng(6)
         M = rng.normal(size=(8, 4))
-        a = robust_direction_aggregate(M, 0.25)
-        b = robust_direction_aggregate(M[::-1], 0.25)
+        a = coordwise_trimmed_mean(M, 0.25)
+        b = coordwise_trimmed_mean(M[::-1], 0.25)
         assert np.array_equal(a, b)
 
     def test_byzantine_containment_per_column(self):
@@ -165,7 +164,7 @@ class TestDirectionAggregate:
         honest = rng.normal(size=(9, 6))
         bad = np.full((3, 6), -1e300)
         M = np.concatenate([honest, bad])
-        agg = robust_direction_aggregate(M, 0.25)
+        agg = coordwise_trimmed_mean(M, 0.25)
         assert np.all(agg >= honest.min(axis=0)) and np.all(agg <= honest.max(axis=0))
 
     @pytest.mark.parametrize("shape", [(40, 64), (9, 1), (24, 1), (40, 1)])
@@ -177,7 +176,7 @@ class TestDirectionAggregate:
         rng = np.random.default_rng(shape[0] * 100 + shape[1] + int(beta * 1000))
         for _ in range(40):
             M = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
-            agg = robust_direction_aggregate(M, beta)
+            agg = coordwise_trimmed_mean(M, beta)
             for col in range(shape[1]):
                 assert agg[col] == column_trimmed_mean(M[:, col], beta)
                 assert agg[col] == brute_trimmed_mean(M[:, col], beta)
@@ -185,9 +184,9 @@ class TestDirectionAggregate:
     def test_mismatched_counts_rejected(self):
         # rows of differing lengths do not form a matrix
         with pytest.raises(ValueError):
-            robust_direction_aggregate([np.zeros(3), np.zeros(4)], 0.0)
+            coordwise_trimmed_mean([np.zeros(3), np.zeros(4)], 0.0)
         with pytest.raises(AggregationError):
-            robust_direction_aggregate(np.zeros(3), 0.0)
+            coordwise_trimmed_mean(np.zeros(3), 0.0)
 
 
 class TestCoordwise:

@@ -34,6 +34,7 @@ class TestTheoryParams:
         p = TheoryParams(lam=1.0, l_smooth=1.0, d=16, k=16, mu=1e-3)
         assert p.tau == pytest.approx((32 + 15 * 5) / 16)
         assert p.eta == pytest.approx(1 / (2 * p.tau))
+        assert p.rate_bound == pytest.approx(1 - p.lam / (2 * p.tau * (p.l_smooth + p.lam)))
 
     def test_tau_limits(self):
         assert TheoryParams(1, 1, d=50, k=1, mu=0.0).tau == 50.0
