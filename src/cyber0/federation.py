@@ -21,6 +21,7 @@ logs.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -237,9 +238,10 @@ class _Setup:
     def train_loss(self, w: np.ndarray, losses: dict) -> float:
         """Mean over the honest clients of their loss at w: ``losses`` holds
         them by client id, except on the data-free quadratic, whose one
-        loss, evaluated here without a batch, stands for every client."""
+        loss, evaluated here without a batch, is every honest client's and
+        so their mean exactly (a mean of copies could round it)."""
         if self.data is None:
-            return float(np.mean([self.model.eval(w, None)] * self.honest))
+            return self.model.eval(w, None)
         return float(np.mean([losses[i] for i in range(self.honest)]))
 
     def test_acc(self, w: np.ndarray) -> float:
@@ -431,10 +433,15 @@ def run_experiment(config: ExperimentConfig, *,
             record(RoundRecord(t, coeffs.reshape(n, E * width), agg))
         if do_log:
             acc = setup.test_acc(setup.w)
-            if not np.isfinite(tr_loss):
+            if not math.isfinite(tr_loss):
                 raise NonFiniteLossError(f"non-finite train loss at step {t}", step=t)
             up, down = comm_cost(config, d, t + 1)
             logs.append(RoundLog(step=t + 1, train_loss=tr_loss, test_acc=acc,
                                  uplink_scalars=up, downlink_scalars=down,
                                  wall_ms=int((time.monotonic() - started) * 1000)))
+    # the next round's reports catch a w that an update overflowed, and the
+    # last round has none; one check per run, where no round pays for it
+    if not np.isfinite(setup.w).all():
+        last = config.steps - 1
+        raise NonFiniteLossError(f"non-finite parameters at step {last}", step=last)
     return RunResult(logs, setup.w)

@@ -187,6 +187,9 @@ class QuadraticModel:
         self.lam = float(lam)
         self.w_star = np.asarray(w_star, dtype=np.float64)
         self.dimension = len(self.w_star)
+        # every bit zero: the +0.0 origin, which the kernel need not subtract
+        # (x - (+0.0) is x bit for bit); a -0.0 entry still subtracts
+        self._at_origin = np.count_nonzero(self.w_star.view(np.uint64)) == 0
 
     def eval(self, w: np.ndarray, batch: Batch = None) -> float:
         diff = w - self.w_star
@@ -218,7 +221,8 @@ class QuadraticModel:
         np.add(prepared, ws, out=plus)  # one row, broadcast over the k directions
         np.multiply(prepared, -2.0, out=minus)
         minus += plus
-        v -= self.w_star
+        if not self._at_origin:
+            v -= self.w_star
         losses = np.einsum("sd,sd->s", v, v)
         losses *= 0.5 * self.lam
         return losses[None, :k] - losses[None, k:]

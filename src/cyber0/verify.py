@@ -186,15 +186,28 @@ def _theory_config(params: TheoryParams, steps: int, seed: int) -> ExperimentCon
     )
 
 
+def _seed_losses(config: ExperimentConfig, n_seeds: int) -> np.ndarray:
+    """(n_seeds, rows) logged train losses of the runs at root seeds
+    config.root_seed + j; log row t + 1 holds the loss at w^t."""
+    return np.array([[log.train_loss for log in
+                      run_experiment(replace(config, root_seed=config.root_seed + j)).logs]
+                     for j in range(n_seeds)])
+
+
 def _distance_trace(config: ExperimentConfig, n_seeds: int) -> np.ndarray:
     """Mean ||w^t - w*|| across seeded runs, recovered from the logged loss."""
-    lam = config.quad_lambda
-    traces = []
-    for j in range(n_seeds):
-        result = run_experiment(replace(config, root_seed=config.root_seed + j))
-        losses = np.array([log.train_loss for log in result.logs])
-        traces.append(np.sqrt(2.0 * losses / lam))
-    return np.mean(np.stack(traces), axis=0)
+    return np.mean(np.sqrt(2.0 * _seed_losses(config, n_seeds) / config.quad_lambda), axis=0)
+
+
+def mean_square_trace(config: ExperimentConfig, n_seeds: int) -> np.ndarray:
+    """Seed mean M_t of ||w^t - w*||^2 = 2 train_loss / lam, t = 0..steps-1,
+    over the runs at root seeds config.root_seed + j (every round logged)."""
+    return np.mean(2.0 * _seed_losses(config, n_seeds) / config.quad_lambda, axis=0)
+
+
+def step_ratio(mean_square: np.ndarray) -> float:
+    """Per-step ratio (M_T / M_0)^(1/T) of a ``mean_square_trace``."""
+    return float((mean_square[-1] / mean_square[0]) ** (1.0 / (len(mean_square) - 1)))
 
 
 def contraction_rate(config: ExperimentConfig, n_seeds: int, fit_steps: int) -> float:
@@ -284,6 +297,28 @@ def check_rate_mu0(d: int = 16, k: int = 16, n_seeds: int = 20, fit_steps: int =
     )
 
 
+def check_rate_factor() -> CheckResult:
+    """The per-step factor of E||w||^2 at ``TheoryParams.eta`` (mu = 0, sphere
+    directions) against 1 - k / (d + k - 1), the value of 1 - 2 eta + eta^2 nu,
+    nu = (d + k - 1) / k, at eta = 1 / nu, so a wrong step size misses it.
+    The tolerance is four times the estimate's standard deviation over 20
+    disjoint sets of 200 seeds (0.0036), measured at d = k = 16 and 10 steps
+    only, so those are fixed here."""
+    d, k, n_seeds, steps, seed = 16, 16, 200, 10, 0
+    params = TheoryParams(lam=1.0, l_smooth=1.0, d=d, k=k, mu=0.0)
+    ratio = step_ratio(mean_square_trace(_theory_config(params, steps, seed), n_seeds))
+    target = 1.0 - k / (d + k - 1)
+    tol = 4 * 0.0036
+    return CheckResult(
+        name=f"rate factor at theory eta mu=0 d={d} k={k}",
+        estimate=ratio,
+        target=target,
+        tolerance=tol,
+        passed=abs(ratio - target) <= tol,
+        detail=f"eta={params.eta:.4f}, {n_seeds} seeds",
+    )
+
+
 def check_floor_mu_positive(d: int = 16, k: int = 16, n_seeds: int = 20,
                             steps: int = 1200, seed: int = 6000) -> CheckResult:
     params = TheoryParams(lam=1.0, l_smooth=1.0, d=d, k=k, mu=1e-3)
@@ -315,6 +350,7 @@ def lemma_suite() -> list[CheckResult]:
 def theorem_suite() -> list[CheckResult]:
     return [
         check_rate_mu0(),
+        check_rate_factor(),
         check_floor_mu_positive(),
     ]
 

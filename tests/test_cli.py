@@ -300,6 +300,23 @@ class TestRun:
         assert err == "error: run diverged: non-finite parameters at step 0\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text", [
+        "model = quadratic\nquad_dim = 16\nmu = 0.001\nk = 16\neta = 1e308\n"
+        "direction_mode = sphere\ninit_radius = 1.0\n",
+        "synth_samples = 400\nsynth_features = 20\nsynth_classes = 4\nk = 8\neta = 1.7e308\n",
+    ], ids=["quadratic", "logreg"])
+    def test_last_update_overflowing_w_exit_3(self, tmp_path, capsys, text):
+        # the overflow is in the last round's update, which no later round's
+        # reports see
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text("clients = 4\nalpha = 0\nbeta = 0\nsteps = 1\n" + text)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: run diverged: non-finite parameters at step 0\n"
+        assert not (tmp_path / "o").exists()
+
     def test_divergent_first_order_run_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(

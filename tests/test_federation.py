@@ -425,6 +425,15 @@ class TestDataFreeQuadratic:
         assert len(records) == cfg.steps
         assert all(rec.reports.shape == (1, cfg.local_epochs * cfg.k) for rec in records)
 
+    @pytest.mark.parametrize("clients", [3, 4, 9])
+    def test_logged_train_loss_is_the_one_loss(self, clients):
+        # every honest client's loss is the one at w, so it is their mean
+        # exactly; at this start a mean of 3 or of 9 copies of it rounds
+        cfg = ExperimentConfig(**{**QUAD, "clients": clients, "init_radius": 0.7,
+                                  "root_seed": 4, "steps": 1})
+        setup = federation._Setup(cfg)
+        assert run_experiment(cfg).logs[0].train_loss == setup.model.eval(setup.w)
+
 
 class TestBaselines:
     def test_fedavg_m1_is_centralized_sgd(self):
@@ -540,6 +549,19 @@ class TestFailureModes:
             with pytest.raises(NonFiniteLossError) as err:
                 run_experiment(cfg)
         assert err.value.step >= 0
+
+    @pytest.mark.parametrize("overrides", [
+        {**QUAD, "quad_dim": 16, "mu": 1e-3, "k": 16, "eta": 1e308, "steps": 1},
+        {"synth_samples": 400, "synth_features": 20, "synth_classes": 4, "clients": 4,
+         "alpha": 0.0, "beta": 0.0, "k": 8, "eta": 1.7e308, "steps": 1},
+    ], ids=["quadratic", "logreg"])
+    def test_last_update_overflowing_w_aborts(self, overrides):
+        # no round follows whose reports would see the non-finite w
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteLossError,
+                               match="^non-finite parameters at step 0$") as err:
+                run_experiment(ExperimentConfig(**overrides))
+        assert err.value.step == 0
 
     def test_check_finite_names_first_bad_entry(self):
         # row i of the computing block is client i. The first bad entry in

@@ -322,20 +322,31 @@ class TestQuadratic:
         assert_matches_eval_brackets(m, diff, w, dirs, mu, None, 1e-14)
 
     @pytest.mark.parametrize("k, d", [(1, 1), (3, 5), (16, 16), (7, 33), (4, 100)])
-    def test_multi_variant_follows_in_place_schedule_bitwise(self, k, d):
-        # direction by direction: w + mu z, then that point minus 2 mu z, each
-        # squared norm one einsum row
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_multi_variant_follows_in_place_schedule_bitwise(self, k, d, data):
+        # direction by direction: w + mu z, then that point minus 2 mu z, then
+        # minus w*, each squared norm one einsum row. The kernel skips the
+        # subtraction of the +0.0 origin, which is exact; -0.0 subtracts
         rng = np.random.default_rng(k * 1000 + d)
-        m = QuadraticModel(0.7, rng.normal(size=d))
-        w = rng.normal(size=d)
+        normal = rng.normal(size=d)
+        seeded = rng.normal(size=d)
         dirs = rng.normal(size=(k, d))
+        # -0.0 and subnormal coordinates among finite ones
+        coord = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2e-308]),
+                          st.floats(-4.0, 4.0))
+        drawn = np.array(data.draw(st.lists(coord, min_size=d, max_size=d)), dtype=np.float64)
         mu = 1e-3
-        diff = one_client(m, m.prepare_variants(dirs, mu), None, w)
-        for r, z in enumerate(dirs):
-            vp = z * mu + w - m.w_star
-            vm = z * (-2.0 * mu) + (z * mu + w) - m.w_star
-            plus, minus = (0.5 * m.lam * np.einsum("d,d->", v, v) for v in (vp, vm))
-            assert diff[r] == plus - minus
+        for w_star, at_origin in ((normal, False), (np.zeros(d), True), (np.full(d, -0.0), False)):
+            m = QuadraticModel(0.7, w_star)
+            assert m._at_origin == at_origin
+            for w in (seeded, drawn):
+                diff = one_client(m, m.prepare_variants(dirs, mu), None, w)
+                for r, z in enumerate(dirs):
+                    vp = z * mu + w - m.w_star
+                    vm = z * (-2.0 * mu) + (z * mu + w) - m.w_star
+                    plus, minus = (0.5 * m.lam * np.einsum("d,d->", v, v) for v in (vp, vm))
+                    assert diff[r] == plus - minus
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(3)

@@ -3,13 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cyber0.federation import run_experiment
 from cyber0.seedstream import RngStream
 from cyber0.verify import (
     TheoryParams,
     check_cross_bound,
     check_isotropy,
     check_norm_factor,
+    check_rate_factor,
     check_rate_mu0,
     contraction_rate,
     cross_bound_value,
@@ -17,8 +17,10 @@ from cyber0.verify import (
     mc_cross_abs_bound,
     mc_isotropy,
     mc_norm_factor,
+    mean_square_trace,
     norm_factor_target,
     smoothed_gap_quadratic,
+    step_ratio,
     _theory_config,
 )
 
@@ -163,14 +165,11 @@ class TestRateIdentity:
     @staticmethod
     def measured_ratio(d, k, mu, eta, mode, epochs, steps=10, n_seeds=200):
         params = TheoryParams(lam=1.0, l_smooth=1.0, d=d, k=k, mu=mu)
-        mean = np.zeros(steps)
-        for seed in range(n_seeds):
-            cfg = replace(_theory_config(params, steps, seed), eta=eta, direction_mode=mode,
-                          local_epochs=epochs)
-            mean += [2.0 * log.train_loss for log in run_experiment(cfg).logs]
-        mean /= n_seeds
+        cfg = replace(_theory_config(params, steps, 0), eta=eta, direction_mode=mode,
+                      local_epochs=epochs)
+        mean = mean_square_trace(cfg, n_seeds)  # seeds 0..n_seeds-1
         assert mean[0] == pytest.approx(1.0)  # init_radius = 1
-        return (mean[-1] / mean[0]) ** (1.0 / (steps - 1))
+        return step_ratio(mean)
 
     @pytest.mark.parametrize("d,k,mu,mode,epochs", [
         SPHERE_16, pytest.param(16, 16, 1e-3, "sphere", 1, id="16-16-0.001"), SPHERE_64,
@@ -184,10 +183,16 @@ class TestRateIdentity:
     def test_factor_at_theory_step_size(self):
         # the run at TheoryParams.eta itself against a target from d and k
         # alone, so a wrong step size in TheoryParams misses it
-        d, k = 16, 16
-        eta = TheoryParams(lam=1.0, l_smooth=1.0, d=d, k=k, mu=0.0).eta
-        got = self.measured_ratio(d, k, 0.0, eta, "sphere", 1)
-        assert abs(got - (1.0 - k / (d + k - 1))) <= 4 * 0.0036
+        res = check_rate_factor()
+        assert (res.target, res.tolerance) == (1.0 - 16 / 31, 4 * 0.0036)
+        assert res.passed
+
+    @pytest.mark.parametrize("factor", [0.7, 1.3])
+    def test_rate_factor_check_fails_at_a_wrong_theory_step_size(self, monkeypatch, factor):
+        eta = TheoryParams.eta
+        monkeypatch.setattr(TheoryParams, "eta", property(lambda p: factor * eta.fget(p)))
+        res = check_rate_factor()
+        assert not res.passed and res.line().startswith("FAIL")
 
     @pytest.mark.parametrize("d,k,mu,mode,epochs", [SPHERE_16, SPHERE_64, GAUSSIAN_16, TWO_EPOCHS])
     @pytest.mark.parametrize("factor", [0.7, 1.3])
