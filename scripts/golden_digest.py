@@ -8,15 +8,18 @@ prints one line
     name sha256(final_w)[:16] sha256(log.csv bytes)[:16]
 
 where the log bytes are ``cli.csv_text``, the text ``cyber0 run`` writes
-to log.csv, then one line per ``verify.lemma_suite()`` check
+to log.csv, then one line per check of ``cyber0 verify all``
+(``verify.lemma_suite() + verify.theorem_suite()``)
 
     name repr(estimate)
 
 The lemma checks are the only code that draws odd-length, interleaved
 requests from one ``RngStream`` (its pending half-pair); the runs reach
-``RngStream`` only through synthetic data and ``init_radius``. The lemma
-lines take about 1.3 s. A change meant to keep outputs bit-identical
-prints the same lines before and after; diff the two outputs.
+``RngStream`` only through synthetic data and ``init_radius``. The theorem
+checks pin each check's fixed budget: a change to one moves its estimate.
+The check lines take about 3.5 s. A change meant to keep outputs
+bit-identical prints the same lines before and after; diff the two
+outputs.
 
 Usage:
     python3 scripts/golden_digest.py
@@ -34,7 +37,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from cyber0.cli import csv_text, load_config  # noqa: E402
 from cyber0.federation import ExperimentConfig, run_experiment  # noqa: E402
-from cyber0.verify import lemma_suite  # noqa: E402
+from cyber0.verify import lemma_suite, theorem_suite  # noqa: E402
 from test_federation import GOLDEN  # noqa: E402
 
 PROFILES = ("synth_demo.cfg", "quad_mu_floor.cfg")
@@ -55,7 +58,7 @@ def main() -> int:
              for name in PROFILES]
     for name, config in runs:
         print(name, digest(config), flush=True)
-    for check in lemma_suite():
+    for check in lemma_suite() + theorem_suite():
         print(check.name, repr(check.estimate), flush=True)
     return 0
 

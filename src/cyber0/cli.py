@@ -217,10 +217,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     configs = []
     for value in values:
         try:
-            configs.append(replace(base, **{args.param: _parse_value(args.param, value)}))
+            config = replace(base, **{args.param: _parse_value(args.param, value)})
         except ValueError as exc:
             print(f"error: {args.param}={value}: {exc}", file=sys.stderr)
             return 2
+        if config in configs:  # the same run again; spelled the same, into the same directory
+            print(f"error: {args.param}={value}: value repeated", file=sys.stderr)
+            return 2
+        configs.append(config)
     out_root = Path(args.out)
     sub_dirs = [out_root / _run_dir_name(args.param, value) for value in values]
     if not all(_out_dir_usable(sub_dir) for sub_dir in sub_dirs):

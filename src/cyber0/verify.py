@@ -122,10 +122,6 @@ def mc_norm_factor(d: int, k: int, n_samples: int, x: np.ndarray, seed: int) -> 
     return total / experiments / xsq
 
 
-def norm_factor_target(d: int, k: int) -> float:
-    return (d + k - 1) / k
-
-
 def mc_cross_abs_bound(d: int, n_pairs: int, x: np.ndarray, seed: int) -> float:
     """Empirical E[|z1^T z2| (x^T z1)^2] over independent sphere pairs."""
     x = np.asarray(x, dtype=np.float64)
@@ -205,16 +201,10 @@ def mean_square_trace(config: ExperimentConfig, n_seeds: int) -> np.ndarray:
     return np.mean(2.0 * _seed_losses(config, n_seeds) / config.quad_lambda, axis=0)
 
 
-def step_ratio(mean_square: np.ndarray) -> float:
-    """Per-step ratio (M_T / M_0)^(1/T) of a ``mean_square_trace``."""
-    return float((mean_square[-1] / mean_square[0]) ** (1.0 / (len(mean_square) - 1)))
-
-
-def contraction_rate(config: ExperimentConfig, n_seeds: int, fit_steps: int) -> float:
-    """Fitted per-step geometric contraction of the mean distance."""
-    mean_dist = _distance_trace(config, n_seeds)
-    window = mean_dist[: fit_steps + 1]
-    return float((window[-1] / window[0]) ** (1.0 / fit_steps))
+def step_ratio(trace: np.ndarray) -> float:
+    """Per-step ratio (M_T / M_0)^(1/T) of a trace M_0..M_T, such as a
+    ``mean_square_trace`` or a window of a ``_distance_trace``."""
+    return float((trace[-1] / trace[0]) ** (1.0 / (len(trace) - 1)))
 
 
 def error_floor(config: ExperimentConfig, n_seeds: int) -> float:
@@ -224,9 +214,12 @@ def error_floor(config: ExperimentConfig, n_seeds: int) -> float:
     return float(np.mean(mean_dist[-tail:]))
 
 
-# The default parameters below are the acceptance settings.
+# Each check_* is one acceptance criterion: its budget and seed are literals
+# next to its tolerance, so ``cyber0 verify`` and the tests run the same
+# computation. Small-budget runs go through the mc_* estimators instead.
 
-def check_isotropy(d: int = 10, n: int = 1_000_000, seed: int = 2024) -> CheckResult:
+def check_isotropy() -> CheckResult:
+    d, n, seed = 10, 1_000_000, 2024
     est, diag = mc_isotropy(d, n, seed)
     return CheckResult(
         name=f"isotropy d={d} N={n}",
@@ -238,11 +231,13 @@ def check_isotropy(d: int = 10, n: int = 1_000_000, seed: int = 2024) -> CheckRe
     )
 
 
-def check_norm_factor(d: int = 8, k: int = 1, n: int = 200_000, rel_tol: float = 0.03,
-                      seed: int = 7) -> CheckResult:
+def check_norm_factor(k: int, rel_tol: float) -> CheckResult:
+    """The norm factor at d = 8 against ``TheoryParams.tau`` at mu = 0,
+    (d + k - 1) / k, so a wrong tau formula fails it."""
+    d, n, seed = 8, 200_000, 7
     x = RngStream(seed ^ 0xABCD).gaussians(d)
     est = mc_norm_factor(d, k, n, x, seed)
-    target = norm_factor_target(d, k)
+    target = TheoryParams(lam=1.0, l_smooth=1.0, d=d, k=k, mu=0.0).tau
     return CheckResult(
         name=f"norm-factor d={d} k={k}",
         estimate=est,
@@ -252,8 +247,8 @@ def check_norm_factor(d: int = 8, k: int = 1, n: int = 200_000, rel_tol: float =
     )
 
 
-def check_cross_bound(d: int = 16, n: int = 1_000_000, seed: int = 11,
-                      margin: float = 0.10) -> CheckResult:
+def check_cross_bound() -> CheckResult:
+    d, n, seed, margin = 16, 1_000_000, 11, 0.10
     x = RngStream(seed ^ 0xBEEF).gaussians(d)
     est = mc_cross_abs_bound(d, n, x, seed)
     bound = cross_bound_value(d, x)
@@ -267,8 +262,8 @@ def check_cross_bound(d: int = 16, n: int = 1_000_000, seed: int = 11,
     )
 
 
-def check_smoothed_gap(lam: float = 1.0, mu: float = 0.1, d: int = 16,
-                       n: int = 100_000, seed: int = 13) -> CheckResult:
+def check_smoothed_gap() -> CheckResult:
+    lam, mu, d, n, seed = 1.0, 0.1, 16, 100_000, 13
     dev = smoothed_gap_quadratic(lam, mu, d, n, seed)
     target = 0.5 * lam * mu * mu
     return CheckResult(
@@ -281,11 +276,12 @@ def check_smoothed_gap(lam: float = 1.0, mu: float = 0.1, d: int = 16,
     )
 
 
-def check_rate_mu0(d: int = 16, k: int = 16, n_seeds: int = 20, fit_steps: int = 40,
-                   seed: int = 5000) -> CheckResult:
+def check_rate_mu0() -> CheckResult:
+    """The per-step contraction of the mean distance over ``fit_steps`` steps."""
+    d, k, n_seeds, fit_steps, seed = 16, 16, 20, 40, 5000
     params = TheoryParams(lam=1.0, l_smooth=1.0, d=d, k=k, mu=0.0)
     config = _theory_config(params, steps=fit_steps + 5, seed=seed)
-    rate = contraction_rate(config, n_seeds, fit_steps)
+    rate = step_ratio(_distance_trace(config, n_seeds)[: fit_steps + 1])
     bound = params.rate_bound
     return CheckResult(
         name=f"contraction mu=0 d={d} k={k}",
@@ -319,8 +315,8 @@ def check_rate_factor() -> CheckResult:
     )
 
 
-def check_floor_mu_positive(d: int = 16, k: int = 16, n_seeds: int = 20,
-                            steps: int = 1200, seed: int = 6000) -> CheckResult:
+def check_floor_mu_positive() -> CheckResult:
+    d, k, n_seeds, steps, seed = 16, 16, 20, 1200, 6000
     params = TheoryParams(lam=1.0, l_smooth=1.0, d=d, k=k, mu=1e-3)
     floors = {}
     for mu in (1e-3, 1e-4):
@@ -340,8 +336,8 @@ def check_floor_mu_positive(d: int = 16, k: int = 16, n_seeds: int = 20,
 def lemma_suite() -> list[CheckResult]:
     return [
         check_isotropy(),
-        check_norm_factor(d=8, k=1, n=200_000, rel_tol=0.03),
-        check_norm_factor(d=8, k=512, n=200_000, rel_tol=0.02),
+        check_norm_factor(k=1, rel_tol=0.03),
+        check_norm_factor(k=512, rel_tol=0.02),
         check_cross_bound(),
         check_smoothed_gap(),
     ]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cyber0 import verify
 from cyber0.adversary import AttackKind
 from cyber0.cli import (
     CSV_HEADER,
@@ -414,6 +415,17 @@ class TestVerifyCommand:
         assert main(["verify", "nope"]) == 2
         assert "unknown suite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_exit_code_is_1_iff_a_check_fails(self, monkeypatch, capsys, fails):
+        results = [verify.CheckResult("good", 0.5, 1.0, 0.1, True),
+                   verify.CheckResult("bad", 2.0, 1.0, 0.1, not fails)]
+        monkeypatch.setitem(verify.SUITES, "demo", lambda: results)
+        assert main(["verify", "demo"]) == int(fails)
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("PASS  good:")
+        assert out[1].startswith("FAIL  bad:" if fails else "PASS  bad:")
+        assert out[2:] == [f"{1 if fails else 2}/2 checks passed"]
+
 
 class TestSweep:
     def test_sweep_emits_runs_and_summary(self, fast_config, tmp_path, capsys):
@@ -491,6 +503,16 @@ class TestSweep:
                          "--values", "4", "--out", str(tmp_path / "s")]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("again", [" 4", "04"])
+    def test_repeated_value_writes_nothing(self, fast_config, tmp_path, capsys, again):
+        # a repeated value repeats a run; spelled the same, it would
+        # overwrite the first one's directory
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(fast_config), "--param", "k",
+                     "--values", f"4,2,{again}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: k={again.strip()}: value repeated\n"
+        assert not out.exists()
 
     def test_bad_later_value_writes_nothing(self, fast_config, tmp_path, capsys):
         # a usage error in any value is reported before the first run

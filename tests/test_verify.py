@@ -3,24 +3,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cyber0 import verify
 from cyber0.seedstream import RngStream
 from cyber0.verify import (
+    CheckResult,
     TheoryParams,
-    check_cross_bound,
-    check_isotropy,
-    check_norm_factor,
     check_rate_factor,
-    check_rate_mu0,
-    contraction_rate,
     cross_bound_value,
     error_floor,
     mc_cross_abs_bound,
     mc_isotropy,
     mc_norm_factor,
     mean_square_trace,
-    norm_factor_target,
     smoothed_gap_quadratic,
     step_ratio,
+    _distance_trace,
     _theory_config,
 )
 
@@ -68,8 +65,9 @@ class TestNormFactor:
         assert est == pytest.approx(8.0, rel=0.05)
 
     def test_target_formula(self):
-        assert norm_factor_target(8, 512) == pytest.approx(519 / 512)
-        assert norm_factor_target(10, 1) == 10.0
+        # the target of criterion 2 is tau at mu = 0, (d + k - 1) / k
+        assert TheoryParams(1, 1, d=8, k=512, mu=0.0).tau == pytest.approx(519 / 512)
+        assert TheoryParams(1, 1, d=10, k=1, mu=0.0).tau == 10.0
 
 
 class TestCrossBound:
@@ -109,10 +107,6 @@ class TestSmoothedGap:
 
 
 class TestContraction:
-    def test_rate_below_bound_small_budget(self):
-        res = check_rate_mu0(n_seeds=4, fit_steps=30)
-        assert res.passed
-
     def test_floor_shrinks_with_mu_small_budget(self):
         params = TheoryParams(lam=1.0, l_smooth=1.0, d=16, k=16, mu=1e-3)
         floors = {}
@@ -121,11 +115,18 @@ class TestContraction:
             floors[mu] = error_floor(cfg, n_seeds=3)
         assert floors[1e-3] / floors[1e-4] >= 5.0
 
-    def test_contraction_rate_deterministic(self):
+    def test_floor_check_fails_when_the_floor_does_not_shrink(self, monkeypatch):
+        # the negative control of criterion 6: the same floor at both mu
+        monkeypatch.setattr(verify, "error_floor", lambda config, n_seeds: 1e-20)
+        res = verify.check_floor_mu_positive()
+        assert res.estimate == 1.0 and not res.passed and res.line().startswith("FAIL")
+
+    def test_distance_trace_deterministic(self):
         params = TheoryParams(lam=1.0, l_smooth=1.0, d=8, k=8, mu=0.0)
         cfg = _theory_config(params, steps=25, seed=123)
-        assert contraction_rate(cfg, 3, 20) == contraction_rate(cfg, 3, 20)
-
+        trace = _distance_trace(cfg, 3)
+        assert np.array_equal(trace, _distance_trace(cfg, 3))
+        assert step_ratio(trace[:21]) < 1.0
 
 
 class TestRateIdentity:
@@ -205,16 +206,16 @@ class TestRateIdentity:
 
 class TestCheckReports:
     def test_check_lines_mention_estimate_and_tolerance(self):
-        res = check_norm_factor(d=4, k=1, n=5000)
-        line = res.line()
-        assert "estimate=" in line and "tolerance=" in line
-        assert line.startswith(("PASS", "FAIL"))
+        res = CheckResult("demo", estimate=0.25, target=0.5, tolerance=0.01, passed=True,
+                          detail="why")
+        assert res.line() == "PASS  demo: estimate=0.25 target=0.5 tolerance=0.01  (why)"
 
     def test_checks_are_deterministic(self):
-        a = check_cross_bound(d=8, n=20_000)
-        b = check_cross_bound(d=8, n=20_000)
-        assert a.estimate == b.estimate
+        x = RngStream(4).gaussians(8)
+        for estimate in (lambda: mc_cross_abs_bound(8, 20_000, x, seed=11),
+                         lambda: mc_norm_factor(4, 2, 5000, x[:4], seed=7)):
+            assert estimate() == estimate()
 
     def test_failing_check_reports_fail(self):
-        res = check_isotropy(d=10, n=200, seed=1)  # far too few samples
-        assert not res.passed and res.line().startswith("FAIL")
+        res = CheckResult("demo", estimate=1.0, target=0.0, tolerance=0.002, passed=False)
+        assert res.line() == "FAIL  demo: estimate=1 target=0 tolerance=0.002"
