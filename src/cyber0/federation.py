@@ -41,7 +41,7 @@ from .seedstream import (
     make_direction,
     sphere_direction,
 )
-from .zo import NonFiniteLossError, apply_update, direction_seed
+from .zo import NonFiniteLossError, all_finite, apply_update, direction_seed
 
 _CHOICES = {
     "model": ("logreg", "quadratic"),
@@ -232,7 +232,7 @@ class _Setup:
         """``ClientData.gather`` of the computing clients ``rows``; the
         quadratic's one computing client gets no batch."""
         if self.data is None:
-            return None, [1], [None]
+            return None, (1,), (None,)  # a constant: no allocation per round
         return self.data.gather(range(self.computing)[rows])
 
     def train_loss(self, w: np.ndarray, losses: dict) -> float:
@@ -295,9 +295,9 @@ def _check_finite(block: np.ndarray, step: int, gradients: bool = False) -> None
     """Raise NonFiniteLossError naming the step and the client (its row) of
     the first non-finite report entry in the computing clients' (n, E, width)
     ``block``, and its epoch and direction, or for ``gradients`` (a baseline's
-    E = 1 block) its coordinate; searched for only when one isfinite over the
-    whole block fails."""
-    if np.isfinite(block).all():
+    E = 1 block) its coordinate; searched for only when ``all_finite`` over
+    the whole block fails."""
+    if all_finite(block):
         return
     client, epoch, r = (int(i) for i in np.argwhere(~np.isfinite(block))[0])
     if gradients:
@@ -353,19 +353,20 @@ def run_experiment(config: ExperimentConfig, *,
     ``make_direction`` call; W is the largest count of rounds whose
     directions fit ``WINDOW_VALUES`` doubles, at least one (256 theory
     rounds at d = 16 share a window, an MNIST-sized round has its own).
-    The block feeds the mu = 0 projection and the replay. For mu > 0,
-    ``prepare_variants`` lays each epoch's (k, d) slice out as the steps
-    mu z_r into one buffer per run, against which the clients are evaluated
-    in row groups of ``data.GROUP_VALUES`` doubles: one gather and one X Z
-    product per group (one per client where it is small, see
-    ``losses.SMALL_PRODUCT``), then each client's differences at its own w
-    (setup.w in epoch 0, its row of an (n, d) block of drifted copies after
-    that). Both budgets set speed and memory, not the run. Where one report
-    row stands for every client (the data-free quadratic), that row is the
-    aggregate under every attack: the oracle's order statistics over copies
-    of it return it, so the report matrix, the oracle and the trim are
-    skipped, bit for bit. ``record``, if given, gets each round's
-    ``RoundRecord``, whose arrays it may keep or overwrite: it cannot change the run."""
+    The block feeds the mu = 0 projection and the replay. For mu > 0, one
+    ``prepare_variants`` call per window lays the whole block out as the
+    steps mu z_r into one buffer per run, whose (round, epoch) slices the
+    clients are evaluated against in row groups of ``data.GROUP_VALUES``
+    doubles: one gather and one X Z product per group (one per client where
+    it is small, see ``losses.SMALL_PRODUCT``), then each client's
+    differences at its own w (setup.w in epoch 0, its row of an (n, d)
+    block of drifted copies after that). Both budgets set speed and memory,
+    not the run. Where one report row stands for every client (the
+    data-free quadratic), that row is the aggregate under every attack: the
+    oracle's order statistics over copies of it return it, so the report
+    matrix, the oracle and the trim are skipped, bit for bit. ``record``,
+    if given, gets each round's ``RoundRecord``, whose arrays it may keep or
+    overwrite: it cannot change the run."""
     setup = _Setup(config)
     zeroth = config.algorithm == "cyber0"
     E, k, d = config.local_epochs, config.k, setup.d
@@ -375,7 +376,7 @@ def run_experiment(config: ExperimentConfig, *,
     started = time.monotonic()
     window = max(1, min(config.steps, WINDOW_VALUES // (E * k * d)))
     dirs = np.empty((window, E, k, d)) if zeroth else None
-    layout = None
+    layout = None  # mu > 0: dirs laid out by prepare_variants
     # the quadratic is data-free: every client starts from the synchronized
     # w with no batch, so one client's report row broadcasts to all
     groups = ([slice(0, 1)] if setup.data is None
@@ -386,13 +387,19 @@ def run_experiment(config: ExperimentConfig, *,
     synced = np.broadcast_to(setup.w, (n, d))
 
     for t in range(config.steps):
-        if zeroth and t % window == 0:
+        i = t % window
+        if zeroth and i == 0:
             rounds = min(window, config.steps - t)
             seeds = direction_seed(config.root_seed, np.arange(t, t + rounds)[:, None, None],
                                    np.arange(k), np.arange(E)[:, None])
             make_direction(seeds.reshape(-1), d, setup.direction_mode,
                            out=dirs[:rounds].reshape(-1, d))
-        step_dirs = dirs[t % window] if zeroth else [None]  # None: report gradients
+            if config.mu > 0:
+                # the whole block, so the buffer keeps its shape: a short last
+                # window's spare rows still hold the previous window's directions
+                layout = setup.model.prepare_variants(dirs, config.mu, layout)
+        step_dirs = dirs[i] if zeroth else [None]  # None: report gradients
+        step_layout = [None] * E if layout is None else layout[i]
         do_log = (t + 1) % config.eval_every == 0 or t == config.steps - 1
         losses = {} if do_log else None
         coeffs = np.empty((n, E, width))
@@ -401,10 +408,8 @@ def run_experiment(config: ExperimentConfig, *,
             if e > 0:
                 for j in range(n):
                     apply_update(ws[j], coeffs[j, e - 1], step_dirs[e - 1], config.eta, t)
-            if zeroth and config.mu > 0:
-                layout = setup.model.prepare_variants(step_dirs[e], config.mu, layout)
-            _map_clients(setup, groups, ws, layout, step_dirs[e], losses if e == 0 else None,
-                         coeffs[:, e])
+            _map_clients(setup, groups, ws, step_layout[e], step_dirs[e],
+                         losses if e == 0 else None, coeffs[:, e])
             # before the next epoch's drift replays this block; the earlier
             # epochs passed already, and keeping them in names the epoch
             _check_finite(coeffs[:, : e + 1], t, gradients=not zeroth)

@@ -2,9 +2,10 @@
 
 Both expose the same surface: ``dimension``, ``eval(w, batch)``,
 ``grad(w, batch)``, and the engine's central-difference kernel. That kernel
-has two steps: ``prepare_variants(directions, mu)`` lays the steps mu z_r
-of k directions out once per round and epoch, and ``loss_batch_multi(
-prepared, batch, counts, ws)`` evaluates a group of clients at once: client
+has two steps: ``prepare_variants(directions, mu)`` lays out the steps
+mu z_r of a (..., k, d) block of directions in one call (the engine passes
+a window of rounds), and ``loss_batch_multi(prepared, batch, counts, ws)``
+evaluates one (k, d) slice's layout on a group of clients at once: client
 j owns the next ``counts[j]`` rows of the stacked batch and the parameters
 ``ws[j]``, and gets its k loss differences f(w_j + mu z_r) - f(w_j - mu z_r).
 The logistic kernel never forms a perturbed parameter vector: it computes
@@ -78,26 +79,24 @@ class LogisticRegressionModel:
         g[-1] = L.sum(axis=0)
         return g.reshape(-1)
 
-    def prepare_variants(
-        self, directions: np.ndarray, mu: float, out: tuple[np.ndarray, np.ndarray] | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Lay the k steps mu z_r out class-major: the (p, C * k) block mu Z
-        with column c * k + r holding class c of direction r, and the (C * k,)
-        biases mu b_z in the same order. ``out`` may be a layout returned
-        earlier for the same k, which is then overwritten, not reallocated."""
-        k = len(directions)
+    def prepare_variants(self, directions: np.ndarray, mu: float,
+                         out: np.ndarray | None = None) -> np.ndarray:
+        """Lay the steps mu z_r of the (..., k, d) ``directions`` out class-major,
+        one (..., p + 1, C * k) block: rows 0..p-1 of a (p + 1, C * k) layout
+        are mu Z, with column c * k + r holding class c of direction r, and
+        row p is the biases mu b_z in the same order. ``out`` may be a layout
+        returned earlier for the same shape, which is then overwritten, not
+        reallocated."""
+        *lead, k, _ = directions.shape
         p, C = self.input_dim, self.num_classes
-        Z = directions.reshape(k, p + 1, C)
         if out is None:
-            out = np.empty((p, C * k)), np.empty(C * k)
-        Zp, bias = out
-        np.multiply(Z[:, :-1, :].transpose(1, 2, 0), mu, out=Zp.reshape(p, C, k))
-        np.multiply(Z[:, -1, :].T, mu, out=bias.reshape(C, k))
+            out = np.empty((*lead, p + 1, C * k))
+        Z = directions.reshape(*lead, k, p + 1, C)
+        np.multiply(np.moveaxis(Z, -3, -1), mu, out=out.reshape(*lead, p + 1, C, k))
         return out
 
     def loss_batch_multi(
-        self, prepared: tuple[np.ndarray, np.ndarray], batch: Batch, counts: np.ndarray,
-        ws: np.ndarray,
+        self, prepared: np.ndarray, batch: Batch, counts: np.ndarray, ws: np.ndarray
     ) -> np.ndarray:
         """Each client's f(w_j + mu z_r) - f(w_j - mu z_r), a (len(ws), k)
         block; client j's batch is the next ``counts[j]`` rows.
@@ -146,12 +145,12 @@ class LogisticRegressionModel:
             diff[j] = self._brackets(prepared, X[rows], y[rows], ws[j])
         return diff
 
-    def _step(self, prepared: tuple[np.ndarray, np.ndarray], X: np.ndarray, counts) -> np.ndarray:
+    def _step(self, prepared: np.ndarray, X: np.ndarray, counts) -> np.ndarray:
         """S = X (mu Z) + mu b_z of clients owning ``counts`` consecutive rows
         of X each, as (rows, C, k): one product of the whole stack, or one
         per client where a client's product is small enough for OpenBLAS's
         small-matrix path (see SMALL_PRODUCT)."""
-        Zp, bias = prepared
+        Zp, bias = prepared[:-1], prepared[-1]
         step = np.empty((len(X), len(bias)))
         if min(counts) * Zp.size > SMALL_PRODUCT:
             np.matmul(X, Zp, out=step)
@@ -162,7 +161,7 @@ class LogisticRegressionModel:
         step += bias
         return step.reshape(len(X), self.num_classes, -1)
 
-    def _brackets(self, prepared: tuple[np.ndarray, np.ndarray], X: np.ndarray, y: np.ndarray,
+    def _brackets(self, prepared: np.ndarray, X: np.ndarray, y: np.ndarray,
                   w: np.ndarray) -> np.ndarray:
         """One client's (k,) differences as two max-stabilised brackets, the
         logits A + S and A - S each through ``_mean_nll``."""
@@ -198,29 +197,37 @@ class QuadraticModel:
     def grad(self, w: np.ndarray, batch: Batch = None) -> np.ndarray:
         return self.lam * (w - self.w_star)
 
-    def prepare_variants(self, directions: np.ndarray, mu: float, out=None) -> np.ndarray:
-        return np.multiply(directions, mu, out=out)
+    def prepare_variants(self, directions: np.ndarray, mu: float,
+                         out: np.ndarray | None = None) -> np.ndarray:
+        """The two steps of each of the (..., k, d) ``directions``, as the
+        (..., 2, k, d) halves mu z_r and -2 mu z_r (the first times -2, which
+        is exact). ``out`` may be a layout returned earlier for the same
+        shape, which is then overwritten, not reallocated."""
+        if out is None:
+            out = np.empty((*directions.shape[:-2], 2, *directions.shape[-2:]))
+        step = np.multiply(directions, mu, out=out[..., 0, :, :])
+        np.multiply(step, -2.0, out=out[..., 1, :, :])
+        return out
 
     def loss_batch_multi(
         self, prepared: np.ndarray, batch: Batch, counts: np.ndarray, ws: np.ndarray
     ) -> np.ndarray:
         """plus - minus, a (1, k) block, for the 2k bracket points of the one
         row w of ``ws`` in the in-place schedule, plus[r] = w + mu z_r and
-        minus[r] = (w + mu z_r) - 2 mu z_r (the laid-out step times -2, which
-        is exact), evaluated in one pass. The model is data-free, so the
-        engine evaluates one client, whose row every client shares; the batch
-        and its counts are ignored.
+        minus[r] = (w + mu z_r) - 2 mu z_r, two adds of the laid-out steps.
+        The model is data-free, so the engine evaluates one client, whose
+        row every client shares; the batch and its counts are ignored.
 
         plus and minus are the two contiguous (k, d) halves of one (2k, d)
         buffer, so each step of the schedule is one numpy call over a whole
         side and the squared norms are one einsum over the buffer; a row's
         einsum sum does not depend on where the row sits."""
-        k = len(prepared)
+        step, back = prepared[0], prepared[1]
+        k = len(step)
         v = np.empty((2 * k, ws.shape[1]))
         plus, minus = v[:k], v[k:]
-        np.add(prepared, ws, out=plus)  # one row, broadcast over the k directions
-        np.multiply(prepared, -2.0, out=minus)
-        minus += plus
+        np.add(step, ws, out=plus)  # one row, broadcast over the k directions
+        np.add(back, plus, out=minus)
         if not self._at_origin:
             v -= self.w_star
         losses = np.einsum("sd,sd->s", v, v)

@@ -33,9 +33,13 @@ third party can reproduce every stream bit for bit:
 * Sphere directions are d Gaussians divided by their Euclidean norm, where
   the squared norm is accumulated as a plain Python float over ``np.dot``
   of consecutive 4096-wide chunks, in chunk order. The chunking fixes the
-  summation order and so the last bits of every sphere direction. An
-  all-zero draw (probability zero) consumes the next d Gaussians from the
-  same stream.
+  order in which the chunk sums add up; the sum within a chunk is BLAS's
+  ddot, so a sphere direction's last bits are those of the host's ddot
+  kernel (OpenBLAS's SkylakeX, Haswell and Sandybridge kernels give three
+  sets of bits at d = 100, and SkylakeX differs from the other two at
+  d = 16). Gaussian directions are the same on every kernel. An all-zero
+  draw (probability zero) consumes the next d Gaussians from the same
+  stream.
 
 ``RngStream`` is the reference implementation of these rules. The engine
 generates directions a window of rounds at a time: one ``derive_seeds``

@@ -10,6 +10,8 @@ directions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .seedstream import StreamKind, derive_seeds
@@ -38,6 +40,13 @@ def direction_seed(
     return derive_seeds(root, step, sample, epoch, StreamKind.DIRECTION)
 
 
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite. Its sum of squares, one BLAS dot
+    that sets no floating-point warning, is finite unless an entry is not or
+    the sum overflows; only then does the exact isfinite test decide."""
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+
+
 def apply_update(
     w: np.ndarray, coeffs: np.ndarray, directions: np.ndarray, eta: float, step: int
 ) -> None:
@@ -47,7 +56,7 @@ def apply_update(
     Directions are applied in ascending r; federator and clients run this
     identical sequence, so their states stay bit-identical.
     """
-    if not np.isfinite(coeffs).all():
+    if not all_finite(coeffs):
         raise NonFiniteLossError(f"non-finite aggregated coefficients at step {step}", step=step)
     k = len(directions)
     if len(coeffs) != k:
@@ -55,13 +64,16 @@ def apply_update(
     # -(eta * a / k), bit for bit: rounding is symmetric under negation
     scales = np.multiply(coeffs, -eta, dtype=np.float64)
     scales /= k
-    if len(w) <= 4 * k:
-        # few columns per row: one cumsum down the rows, which costs per
-        # column, beats k row updates, which cost per row. Both add the
-        # rows to w one at a time in ascending r.
-        rows = directions * scales[:, None]
+    if 1 < len(w) <= 4 * k:
+        # few columns per row: one reduce down the rows, which costs per
+        # column, beats k row updates, which cost per row. Both add the rows
+        # to w one at a time in ascending r: numpy reduces axis 0 of a
+        # C-ordered (k, d >= 2) block row by row (a (k, 1) one pairwise, so
+        # d = 1 takes the loop). The reduce starts from its initial value,
+        # and -0.0 is the one that keeps every sum's bits
+        rows = np.multiply(directions, scales[:, None], order="C")
         rows[0] += w
-        w[:] = rows.cumsum(axis=0, out=rows)[-1]
+        np.add.reduce(rows, axis=0, out=w, initial=-0.0)
     else:
         for r in range(k):
             w += scales[r] * directions[r]

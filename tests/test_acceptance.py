@@ -91,9 +91,12 @@ class TestTheoremCriteria:
 
     @pytest.mark.slow
     def test_criterion_6_floor_shrinks_with_mu(self):
-        res = check_floor_mu_positive()
-        report("6 theorem-floor", res.passed, f"{res.detail}, ratio {res.estimate:.1f}")
-        assert res.passed and res.estimate >= res.target == 5.0
+        shrink, round_off = check_floor_mu_positive()
+        report("6 theorem-floor", shrink.passed and round_off.passed,
+               f"{shrink.detail}, ratio {shrink.estimate:.1f}")
+        assert shrink.passed and shrink.estimate >= shrink.target == 5.0
+        # central differences are exact on the quadratic: both floors are round-off
+        assert round_off.passed and round_off.estimate < round_off.tolerance == 1e-12
 
 
 @pytest.mark.mnist

@@ -1,7 +1,11 @@
+import ctypes
 import gzip
 import io
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -17,6 +21,7 @@ from cyber0.adversary import AttackKind
 from cyber0.cli import (
     CSV_HEADER,
     ConfigParseError,
+    _openblas,
     config_lines,
     load_config,
     main,
@@ -153,6 +158,27 @@ class TestRun:
         out2 = tmp_path / "b"
         main(["run", str(out1 / "manifest"), "--out", str(out2)])
         assert (out1 / "log.csv").read_bytes() == (out2 / "log.csv").read_bytes()
+
+    def test_manifest_records_the_blas_environment(self, fast_config, tmp_path):
+        # a child run with one OpenBLAS thread records that count, and its
+        # comment lines keep the manifest rerunnable to the same log
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                           os.environ.get("PYTHONPATH")]))}
+        out1 = tmp_path / "a"
+        subprocess.run([sys.executable, "-m", "cyber0.cli", "run", str(fast_config),
+                        "--out", str(out1)], env=env, check=True, capture_output=True)
+        comments = dict(line[2:].split(": ", 1) for line in
+                        (out1 / "manifest").read_text().splitlines()
+                        if line.startswith("# ") and ": " in line)
+        assert comments["numpy"] == np.__version__
+        out2 = tmp_path / "b"
+        assert main(["run", str(out1 / "manifest"), "--out", str(out2)]) == 0
+        assert (out1 / "log.csv").read_bytes() == (out2 / "log.csv").read_bytes()
+        if _openblas("scipy_openblas_get_config64_", ctypes.c_char_p) == "unknown":
+            pytest.skip("this numpy does not expose its OpenBLAS; both lines read unknown")
+        assert comments["openblas_threads"] == "1"
+        assert comments["openblas_config"].startswith("OpenBLAS ")  # names the CPU kernel
 
     @pytest.mark.parametrize("removed", ["broadcast_model = false", "mu_zero = false",
                                          "init = zeros", "debug_replicas = false",

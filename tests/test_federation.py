@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -582,6 +583,36 @@ class TestFailureModes:
         with pytest.raises(NonFiniteLossError) as err:
             federation._check_finite(block, 0)
         assert (err.value.step, err.value.direction, err.value.client) == (0, 6, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("gradients", [False, True])
+    def test_check_finite_names_one_bad_entry_among_overflowing_squares(self, bad, gradients):
+        # the other entries' squares overflow, so the one reduction is
+        # non-finite either way; the search still names the bad entry
+        block = np.full((3, 1, 7), 1e200)
+        block[1, 0, 4] = bad
+        with pytest.raises(NonFiniteLossError) as err:
+            federation._check_finite(block, 5, gradients=gradients)
+        located = (err.value.step, err.value.epoch, err.value.direction, err.value.client,
+                   err.value.coordinate)
+        if gradients:
+            assert located == (5, -1, -1, 1, 4)
+            assert str(err.value) == "non-finite gradient at step 5, coordinate 4, client 1"
+        else:
+            assert located == (5, 0, 4, 1, -1)
+            assert str(err.value) == ("non-finite coefficient at step 5, epoch 0, "
+                                      "direction 4, client 1")
+
+    def test_check_finite_passes_finite_blocks_whose_squares_overflow(self):
+        # entries near 1e200 overflow their squares, near 1e154 only the sum;
+        # E = 2 slices are strided. No floating-point warning either way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for big in (1e200, -1e154):
+                block = np.full((4, 2, 16), big)
+                federation._check_finite(block, 0)
+                federation._check_finite(block[:, :1], 0)
+                federation._check_finite(block[:, :, :1], 0, gradients=True)
 
     def test_check_finite_names_the_epoch(self):
         # the first bad coefficient of this E = 2 run is client 0's direction

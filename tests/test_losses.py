@@ -267,7 +267,7 @@ def test_clients_out_of_range_take_their_brackets_in_a_group(case, monkeypatch):
     prepared = model.prepare_variants(dirs, mu)
     if case == "exp_overflows":
         X[:3] *= 1e-3
-        Zp, bias = prepared
+        Zp, bias = prepared[:-1], prepared[-1]  # mu Z above the biases mu b_z
         peaks = [np.abs(X[rows] @ Zp + bias).max() for rows in (slice(0, 3), slice(3, 7))]
         assert peaks[0] < np.log(np.finfo(float).max) < peaks[1]
     else:

@@ -118,8 +118,20 @@ class TestContraction:
     def test_floor_check_fails_when_the_floor_does_not_shrink(self, monkeypatch):
         # the negative control of criterion 6: the same floor at both mu
         monkeypatch.setattr(verify, "error_floor", lambda config, n_seeds: 1e-20)
-        res = verify.check_floor_mu_positive()
-        assert res.estimate == 1.0 and not res.passed and res.line().startswith("FAIL")
+        shrink, round_off = verify.check_floor_mu_positive()
+        assert shrink.estimate == 1.0 and not shrink.passed and shrink.line().startswith("FAIL")
+        assert round_off.passed
+
+    @pytest.mark.parametrize("floors", [{1e-3: 1e-6, 1e-4: 1e-6}, {1e-3: 4e-4, 1e-4: 4e-5}],
+                             ids=["1e-6", "forward_differences"])
+    def test_floor_check_fails_when_the_floor_is_not_round_off(self, monkeypatch, floors):
+        # forward differences' floors (about 4e-4 and 4e-5) shrink with mu
+        # as central ones do, so only the round-off line catches them
+        monkeypatch.setattr(verify, "error_floor", lambda config, n_seeds: floors[config.mu])
+        shrink, round_off = verify.check_floor_mu_positive()
+        assert shrink.passed == (floors[1e-3] >= 5 * floors[1e-4])
+        assert round_off.estimate == floors[1e-3] and not round_off.passed
+        assert round_off.line().startswith("FAIL  floor at round-off mu 1e-3, 1e-4")
 
     def test_distance_trace_deterministic(self):
         params = TheoryParams(lam=1.0, l_smooth=1.0, d=8, k=8, mu=0.0)

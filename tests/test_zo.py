@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -200,7 +202,7 @@ class TestApplyUpdate:
     @example(k=16, d=1, eta=0.07, seed=3, magnitude=1.0)
     @example(k=64, d=16, eta=0.01, seed=4, magnitude=1e6)
     def test_update_equals_ascending_axpy_loop(self, k, d, eta, seed, magnitude):
-        # d crosses 4k, so both the cumsum and the row-loop replay run; each
+        # d crosses 4k, so both the reduce and the row-loop replay run; each
         # must add the k rows into w one at a time in ascending r
         directions = RngStream(seed).gaussians(k * d).reshape(k, d)
         coeffs = RngStream(seed + 1).gaussians(k) * magnitude  # signed
@@ -210,6 +212,51 @@ class TestApplyUpdate:
             expected += -(eta * float(coeffs[r]) / k) * directions[r]
         apply_update(w, coeffs, directions, eta, 0)
         assert np.array_equal(w, expected)
+
+    def test_small_d_replay_is_the_ascending_loop_bitwise(self):
+        # every (k, d <= 4k), d = 1 (whose reduce numpy would sum pairwise,
+        # so it takes the row loop) included: a future numpy that reorders
+        # the axis-0 reduce fails here. A column's loop sum does not depend on the
+        # columns beside it, so one 4k-wide loop per k is every d's
+        # reference. The second case is all -0.0 (a -0.0 start, zero
+        # coefficients, positive directions): its sum keeps the sign of zero
+        # only if the replay adds from -0.0
+        rng = np.random.default_rng(27)
+        for k in range(1, 65):
+            directions = rng.normal(size=(k, 4 * k))
+            coeffs = rng.normal(size=k) * 10.0 ** rng.integers(-6, 7, size=k)
+            cases = [(rng.normal(size=4 * k), coeffs, directions),
+                     (np.full(4 * k, -0.0), np.zeros(k), np.abs(directions))]
+            for w0, a, dirs in cases:
+                scales = (a * -0.01) / k
+                expected = w0.copy()
+                for r in range(k):
+                    expected = expected + scales[r] * dirs[r]
+                for d in range(1, 4 * k + 1):
+                    w = w0[:d].copy()
+                    apply_update(w, a, dirs[:, :d], 0.01, 0)
+                    assert w.tobytes() == expected[:d].tobytes(), (k, d)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_coefficient_raises_with_its_step(self, bad):
+        # one bad entry among finite ones whose squares overflow
+        coeffs = np.full(16, 1e200)
+        coeffs[5] = bad
+        with pytest.raises(NonFiniteLossError,
+                           match="^non-finite aggregated coefficients at step 8$") as err:
+            apply_update(np.zeros(16), coeffs, np.ones((16, 16)), 0.1, 8)
+        assert (err.value.step, err.value.epoch, err.value.direction, err.value.client,
+                err.value.coordinate) == (8, -1, -1, -1, -1)
+
+    def test_finite_coefficients_whose_squares_overflow_pass_silently(self):
+        # their sum of squares is inf; the exact test clears them, with no
+        # floating-point warning on the way
+        for coeffs in (np.full(16, 1e200), np.full(16, -1e154)):
+            w = np.zeros(16)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                apply_update(w, coeffs, np.ones((16, 16)), 1e-200, 0)
+            assert np.isfinite(w).all() and np.all(w != 0.0)
 
     def test_rejects_nonfinite_and_wrong_length(self):
         w = np.zeros(8)
