@@ -22,6 +22,7 @@ import numpy as np
 
 from .adversary import flip_labels
 from .seedstream import RngStream, StreamKind, derive_seed
+from .zo import all_finite
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -70,9 +71,7 @@ class Dataset:
             raise ValueError(
                 f"feature/label row counts differ: {len(self.features)} vs {len(self.labels)}"
             )
-        # single reduction pass; features are [0, 1]-bounded so a finite sum
-        # certifies finite entries without materializing a mask
-        if not np.isfinite(float(self.features.sum())):
+        if not all_finite(self.features):
             raise ValueError("features contain non-finite values")
 
     def __len__(self) -> int:
@@ -153,6 +152,11 @@ def synth_generate(seed: int, n: int, p: int, num_classes: int, split: int = 0) 
 
     Labels cycle 0..C-1 so classes stay balanced; ``split`` selects an
     independent stream (0 = train, 1 = held-out test) for the same seed.
+    The features are ``gaussians(n * p)`` of that stream, times 0.08, plus
+    the row's centroid, clipped: each block of rows is scaled, shifted and
+    clipped as soon as its Gaussians are in place, while it is still in
+    cache, which gives every value the same three operations in the same
+    order as three passes over the whole matrix would.
     """
     if n < 1 or p < 1 or num_classes < 1:
         raise ValueError("need n, p, num_classes >= 1")
@@ -163,12 +167,23 @@ def synth_generate(seed: int, n: int, p: int, num_classes: int, split: int = 0) 
     centroids *= 0.6
     centroids += 0.2
     labels = np.arange(n, dtype=np.int64) % num_classes
+    features = np.empty((n, p))
+    done = 0  # rows scaled, shifted and clipped
+    tile = centroids[:0]  # tile[j] = centroids[j % C], as long as a block needs
+
+    def finish(placed: int) -> None:
+        nonlocal done, tile
+        rows = features[done : placed // p]
+        first = done % num_classes
+        if first + len(rows) > len(tile):
+            tile = centroids[labels[: num_classes + len(rows)]]
+        rows *= 0.08
+        rows += tile[first : first + len(rows)]
+        np.clip(rows, 0.0, 1.0, out=rows)
+        done += len(rows)
+
     stream = RngStream(derive_seed(seed, 0, 1 + split, 0, StreamKind.INIT))
-    features = stream.gaussians(n * p).reshape(n, p)
-    features *= 0.08
-    for c in range(num_classes):  # no (n, p) gather: each row still gets one add
-        features[c::num_classes] += centroids[c]
-    np.clip(features, 0.0, 1.0, out=features)
+    stream.gaussians(n * p, out=features.reshape(-1), placed=finish)
     return Dataset(features=features, labels=labels, num_classes=num_classes)
 
 

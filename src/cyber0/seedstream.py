@@ -55,10 +55,23 @@ same chunk order as ``_chunked_sumsq``. Windowed, block and batched-norm
 generation are bit-identical to the per-seed streams and are not part of
 the frozen identity: how rows are grouped into windows and chunks
 (``WINDOW_VALUES``, ``BLOCK_WORDS``) changes speed and memory only.
+
+A long ``RngStream.gaussians`` request, such as a synthetic feature
+matrix, is drawn in position chunks that do not depend on each other:
+chunk c of a request that starts at word o of stream s is the first
+2 * GAUSSIAN_BATCH_PAIRS words of the stream seeded s + (o + 2 *
+GAUSSIAN_BATCH_PAIRS * c) * GOLDEN, and a pair is accepted or rejected from
+its own two words only. Two worker threads compute the chunks, and the
+caller places their accepted pairs in chunk order and joins the threads
+before it returns, so neither the thread schedule nor the chunk size
+changes a bit of the stream. Every other draw stays on the calling thread.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
+from collections import deque
 from enum import IntEnum
 
 import numpy as np
@@ -86,10 +99,15 @@ CHUNK = 4096
 # faster there and hold more memory.
 BLOCK_WORDS = 16384
 
-# uniform pairs one ``RngStream.gaussians`` batch draws at most: 16 Ki words
-# (128 KB), so a long request such as a synthetic feature matrix runs in
-# cache-sized passes; batching sets speed and memory, never the stream
-GAUSSIAN_BATCH_PAIRS = 8192
+# uniform pairs one ``RngStream.gaussians`` batch draws at most: 64 Ki words
+# (512 KB), so a long request such as a synthetic feature matrix runs in
+# cache-sized chunks. A request planned to take more than THREAD_BATCHES
+# (at least 2) full batches has them computed on _WORKERS threads, the
+# position chunks of the module docstring. Both set speed and memory, never
+# the stream: 16 Ki pairs measured slower and 64 Ki no faster on two cores
+GAUSSIAN_BATCH_PAIRS = 1 << 15
+THREAD_BATCHES = 4
+_WORKERS = 2
 
 # direction values (doubles) the engine generates at once: it fills the
 # directions of as many rounds as fit, and at least one round (256 theory
@@ -192,12 +210,78 @@ def _polar_batch(want_pairs: int) -> int:
     return want_pairs * 13 // 10 + 8
 
 
-def _polar_factor(s: np.ndarray) -> np.ndarray:
-    """The polar method's f = sqrt(-2 ln(s) / s) of accepted pairs' s."""
-    f = np.log(s)
+def _polar_factor(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The polar method's f = sqrt(-2 ln(s) / s) of accepted pairs' s,
+    written into ``out`` when given."""
+    f = np.log(s, out=out)
     f *= -2.0
     f /= s
     return np.sqrt(f, out=f)
+
+
+def _planned_batches(want_pairs: int) -> int:
+    """Batches of GAUSSIAN_BATCH_PAIRS pairs that hold ``want_pairs``
+    accepted pairs but with odds below one in a million: the expected need
+    at acceptance rate pi/4 plus five standard deviations."""
+    return math.ceil((want_pairs * 4 / math.pi + 3 * math.sqrt(want_pairs))
+                     / GAUSSIAN_BATCH_PAIRS)
+
+
+def _position_grid(pairs: int) -> np.ndarray:
+    """(i + 1) * GOLDEN of the first polar batch of ``pairs`` pairs, as a
+    (2, pairs) block of the first and the second word of each pair:
+    grid[0, j] is word 2j's."""
+    counters = np.arange(1, 2 * pairs + 1, dtype=np.uint64).reshape(pairs, 2).T
+    return np.multiply(counters, _NP_GOLDEN, order="C")
+
+
+def _polar(z: np.ndarray, v: np.ndarray, interleaved: bool = False) -> tuple[np.ndarray, ...]:
+    """The polar method on a C-contiguous uint64 block ``z`` of raw words:
+    each pair's first and second word are consecutive when ``interleaved``,
+    and otherwise z[0] and z[1] hold them and z's memory then takes the
+    pairs' s. ``v``, a float64 block of z's shape, takes v = 2u - 1.
+    Returns v1, v2 and s flattened, and the flat indices of the accepted
+    pairs."""
+    z >>= _S11
+    # the words are below 2**53, so the int64 conversion is exact, and the
+    # scale is a power of two: v = 2u - 1 exactly
+    np.multiply(z.view(np.int64), 2.0 * _U53, out=v)
+    v -= 1.0
+    if interleaved:  # a stream's own short batch: fresh arrays cost less than views
+        v1, v2 = v[0::2], v[1::2]
+        s = v1 * v1
+        s += v2 * v2
+    else:
+        v1, v2 = v[0].reshape(-1), v[1].reshape(-1)
+        s = z.view(np.float64)
+        s, s2 = s[0].reshape(-1), s[1].reshape(-1)
+        np.multiply(v1, v1, out=s)
+        s += np.multiply(v2, v2, out=s2)
+    return v1, v2, s, np.flatnonzero((s > 0.0) & (s < 1.0))
+
+
+def _pooled_batch(seed: int, grid: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The accepted pairs' indices, and their first and their second
+    Gaussians, v1 f and v2 f, of the first ``grid.shape[1]`` pairs of the
+    stream seeded ``seed``, computed in ``scratch``, a (2, 2, pairs) uint64
+    block: a worker thread allocates no more than the indices, so little of
+    what it frees stays in its own allocator arena (allocating each result
+    there raised a short ``mnist_logreg`` run's peak memory by 3.7 MB)."""
+    z, v = scratch[0], scratch[1].view(np.float64)
+    np.add(grid, np.uint64(seed), out=z)
+    _fmix64_inplace(z, v.view(np.uint64))
+    v1, v2, s, acc = _polar(z, v)
+    # each result overwrites values already used: s[acc], then v1[acc], go
+    # over s's scratch in z[1], f over s in z[0], and v2[acc] over v1
+    m = len(acc)
+    free_s, free_f = z[1].view(np.float64)[:m], z[0].view(np.float64)[:m]
+    s_acc = np.take(s, acc, out=free_s, mode="clip")
+    f = _polar_factor(s_acc, out=free_f)
+    first = np.take(v1, acc, out=free_s, mode="clip")
+    second = np.take(v2, acc, out=v[0][:m], mode="clip")
+    first *= f
+    second *= f
+    return acc, first, second
 
 
 class RngStream:
@@ -223,38 +307,108 @@ class RngStream:
         u *= _U53
         return u
 
-    def gaussians(self, n: int) -> np.ndarray:
-        out = np.empty(n, dtype=np.float64)
+    def gaussians(self, n: int, out: np.ndarray | None = None, placed=None) -> np.ndarray:
+        """The next n Gaussians, written into ``out`` (n values) when given.
+        After each batch of values is in place, ``placed(count)`` is called,
+        when given, with the count of leading values of ``out`` that are
+        final."""
+        if out is None:
+            out = np.empty(n, dtype=np.float64)
+        elif out.shape != (n,):
+            raise ValueError(f"out must have shape {(n,)}, got {out.shape}")
         filled = 0
         if self._pending is not None and n > 0:
             out[0] = self._pending
             self._pending = None
             filled = 1
-        while filled < n:
-            want_pairs = (n - filled + 1) // 2
-            batch = min(_polar_batch(want_pairs), GAUSSIAN_BATCH_PAIRS)
-            v = (_words_at(self._seed, self._pos, 2 * batch) >> _S11).astype(np.float64)
-            v *= 2.0 * _U53  # v = 2u - 1 exactly, as in _gaussian_rows
-            v -= 1.0
-            v1, v2 = v[0::2], v[1::2]
-            s = v1 * v1
-            s += v2 * v2
-            sel = np.flatnonzero((s > 0.0) & (s < 1.0))[:want_pairs]
-            # a completed request consumes exactly up to the pair that
-            # completes it, so chunked and one-shot consumption stay
-            # bit-identical; a short batch is consumed whole
-            done = len(sel) == want_pairs
-            self._pos += 2 * (int(sel[-1]) + 1 if done else batch)
-            f = _polar_factor(s[sel])
-            g = np.empty(2 * len(sel), dtype=np.float64)
-            g[0::2] = v1[sel] * f
-            g[1::2] = v2[sel] * f
-            take = min(len(g), n - filled)
-            out[filled : filled + take] = g[:take]
-            filled += take
-            if take < len(g):
-                self._pending = float(g[-1])
+        want = (n - filled + 1) // 2
+        if not want:
+            return out
+        # at most one batch's pairs plan at most two batches: no need to plan
+        if want <= GAUSSIAN_BATCH_PAIRS or _planned_batches(want) <= THREAD_BATCHES:
+            self._place(out, filled, want, self._batches(want), placed)
+            return out
+        # imported here: the module costs 0.7 MB at import, which short draws never need
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(_WORKERS)
+        try:
+            self._place(out, filled, want, self._pooled_batches(want, pool), placed)
+        finally:
+            pool.shutdown(cancel_futures=True)
         return out
+
+    def _place(self, out: np.ndarray, filled: int, want: int, batches, placed) -> None:
+        """Place ``want`` accepted pairs of ``batches``, the consecutive
+        polar batches from the stream position on, into out[filled:]; the
+        last value of an odd request is kept pending."""
+        pos = self._pos
+        for pairs, acc, first, second in batches:
+            k = len(acc)
+            if k >= want:
+                # a completed request consumes exactly up to the pair that
+                # completes it, so chunked and one-shot consumption stay
+                # bit-identical; a short batch is consumed whole
+                k = want
+                self._pos = pos + 2 * (int(acc[k - 1]) + 1)
+            pos += 2 * pairs
+            want -= k
+            take = min(2 * k, len(out) - filled)  # 2k values, or 2k - 1 at the end of an odd request
+            out[filled : filled + take : 2] = first[:k]
+            out[filled + 1 : filled + take : 2] = second[: take // 2]
+            if take < 2 * k:
+                self._pending = float(second[k - 1])
+            filled += take
+            if placed is not None:
+                placed(filled)
+            if not want:
+                return
+
+    def _batches(self, want: int):
+        """The polar batches from the stream position on, drawn on the
+        calling thread, each the expected need of the ``want`` pairs still
+        wanted, with slack, and at most GAUSSIAN_BATCH_PAIRS pairs: yields
+        each batch's pairs, its accepted pairs' indices and their first and
+        second Gaussians."""
+        pos = self._pos
+        while True:
+            pairs = min(_polar_batch(want), GAUSSIAN_BATCH_PAIRS)
+            z = _words_at(self._seed, pos, 2 * pairs)
+            v1, v2, s, acc = _polar(z, np.empty(len(z)), interleaved=True)
+            f = _polar_factor(s[acc])
+            first, second = v1[acc], v2[acc]
+            first *= f
+            second *= f
+            yield pairs, acc, first, second
+            want -= len(acc)
+            pos += 2 * pairs
+
+    def _pooled_batches(self, want: int, pool):
+        """``_batches`` for a request planned to take many batches, each then
+        GAUSSIAN_BATCH_PAIRS pairs, computed on ``pool``'s workers: the
+        planned batches run ahead, one more than there are workers at a
+        time, each in its own scratch block, and more one at a time should
+        they fall short."""
+        pairs = GAUSSIAN_BATCH_PAIRS
+        grid = _position_grid(pairs)
+        # a mapping of its own, whose pages go back when it is freed: from the
+        # heap, the freed block stayed resident and raised byz_m40's peak by 4 MB
+        shape = (_WORKERS + 1, 2, 2, pairs)
+        scratch = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.uint64).reshape(shape)
+        start, planned, submitted = self._pos, _planned_batches(want), 0
+        ahead: deque = deque()  # futures of the batches computed ahead, in stream order
+        while True:
+            # a block is handed out again only after the batch it held is placed
+            while len(ahead) < len(scratch) and (submitted < planned or not ahead):
+                seed = self._seed_at(start + 2 * pairs * submitted)
+                ahead.append(pool.submit(_pooled_batch, seed, grid,
+                                         scratch[submitted % len(scratch)]))
+                submitted += 1
+            yield (pairs, *ahead.popleft().result())
+
+    def _seed_at(self, pos: int) -> int:
+        """The seed of the stream whose word 0 is this stream's word ``pos``."""
+        return (self._seed + pos * _GOLDEN) & _MASK64
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n): argsort of n raw words."""
@@ -292,7 +446,7 @@ def sphere_direction(seed: int, d: int) -> np.ndarray:
     while sumsq == 0.0:  # measure-zero guard
         g = stream.gaussians(d)
         sumsq = _chunked_sumsq(g)
-    g /= np.sqrt(sumsq)
+    g /= math.sqrt(sumsq)  # correctly rounded, as np.sqrt: the same bits
     return g
 
 
@@ -319,11 +473,7 @@ def make_direction(
         raise ValueError(f"out must have shape {(k, d)}, got {out.shape}")
     want = (d + 1) // 2
     pairs = _polar_batch(want)
-    # (i + 1) * GOLDEN for the first polar batch, split into the first and
-    # the second word of each pair: positions[0, 0, j] is word 2j's
-    positions = np.arange(1, 2 * pairs + 1, dtype=np.uint64).reshape(pairs, 2).T.copy()
-    positions *= _NP_GOLDEN
-    positions = positions[:, None, :]
+    positions = _position_grid(pairs)[:, None, :]
     rows = min(k, max(1, BLOCK_WORDS // (2 * pairs)))
     scratch = np.empty((2, 2, rows, pairs), dtype=np.uint64)
     for a in range(0, k, rows):
@@ -357,16 +507,7 @@ def _gaussian_rows(seeds: np.ndarray, positions: np.ndarray, want: int, out: np.
     z, v = scratch[0], scratch[1].view(np.float64)
     np.add(positions, seeds[:, None], out=z)
     _fmix64_inplace(z, v.view(np.uint64))
-    z >>= _S11
-    # the words are below 2**53, so the int64 conversion is exact, and the
-    # scale is a power of two: v = 2u - 1 exactly
-    np.multiply(z.view(np.int64), 2.0 * _U53, out=v)
-    v -= 1.0
-    v1, v2 = v[0].reshape(-1), v[1].reshape(-1)
-    s, s2 = z.view(np.float64).reshape(2, -1)
-    np.multiply(v1, v1, out=s)
-    s += np.multiply(v2, v2, out=s2)
-    acc = np.flatnonzero((s > 0.0) & (s < 1.0))
+    v1, v2, s, acc = _polar(z, v)
     if n == 1:  # every chunk at d = 7,850: its pairs are a slice of acc, no index grid
         full = np.array([len(acc) >= want])
         sel = acc[: want if full[0] else 0].reshape(-1, want)

@@ -301,13 +301,34 @@ def check_rate_factor() -> CheckResult:
     The tolerance is four times the estimate's standard deviation over 20
     disjoint sets of 200 seeds (0.0036), measured at d = k = 16 and 10 steps
     only, so those are fixed here."""
-    d, k, n_seeds, steps, seed = 16, 16, 200, 10, 0
-    params = TheoryParams(lam=1.0, l_smooth=1.0, d=d, k=k, mu=0.0)
+    d, k = 16, 16
+    return _rate_factor(TheoryParams(lam=1.0, l_smooth=1.0, d=d, k=k, mu=0.0),
+                        target=1.0 - k / (d + k - 1), tol=4 * 0.0036)
+
+
+def check_rate_factor_mu_positive() -> CheckResult:
+    """``check_rate_factor`` at mu = 1e-3: the run at ``TheoryParams.eta``
+    against 1 - 2 eta + eta^2 nu at the mu > 0 step size
+    eta = k / (2 (2d + (k - 1)(1 + sqrt(d)))), both computed from d and k
+    here, so a wrong mu > 0 tau misses it. Central differences are exact on
+    the quadratic, so the identity holds as at mu = 0. The tolerance is four
+    times the estimate's standard deviation over 30 disjoint sets of 200
+    seeds (0.0010), measured at d = k = 16 and 10 steps only; tau times 1.3
+    or 0.7 lands about 29 or 51 of those deviations away."""
+    d, k = 16, 16
+    nu = (d + k - 1) / k
+    eta = k / (2 * (2 * d + (k - 1) * (1 + math.sqrt(d))))
+    return _rate_factor(TheoryParams(lam=1.0, l_smooth=1.0, d=d, k=k, mu=1e-3),
+                        target=1.0 - 2 * eta + eta * eta * nu, tol=4 * 0.0010)
+
+
+def _rate_factor(params: TheoryParams, target: float, tol: float) -> CheckResult:
+    """The per-step factor of E||w||^2 over 200 seeds and 10 steps of the
+    theory run at ``params.eta``, against ``target`` within ``tol``."""
+    n_seeds, steps, seed = 200, 10, 0
     ratio = step_ratio(mean_square_trace(_theory_config(params, steps, seed), n_seeds))
-    target = 1.0 - k / (d + k - 1)
-    tol = 4 * 0.0036
     return CheckResult(
-        name=f"rate factor at theory eta mu=0 d={d} k={k}",
+        name=f"rate factor at theory eta mu={params.mu:g} d={params.d} k={params.k}",
         estimate=ratio,
         target=target,
         tolerance=tol,
@@ -363,6 +384,7 @@ def theorem_suite() -> list[CheckResult]:
     return [
         check_rate_mu0(),
         check_rate_factor(),
+        check_rate_factor_mu_positive(),
         *check_floor_mu_positive(),
     ]
 

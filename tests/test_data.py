@@ -1,17 +1,21 @@
 import gzip
+import hashlib
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from cyber0 import data as data_module
+from cyber0 import seedstream
 
 from cyber0.data import (
     IMAGES_MAGIC,
     LABELS_MAGIC,
     BatchCursor,
     ClientData,
+    Dataset,
     IdxFormatError,
     load_idx,
     noniid_label_owners,
@@ -118,6 +122,48 @@ class TestSynth:
         features = stream.gaussians(n * 5).reshape(n, 5) * 0.08 + centroids[np.arange(n) % 3]
         assert np.array_equal(ds.features, np.clip(features, 0.0, 1.0))
 
+    @staticmethod
+    def three_passes(seed, n, p, num_classes, split):
+        """synth_generate as three passes over the whole matrix:
+        gaussians(n p), times 0.08, each class's centroid added to its rows,
+        then clip."""
+        cstream = RngStream(derive_seed(seed, 0, 0, 0, StreamKind.INIT))
+        centroids = cstream.uniforms(num_classes * p).reshape(num_classes, p)
+        centroids *= 0.6
+        centroids += 0.2
+        stream = RngStream(derive_seed(seed, 0, 1 + split, 0, StreamKind.INIT))
+        features = stream.gaussians(n * p).reshape(n, p)
+        features *= 0.08
+        for c in range(num_classes):
+            features[c::num_classes] += centroids[c]
+        return np.clip(features, 0.0, 1.0, out=features)
+
+    # (n, p, C): p that does not divide a 128-value batch (also p above
+    # it), n < C, one row, n p below one batch, and many-batch shapes
+    SHAPES = [(40, 7, 3), (9, 200, 4), (3, 5, 10), (1, 300, 4), (2, 5, 3), (97, 13, 7),
+              (400, 50, 10)]
+
+    @pytest.mark.parametrize("n,p,num_classes", SHAPES)
+    def test_fused_passes_equal_three_whole_matrix_passes(self, n, p, num_classes, monkeypatch):
+        # the expectation under the default batches, where every request
+        # here is one thread's; then many 64-pair batches on worker threads
+        for split in (0, 1):
+            want = self.three_passes(4, n, p, num_classes, split)
+            assert np.array_equal(synth_generate(4, n, p, num_classes, split).features, want)
+            with monkeypatch.context() as m:
+                m.setattr(seedstream, "GAUSSIAN_BATCH_PAIRS", 64)
+                m.setattr(seedstream, "THREAD_BATCHES", 2)
+                got = synth_generate(4, n, p, num_classes, split).features
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n,split,digest", [(12_000, 0, "d4319c67f1cc3820"),
+                                                 (3_000, 1, "3387a3ee59bbe8cb")])
+    def test_mnist_width_features_are_frozen(self, n, split, digest):
+        # the benchmark's train and test splits (seed 70, 784 features, 10
+        # classes), drawn on worker threads
+        features = synth_generate(70, n, 784, 10, split).features
+        assert hashlib.sha256(features.tobytes()).hexdigest()[:16] == digest
+
     def test_single_class(self):
         ds = synth_generate(5, 30, 4, 1)
         assert set(ds.labels.tolist()) == {0}
@@ -144,6 +190,21 @@ class TestSynth:
         for _ in range(300):
             w -= 0.5 * model.grad(w, batch)
         assert model.accuracy(w, ds.features, ds.labels) >= 95.0
+
+
+class TestDataset:
+    def test_finite_features_whose_sum_overflows_are_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = Dataset(np.array([[1e308, 1e308]]), np.array([0]), 2)
+        assert len(ds) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_are_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^features contain non-finite values$"):
+                Dataset(np.array([[0.5, bad], [1e308, 1e308]]), np.array([0, 1]), 2)
 
 
 class TestPartitions:

@@ -1,5 +1,9 @@
 """Stream identity, determinism, and replay properties."""
 
+import concurrent.futures
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +167,148 @@ class TestStream:
             zb = sphere_direction(derive_seed(3, j, 1, 0, StreamKind.DIRECTION), d)
             corrs[j] = float(np.dot(za, zb))
         assert abs(corrs.mean()) < 0.01
+
+
+class CountingPool(concurrent.futures.ThreadPoolExecutor):
+    """A ThreadPoolExecutor that records every instance it makes."""
+
+    made: list = []
+
+    def __init__(self, *args, **kwargs):
+        CountingPool.made.append(self)
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker pools ``RngStream.gaussians`` starts while the test runs."""
+    CountingPool.made = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    return CountingPool.made
+
+
+@pytest.fixture
+def small_batches(monkeypatch, pools):
+    """64-pair batches, threaded above two planned batches (a request of
+    more than about 160 values): many chunks at little cost."""
+    monkeypatch.setattr(seedstream, "GAUSSIAN_BATCH_PAIRS", 64)
+    monkeypatch.setattr(seedstream, "THREAD_BATCHES", 2)
+    return pools
+
+
+def mixed_draws(seed, n):
+    """An odd request that leaves a half-pair pending, a request of n, an
+    odd words draw, a request of n + 1, and the draw after it."""
+    st = RngStream(seed)
+    parts = [st.gaussians(3), st.gaussians(n), st.words(5).view(np.float64),
+             st.gaussians(n + 1), st.gaussians(9)]
+    return parts, st.words(1)
+
+
+class TestLongRequests:
+    """Requests planned to take more than THREAD_BATCHES batches, whose
+    batches worker threads compute and the caller places in stream order."""
+
+    LENGTHS = [157, 158, 159, 160, 1001, 4000, 12_345]  # threaded from 159 on
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_threaded_request_is_the_polar_rule(self, small_batches, n):
+        assert np.array_equal(RngStream(42).gaussians(n), reference_gaussians(42, n))
+        threaded = seedstream._planned_batches((n + 1) // 2) > 2
+        assert len(small_batches) == threaded == (n >= 159)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_threaded_requests_equal_the_one_thread_stream(self, monkeypatch, n):
+        # after a pending half-pair and after words(odd), and the next draw
+        # and the position after the long request: against the default
+        # batches, where every request here is drawn on one thread
+        want, want_next = mixed_draws(7, n)
+        monkeypatch.setattr(seedstream, "GAUSSIAN_BATCH_PAIRS", 64)
+        monkeypatch.setattr(seedstream, "THREAD_BATCHES", 2)
+        got, got_next = mixed_draws(7, n)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got_next, want_next)
+
+    def test_long_request_equals_small_sequential_requests(self, small_batches):
+        n = 9_999
+        big = RngStream(3).gaussians(n)
+        st = RngStream(3)
+        sizes = [1 + i % 13 for i in range(2 * n // 7)]
+        small = np.concatenate([st.gaussians(m) for m in sizes])[:n]
+        assert len(small) == n and np.array_equal(big, small)
+        assert len(small_batches) == 1  # the small requests start no pool
+
+    def test_placed_reports_final_values_in_order(self, small_batches):
+        n = 5_001
+        out = np.full(n, np.nan)
+        counts, snapshots = [], []
+
+        def placed(count):
+            counts.append(count)
+            snapshots.append(out[:count].copy())
+
+        st = RngStream(11)
+        st.gaussians(1)  # leaves a half-pair pending
+        assert st.gaussians(n, out=out, placed=placed) is out
+        assert np.array_equal(out, reference_gaussians(11, n + 1)[1:])
+        assert counts == sorted(counts) and counts[-1] == n and len(counts) > 40
+        for count, seen in zip(counts, snapshots):
+            assert np.array_equal(seen, out[:count])
+
+    def test_out_of_another_length_is_rejected(self):
+        st = RngStream(4)
+        with pytest.raises(ValueError, match="out must have shape"):
+            st.gaussians(3, out=np.empty(4))
+        assert np.array_equal(st.gaussians(3), reference_gaussians(4, 3))
+
+    def test_no_thread_outlives_the_call(self, small_batches):
+        before = threading.active_count()
+        RngStream(5).gaussians(20_000)
+        assert len(small_batches) == 1 and threading.active_count() == before
+
+    def test_more_workers_than_cores_under_fast_switching(self, small_batches, monkeypatch):
+        # five workers and six scratch blocks, with threads switched every
+        # microsecond: a block handed out before its batch was placed
+        # would show as a wrong value
+        monkeypatch.setattr(seedstream, "_WORKERS", 5)
+        want = reference_gaussians(8, 6_001)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            draws = [RngStream(8).gaussians(6_001) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(small_batches) == 5
+        for got in draws:
+            assert np.array_equal(got, want)
+
+    def test_worker_error_propagates_and_joins_the_pool(self, small_batches, monkeypatch):
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise FloatingPointError("injected")
+            return batch_values(*args)
+
+        batch_values = seedstream._pooled_batch
+        monkeypatch.setattr(seedstream, "_pooled_batch", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="injected"):
+            RngStream(5).gaussians(20_000)
+        assert threading.active_count() == before
+
+    def test_small_requests_start_no_thread(self, pools):
+        # default batches: tier-1's draws, make_direction's rows and their
+        # redraws, and sphere directions stay on the calling thread
+        RngStream(1).gaussians(100_000)
+        make_direction(direction_seed(5, 3, np.arange(64), 0), 7850, DirectionMode.SPHERE)
+        sphere_direction(9, 16)
+        RngStream(2).gaussians(7850)
+        assert pools == []
+        RngStream(1).gaussians(300_000)  # six planned batches: threaded
+        assert len(pools) == 1
 
 
 class TestDirections:

@@ -9,6 +9,7 @@ from cyber0.verify import (
     CheckResult,
     TheoryParams,
     check_rate_factor,
+    check_rate_factor_mu_positive,
     cross_bound_value,
     error_floor,
     mc_cross_abs_bound,
@@ -206,6 +207,25 @@ class TestRateIdentity:
         monkeypatch.setattr(TheoryParams, "eta", property(lambda p: factor * eta.fget(p)))
         res = check_rate_factor()
         assert not res.passed and res.line().startswith("FAIL")
+
+    def test_factor_at_mu_positive_theory_step_size(self):
+        # the mu > 0 run at TheoryParams.eta against the identity at the mu > 0
+        # step size k / (2 (2d + (k - 1)(1 + sqrt d))) = 16 / 214
+        res = check_rate_factor_mu_positive()
+        eta = 16 / 214
+        assert res.target == pytest.approx(1 - 2 * eta + eta**2 * 31 / 16, rel=1e-15)
+        assert round(res.target, 5) == 0.86130 and res.passed
+        assert res.name == "rate factor at theory eta mu=0.001 d=16 k=16"
+
+    @pytest.mark.parametrize("factor", [0.7, 1.3])
+    def test_mu_positive_factor_check_fails_at_a_wrong_tau(self, monkeypatch, factor):
+        # only the mu > 0 branch of tau is wrong: the mu = 0 check still passes
+        tau = TheoryParams.tau
+        monkeypatch.setattr(TheoryParams, "tau", property(
+            lambda p: factor * tau.fget(p) if p.mu > 0 else tau.fget(p)))
+        res = check_rate_factor_mu_positive()
+        assert not res.passed and res.line().startswith("FAIL")
+        assert check_rate_factor().passed
 
     @pytest.mark.parametrize("d,k,mu,mode,epochs", [SPHERE_16, SPHERE_64, GAUSSIAN_16, TWO_EPOCHS])
     @pytest.mark.parametrize("factor", [0.7, 1.3])
