@@ -27,20 +27,12 @@ from .zo import all_finite
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
-# doubles in the (rows, C * k) step block of one client group: the engine
-# evaluates as many clients at once as fit, and at least one (six 64-row
-# clients at C * k = 640). A client's rows of the group's X Z product are
-# the rows of its own product, so the budget changes speed and memory,
-# not the run, on OpenBLAS 0.3.31's SkylakeX kernel: its blocked path
-# computes a row of a product apart from the rows beside it, and where a
-# client's own product is small enough for its small-matrix path
-# (rows * C * k * p <= 10**6), which does not, the kernel multiplies each
-# client of the group alone (losses.SMALL_PRODUCT). Every 64-row client at
-# 784 features and C * k = 640 stays grouped. The Haswell dgemm kernel
-# (Intel CPUs without AVX-512) rounds a row in an M-tail tile apart from
-# the same row in a full tile, so there this budget changes a run's bits
-# and test_grouped_kernel_is_each_client_alone_bitwise_at_mnist_width
-# fails for its 17-row client
+# doubles in the (rows, C * k) step block of one client group, counted in
+# real rows: the engine evaluates as many clients at once as fit, and at least
+# one (six 64-row clients at C * k = 640). The group's X Z product lays each
+# client's rows out in whole tiles of losses._TILE rows, and then a client's
+# rows of it are the rows of its own product on every OpenBLAS dgemm kernel
+# tested, so the budget changes speed and memory, not the run
 GROUP_VALUES = 1 << 18
 
 MNIST_DIR_ENV = "CYBER0_MNIST_DIR"

@@ -357,8 +357,7 @@ def run_experiment(config: ExperimentConfig, *,
     ``prepare_variants`` call per window lays the whole block out as the
     steps mu z_r into one buffer per run, whose (round, epoch) slices the
     clients are evaluated against in row groups of ``data.GROUP_VALUES``
-    doubles: one gather and one X Z product per group (one per client where
-    it is small, see ``losses.SMALL_PRODUCT``), then each client's
+    doubles: one gather and one X Z product per group, then each client's
     differences at its own w (setup.w in epoch 0, its row of an (n, d)
     block of drifted copies after that). Both budgets set speed and memory,
     not the run. Where one report row stands for every client (the

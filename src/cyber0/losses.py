@@ -23,10 +23,14 @@ import numpy as np
 
 Batch = tuple[np.ndarray, np.ndarray] | None
 
-# OpenBLAS 0.3.31's small-matrix path (rows * p * C * k <= 10**6) rounds a
-# row of a stacked product differently from the same row multiplied alone;
-# below this size each client of a group gets its own X Z product
-SMALL_PRODUCT = 10**6
+# rows per tile of a group's X Z product: each client's rows start a tile and
+# are zero-padded to whole tiles, so that they equal its own product. Measured
+# on OpenBLAS 0.3.31's dgemm kernels (final_w, grouped vs one client a group):
+#   tile  SkylakeX  Haswell  Sandybridge  Nehalem              Katmai
+#   4     same      same     same         differ               differ
+#   8     same      same     same         differ at 2 threads  same
+#   16    same      same     same         same                 same
+_TILE = 16
 
 
 class LogisticRegressionModel:
@@ -147,17 +151,16 @@ class LogisticRegressionModel:
 
     def _step(self, prepared: np.ndarray, X: np.ndarray, counts) -> np.ndarray:
         """S = X (mu Z) + mu b_z of clients owning ``counts`` consecutive rows
-        of X each, as (rows, C, k): one product of the whole stack, or one
-        per client where a client's product is small enough for OpenBLAS's
-        small-matrix path (see SMALL_PRODUCT)."""
+        of X each, as (rows, C, k), from one product of the stack in _TILE tiles."""
         Zp, bias = prepared[:-1], prepared[-1]
-        step = np.empty((len(X), len(bias)))
-        if min(counts) * Zp.size > SMALL_PRODUCT:
-            np.matmul(X, Zp, out=step)
-        else:
-            ends = np.cumsum(counts)
-            for a, b in zip(ends - counts, ends):
-                np.matmul(X[a:b], Zp, out=step[a:b])
+        pad = -np.asarray(counts) % _TILE
+        if pad.any():  # each client's rows from a tile boundary, zero rows after them
+            at = np.arange(len(X)) + np.repeat(np.cumsum(pad) - pad, counts)
+            tiled = np.zeros((len(X) + pad.sum(), X.shape[1]))
+            tiled[at] = X
+            step = (tiled @ Zp)[at]
+        else:  # every client fills whole tiles: X is its own tiled layout
+            step = X @ Zp
         step += bias
         return step.reshape(len(X), self.num_classes, -1)
 

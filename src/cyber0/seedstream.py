@@ -298,6 +298,8 @@ class RngStream:
         self._pending: float | None = None  # second half of an odd polar pair
 
     def words(self, n: int) -> np.ndarray:
+        if n < 0:  # np.arange would return no words and the position move back
+            raise ValueError(f"cannot draw {n} words")
         w = _words_at(self._seed, self._pos, n)
         self._pos += n
         return w
@@ -474,7 +476,7 @@ def make_direction(
     want = (d + 1) // 2
     pairs = _polar_batch(want)
     positions = _position_grid(pairs)[:, None, :]
-    rows = min(k, max(1, BLOCK_WORDS // (2 * pairs)))
+    rows = max(1, min(k, BLOCK_WORDS // (2 * pairs)))  # range() takes no zero step
     scratch = np.empty((2, 2, rows, pairs), dtype=np.uint64)
     for a in range(0, k, rows):
         block = out[a : a + rows]

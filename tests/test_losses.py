@@ -1,10 +1,19 @@
+import ctypes
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cyber0
+from cyber0 import data as data_module
+from cyber0.cli import _openblas
+from cyber0.federation import ExperimentConfig, run_experiment
 from cyber0.losses import LogisticRegressionModel, QuadraticModel
 
 
@@ -225,11 +234,21 @@ def grouped_equals_each_client_alone(model, rng, counts, k, mu):
         assert np.array_equal(diff[j], alone)
 
 
+# two groups whose stacked X Z product, without whole tiles per client,
+# rounds apart from the clients' own products on the SkylakeX kernel
+# (OpenBLAS's small-matrix path)
+SMALL_GROUPS = [dict(p=9, C=6, k=9, counts=[2, 5, 7, 1, 3], seed=183),
+                dict(p=9, C=6, k=8, counts=[7, 2, 1, 4], seed=208)]
+
+
+def small_group_equals_each_client_alone(p, C, k, counts, seed):
+    model = LogisticRegressionModel(input_dim=p, num_classes=C)
+    grouped_equals_each_client_alone(model, np.random.default_rng(seed), counts, k, 1e-3)
+
+
 @settings(max_examples=40, deadline=None)
-# two groups whose stacked X Z product OpenBLAS's small-matrix path rounds
-# apart from the clients' own products
-@example(p=9, C=6, k=9, counts=[2, 5, 7, 1, 3], seed=183)
-@example(p=9, C=6, k=8, counts=[7, 2, 1, 4], seed=208)
+@example(**SMALL_GROUPS[0])
+@example(**SMALL_GROUPS[1])
 @given(
     p=st.integers(1, 9),
     C=st.integers(2, 6),
@@ -240,8 +259,7 @@ def grouped_equals_each_client_alone(model, rng, counts, k, mu):
 def test_grouped_kernel_is_each_client_alone_bitwise(p, C, k, counts, seed):
     # one X Z product for the stacked group, then each client's brackets on
     # its own rows at its own w: bit for bit the single-client call
-    model = LogisticRegressionModel(input_dim=p, num_classes=C)
-    grouped_equals_each_client_alone(model, np.random.default_rng(seed), counts, k, 1e-3)
+    small_group_equals_each_client_alone(p, C, k, counts, seed)
 
 
 @pytest.mark.parametrize("counts", [[64] * 6, [64, 17, 40, 64]])
@@ -250,6 +268,41 @@ def test_grouped_kernel_is_each_client_alone_bitwise_at_mnist_width(counts):
     # the unequal batches of small non-IID shards
     model = LogisticRegressionModel(input_dim=784, num_classes=10)
     grouped_equals_each_client_alone(model, np.random.default_rng(7), counts, 64, 1e-3)
+
+
+def check_grouping_on_this_kernel():
+    """Print the OpenBLAS build this process runs, then fail unless a client's
+    rows of a group are its own, at 784 features and in SMALL_GROUPS, and a
+    run's final w does not depend on data.GROUP_VALUES."""
+    print(_openblas("scipy_openblas_get_config64_", ctypes.c_char_p), flush=True)
+    model = LogisticRegressionModel(input_dim=784, num_classes=10)
+    grouped_equals_each_client_alone(model, np.random.default_rng(7), [64, 17, 40, 64], 64, 1e-3)
+    for case in SMALL_GROUPS:
+        small_group_equals_each_client_alone(**case)
+    cfg = ExperimentConfig(synth_samples=600, synth_features=784, synth_classes=10,
+                           clients=12, batch_size=17, k=64, steps=2)
+    final = []
+    for budget in (data_module.GROUP_VALUES, 1):  # one group of every client, one each
+        data_module.GROUP_VALUES = budget
+        final.append(run_experiment(cfg).final_w.tobytes())
+    assert final[0] == final[1], "final w depends on data.GROUP_VALUES"
+
+
+@pytest.mark.parametrize("core", ["SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Katmai"])
+def test_grouping_is_not_part_of_a_run_on_every_kernel(core):
+    # numpy's OpenBLAS picks its dgemm kernel by CPU; OPENBLAS_CORETYPE
+    # forces one for a child process. A kernel this CPU cannot run (it dies
+    # by a signal) or that the build does not know (it reports another) is
+    # skipped
+    env = {**os.environ, "OPENBLAS_CORETYPE": core,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(cyber0.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True)
+    if child.returncode < 0:
+        pytest.skip(f"the {core} kernel died by signal {-child.returncode}")
+    if core not in child.stdout.partition("\n")[0].split():
+        pytest.skip(f"OpenBLAS runs another kernel than {core}: {child.stdout!r}")
+    assert child.returncode == 0, child.stderr
 
 
 @pytest.mark.parametrize("case", ["exp_overflows", "softmax_underflows"])
@@ -370,3 +423,7 @@ def test_accuracy_percent():
     X = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0], [-0.5, 0.0]])
     y = np.array([1, 0, 1, 1])
     assert model.accuracy(w.reshape(-1), X, y) == 75.0
+
+
+if __name__ == "__main__":
+    check_grouping_on_this_kernel()

@@ -136,6 +136,16 @@ class TestStream:
         u = RngStream(5).uniforms(1000)
         assert np.all((u >= 0) & (u < 1))
 
+    @pytest.mark.parametrize("draw", ["words", "uniforms", "permutation"])
+    def test_negative_count_is_rejected_in_place(self, draw):
+        # a negative count would draw nothing and move the position back, so
+        # that the next draw repeated words already drawn
+        st = RngStream(5)
+        st.words(10)
+        with pytest.raises(ValueError, match="-3"):
+            getattr(st, draw)(-3)
+        assert np.array_equal(st.words(3), RngStream(5).words(13)[10:])
+
     def test_first_uniforms_match_each_stream(self):
         derived = [derive_seed(9, t, 0, 0, StreamKind.ADVERSARY) for t in range(60)]
         seeds = np.array([0, 5, 2**63, 2**64 - 1] + derived, dtype=np.uint64)
@@ -415,6 +425,12 @@ class TestDirectionBlock:
         assert_rows_match_reference(out, seeds, 33, DirectionMode.SPHERE)
         with pytest.raises(ValueError):
             make_direction(seeds, 33, DirectionMode.SPHERE, out=np.empty((4, 33)))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_seeds_give_an_empty_block(self, mode):
+        assert make_direction(np.array([], dtype=np.uint64), 33, mode).shape == (0, 33)
+        out = np.empty((0, 7850))
+        assert make_direction([], 7850, mode, out=out) is out
 
     @settings(max_examples=60, deadline=None)
     @given(
