@@ -267,7 +267,8 @@ def _map_clients(setup: _Setup, groups: list[slice], ws: np.ndarray, layout,
         if dirs is None:
             out[rows] = [model.grad(w, v) for w, v in zip(ws[rows], views)]
         elif cfg.mu == 0:
-            out[rows] = [setup.scale * (dirs @ model.grad(w, v)) for w, v in zip(ws[rows], views)]
+            out[rows] = [setup.scale * np.einsum("kd,d->k", dirs, model.grad(w, v))
+                         for w, v in zip(ws[rows], views)]
         else:
             diff = model.loss_batch_multi(layout, batch, counts, ws[rows])
             coeffs = np.multiply(diff, setup.scale, out=out[rows])  # scale * diff / (2 mu)
@@ -321,21 +322,25 @@ def project_ball(w: np.ndarray, radius: float) -> np.ndarray:
         raise ValueError("radius must be positive")
     if not np.all(np.isfinite(w)):
         raise ValueError("project_ball: non-finite input vector")
-    norm, peak = float(np.linalg.norm(w)), 1.0
-    if norm == np.inf:  # w is finite, so only its squared norm overflowed
+    norm, peak = _norm(w), 1.0
+    if norm == math.inf:  # w is finite, so only its squared norm overflowed
         peak = float(np.max(np.abs(w)))
-        norm = float(np.linalg.norm(w / peak))  # ||w|| / peak
+        norm = _norm(w / peak)  # ||w|| / peak
     if norm * peak <= radius:
         return w
     out = (w if peak == 1.0 else w / peak) * (radius / norm)
     # rescaling can round the norm a hair above the radius; nudge until the
     # inside test holds so projection is exactly idempotent
     for _ in range(4):
-        n = float(np.linalg.norm(out))
+        n = _norm(out)
         if n <= radius:
             return out
         out = out * (radius / n)
     return out * (1.0 - 4.0 * np.finfo(float).eps)
+
+
+def _norm(w: np.ndarray) -> float:
+    return math.sqrt(np.einsum("d,d->", w, w))  # numpy's own loop, not BLAS's
 
 
 def run_experiment(config: ExperimentConfig, *,

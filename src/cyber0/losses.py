@@ -195,7 +195,7 @@ class QuadraticModel:
 
     def eval(self, w: np.ndarray, batch: Batch = None) -> float:
         diff = w - self.w_star
-        return 0.5 * self.lam * float(np.dot(diff, diff))
+        return 0.5 * self.lam * float(np.einsum("d,d->", diff, diff))
 
     def grad(self, w: np.ndarray, batch: Batch = None) -> np.ndarray:
         return self.lam * (w - self.w_star)

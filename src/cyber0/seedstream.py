@@ -29,17 +29,18 @@ third party can reproduce every stream bit for bit:
   ``s = v1**2 + v2**2``, a pair is accepted when ``0 < s < 1`` and emits
   ``v1 * f`` then ``v2 * f`` for ``f = sqrt(-2 ln(s) / s)``. Rejected pairs
   are part of the stream; the i-th Gaussian depends only on (seed, i).
+  ``ln`` is ``np.log``, whose AVX-512 loop rounds a few values in 1,000
+  one ulp apart from numpy's other loops.
 
-* Sphere directions are d Gaussians divided by their Euclidean norm, where
-  the squared norm is accumulated as a plain Python float over ``np.dot``
-  of consecutive 4096-wide chunks, in chunk order. The chunking fixes the
-  order in which the chunk sums add up; the sum within a chunk is BLAS's
-  ddot, so a sphere direction's last bits are those of the host's ddot
-  kernel (OpenBLAS's SkylakeX, Haswell and Sandybridge kernels give three
-  sets of bits at d = 100, and SkylakeX differs from the other two at
-  d = 16). Gaussian directions are the same on every kernel. An all-zero
-  draw (probability zero) consumes the next d Gaussians from the same
-  stream.
+* Sphere directions are d Gaussians divided by their Euclidean norm. The
+  squared norm adds up, in chunk order, the sums of squares of
+  consecutive 4096-wide chunks, each taken by numpy's own ``einsum`` loop,
+  which does not call BLAS: a sphere direction is the same on every
+  OpenBLAS kernel. The chunking fixes the order in which the chunk sums
+  add up, and keeps a row's sum independent of the block it sits in (an
+  unchunked einsum differs between a block and a lone row at d = 10,000).
+  An all-zero draw (probability zero) consumes the next d Gaussians from
+  the same stream.
 
 ``RngStream`` is the reference implementation of these rules. The engine
 generates directions a window of rounds at a time: one ``derive_seeds``
@@ -49,12 +50,11 @@ polar batch of many rows in one vectorised pass. A window holds as many
 rounds as fit ``WINDOW_VALUES`` doubles, at least one. A row whose first
 batch holds too few accepted pairs (binomial odds 1 in 749 at d = 7850,
 1 in 3,245 at d = 16) is redrawn whole by its own ``RngStream``: the same
-row. Sphere rows are normalised with one stacked matmul per CHUNK-wide
-column slice, which sums each slice with the same dot routine and in the
-same chunk order as ``_chunked_sumsq``. Windowed, block and batched-norm
-generation are bit-identical to the per-seed streams and are not part of
-the frozen identity: how rows are grouped into windows and chunks
-(``WINDOW_VALUES``, ``BLOCK_WORDS``) changes speed and memory only.
+row. Every sphere norm, of one direction or of a block's rows, comes from
+``rows_sumsq``. Windowed and block generation are bit-identical to the
+per-seed streams and are not part of the frozen identity: how rows are
+grouped into windows and chunks (``WINDOW_VALUES``, ``BLOCK_WORDS``)
+changes speed and memory only.
 
 A long ``RngStream.gaussians`` request, such as a synthetic feature
 matrix, is drawn in position chunks that do not depend on each other:
@@ -88,8 +88,9 @@ _NP_MIX2 = np.uint64(_MIX2)
 _S30, _S27, _S31, _S11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
 _U53 = 2.0 ** -53
 
-# chunk width of the sphere normalizer's per-chunk dot products; part of the
-# frozen identity because it fixes their summation order
+# chunk width of the sphere normalizer's per-chunk einsum sums; part of the
+# frozen identity because it fixes the order in which they add up, and
+# within it a row's sum does not depend on the block the row sits in
 CHUNK = 4096
 
 # raw words per chunk of rows in block direction generation (at least one
@@ -417,25 +418,18 @@ class RngStream:
         return np.argsort(self.words(n), kind="stable")
 
 
-def _chunked_sumsq(vec: np.ndarray) -> float:
-    total = 0.0
-    for a in range(0, len(vec), CHUNK):
-        b = vec[a : a + CHUNK]
-        total += float(np.dot(b, b))
-    return total
-
-
-def _rows_sumsq(block: np.ndarray) -> np.ndarray:
-    """``_chunked_sumsq`` of every row of an (n, d) block, bit for bit.
-
-    Each CHUNK-wide column slice takes one stacked (1, c) @ (c, 1) matmul,
-    which numpy computes with the same dot routine as ``np.dot`` (einsum
-    takes another summation order), and the slices add up in chunk order.
-    """
-    total = np.zeros(len(block))
-    for a in range(0, block.shape[1], CHUNK):
+def rows_sumsq(block: np.ndarray) -> np.ndarray:
+    """The squared Euclidean norm of every row of an (n, d) block, the one
+    sum of squares behind every sphere norm: each CHUNK-wide column slice
+    is summed by ``np.einsum``, numpy's own loop and not BLAS, so the bits
+    do not depend on the OpenBLAS kernel, and the slices add up in chunk
+    order. A row's sum is the same in any block, alone, C-contiguous or
+    a slice of a wider one."""
+    head = block[:, :CHUNK]
+    total = np.einsum("nd,nd->n", head, head)
+    for a in range(CHUNK, block.shape[1], CHUNK):
         b = block[:, a : a + CHUNK]
-        total += np.matmul(b[:, None, :], b[:, :, None]).reshape(-1)
+        total += np.einsum("nd,nd->n", b, b)
     return total
 
 
@@ -444,10 +438,10 @@ def sphere_direction(seed: int, d: int) -> np.ndarray:
         raise ValueError("dimension must be >= 1")
     stream = RngStream(seed)
     g = stream.gaussians(d)
-    sumsq = _chunked_sumsq(g)
+    sumsq = float(rows_sumsq(g[None])[0])
     while sumsq == 0.0:  # measure-zero guard
         g = stream.gaussians(d)
-        sumsq = _chunked_sumsq(g)
+        sumsq = float(rows_sumsq(g[None])[0])
     g /= math.sqrt(sumsq)  # correctly rounded, as np.sqrt: the same bits
     return g
 
@@ -463,7 +457,7 @@ def make_direction(
     raw words at a time: each chunk draws every row's first polar batch in
     one pass, a row whose batch holds too few accepted pairs is redrawn
     whole by its own ``RngStream``, and sphere rows take their norms from
-    ``_rows_sumsq``.
+    ``rows_sumsq``.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -482,7 +476,7 @@ def make_direction(
         block = out[a : a + rows]
         _gaussian_rows(seeds[a : a + rows], positions, want, block, scratch[:, :, : len(block)])
         if mode == DirectionMode.SPHERE:
-            norms = np.sqrt(_rows_sumsq(block))
+            norms = np.sqrt(rows_sumsq(block))
             for r in np.flatnonzero(norms == 0.0):  # measure-zero guard, as in sphere_direction
                 block[r] = sphere_direction(int(seeds[a + r]), d)
                 norms[r] = 1.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .federation import ExperimentConfig, run_experiment
-from .seedstream import RngStream
+from .seedstream import RngStream, rows_sumsq
 
 _SHARD = 1 << 15
 
@@ -71,12 +71,12 @@ class CheckResult:
 
 def _sphere_rows(stream: RngStream, n: int, d: int) -> np.ndarray:
     g = stream.gaussians(n * d).reshape(n, d)
-    norms = np.sqrt(np.einsum("nd,nd->n", g, g))
+    norms = np.sqrt(rows_sumsq(g))
     # a zero row has probability zero; redrawing keeps the check total
     while np.any(norms == 0.0):
         idx = np.flatnonzero(norms == 0.0)
         g[idx] = stream.gaussians(len(idx) * d).reshape(len(idx), d)
-        norms[idx] = np.sqrt(np.einsum("nd,nd->n", g[idx], g[idx]))
+        norms[idx] = np.sqrt(rows_sumsq(g[idx]))
     g /= norms[:, None]
     return g
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,18 @@ class TestProjectBall:
             out = project_ball(np.array([3e200, 4e200]), 1.0)
             assert np.allclose(out, [0.6, 0.8], rtol=0, atol=1e-15)
             assert np.linalg.norm(out) <= 1.0
+            big = np.array([1.7e308, -1.7e308, 1e300])
+            assert np.allclose(project_ball(big, 2.0), [np.sqrt(2), -np.sqrt(2), 0.0])
+            inside = np.array([3e160])
+            assert project_ball(inside, 1e200) is inside
+
+    def test_overflowing_norm_warns_nothing(self):
+        # the projection's norms are einsum sums, which raise no overflow
+        # warning where BLAS's dot does: the same vectors, warnings as errors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = project_ball(np.array([3e200, 4e200]), 1.0)
+            assert np.allclose(out, [0.6, 0.8], rtol=0, atol=1e-15)
             big = np.array([1.7e308, -1.7e308, 1e300])
             assert np.allclose(project_ball(big, 2.0), [np.sqrt(2), -np.sqrt(2), 0.0])
             inside = np.array([3e160])

@@ -1,20 +1,14 @@
-import ctypes
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import cyber0
 from cyber0 import data as data_module
-from cyber0.cli import _openblas
 from cyber0.federation import ExperimentConfig, run_experiment
 from cyber0.losses import LogisticRegressionModel, QuadraticModel
+from test_kernels import CORES, print_openblas_config, run_on_kernel
 
 
 def naive_logreg_loss(w, X, y, p, C):
@@ -274,7 +268,7 @@ def check_grouping_on_this_kernel():
     """Print the OpenBLAS build this process runs, then fail unless a client's
     rows of a group are its own, at 784 features and in SMALL_GROUPS, and a
     run's final w does not depend on data.GROUP_VALUES."""
-    print(_openblas("scipy_openblas_get_config64_", ctypes.c_char_p), flush=True)
+    print_openblas_config()
     model = LogisticRegressionModel(input_dim=784, num_classes=10)
     grouped_equals_each_client_alone(model, np.random.default_rng(7), [64, 17, 40, 64], 64, 1e-3)
     for case in SMALL_GROUPS:
@@ -288,21 +282,11 @@ def check_grouping_on_this_kernel():
     assert final[0] == final[1], "final w depends on data.GROUP_VALUES"
 
 
-@pytest.mark.parametrize("core", ["SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Katmai"])
+@pytest.mark.parametrize("core", CORES)
 def test_grouping_is_not_part_of_a_run_on_every_kernel(core):
-    # numpy's OpenBLAS picks its dgemm kernel by CPU; OPENBLAS_CORETYPE
-    # forces one for a child process. A kernel this CPU cannot run (it dies
-    # by a signal) or that the build does not know (it reports another) is
-    # skipped
-    env = {**os.environ, "OPENBLAS_CORETYPE": core,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(cyber0.__file__).parents[1]),
-                                                       os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True)
-    if child.returncode < 0:
-        pytest.skip(f"the {core} kernel died by signal {-child.returncode}")
-    if core not in child.stdout.partition("\n")[0].split():
-        pytest.skip(f"OpenBLAS runs another kernel than {core}: {child.stdout!r}")
-    assert child.returncode == 0, child.stderr
+    # the grouping checks in a child process on each of OpenBLAS's dgemm
+    # kernels (test_kernels.run_on_kernel)
+    run_on_kernel(core, __file__)
 
 
 @pytest.mark.parametrize("case", ["exp_overflows", "softmax_underflows"])

@@ -1,6 +1,7 @@
 """Stream identity, determinism, and replay properties."""
 
 import concurrent.futures
+import math
 import sys
 import threading
 
@@ -472,16 +473,23 @@ class TestDirectionBlock:
             with pytest.raises(ValueError):
                 direction_seed(1, *bad)
 
-    def test_batched_sphere_norms_match_chunked_reference(self):
-        # d from 1 to 9000, crossing every CHUNK boundary below it
-        ds = list(range(1, 80)) + [d + j for d in (CHUNK, 2 * CHUNK) for j in (-1, 0, 1)]
-        ds += list(range(97, 9001, 611)) + [7850, 9000]
+    def test_sphere_norm_of_a_row_does_not_depend_on_its_block(self):
+        # a row's sum of squares is the same in a block, C-contiguous or a
+        # window sliced out of a wider one, as alone, for d from 1 to 12,289,
+        # crossing 1, CHUNK, 2 * CHUNK (8192) and 3 * CHUNK
+        ds = list(range(1, 40)) + [d + j for d in (CHUNK, 2 * CHUNK, 3 * CHUNK)
+                                   for j in (-1, 0, 1)]
+        ds += list(range(97, 9001, 1223)) + [7850, 10_000]
         for d in ds:
-            block = RngStream(d).gaussians(5 * d).reshape(5, d)
-            block[1] *= 1e-150  # tiny and huge rows round differently
-            block[2] *= 1e150
-            want = np.array([seedstream._chunked_sumsq(row) for row in block])
-            assert np.array_equal(seedstream._rows_sumsq(block), want), d
+            wide = RngStream(d).gaussians(5 * (d + 3)).reshape(5, d + 3)
+            wide[1] *= 1e-150  # tiny and huge rows round differently
+            wide[2] *= 1e150
+            for block in (np.ascontiguousarray(wide[:, 2:-1]), wide[:, 2:-1], wide[::2, 3:]):
+                got = seedstream.rows_sumsq(block)
+                alone = [seedstream.rows_sumsq(row.copy()[None])[0] for row in block]
+                assert np.array_equal(got, alone), (d, block.strides)
+                want = [math.fsum(row * row) for row in block]
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0), d
 
 
 class TestPerturb:
