@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .federation import ExperimentConfig, RoundLog, run_experiment
+from .seedstream import _openblas
 from .verify import SUITES
 from .zo import NonFiniteLossError
 
@@ -103,29 +104,18 @@ def csv_text(logs: list[RoundLog]) -> str:
     return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
-def _openblas(name: str, restype) -> str:
-    """What the function ``name`` of numpy's bundled OpenBLAS returns, as
-    text, or ``unknown`` where numpy does not expose that library."""
-    try:
-        from numpy._core import _multiarray_umath  # linked against the library
-        function = getattr(ctypes.CDLL(_multiarray_umath.__file__), name)
-    except (ImportError, OSError, AttributeError):
-        return "unknown"
-    function.argtypes, function.restype = [], restype
-    value = function()
-    return value.decode() if isinstance(value, bytes) else str(value)
-
-
 def write_manifest(config: ExperimentConfig, out_dir: Path, wall_seconds: float) -> None:
     """The config as ``key = value`` lines under comment lines that record
-    the run's wall time and its BLAS environment: the logistic model's bits
-    follow OpenBLAS's CPU kernel, which the config string names, and its
-    thread count."""
+    the run's wall time and what its bits follow: numpy's CPU dispatch, and
+    OpenBLAS's CPU kernel, which the config string names, and thread count."""
+    core = sys.modules.get("numpy._core._multiarray_umath")  # absent before numpy 2
+    cpu = [t for t in core.__cpu_dispatch__ if core.__cpu_features__.get(t)] if core else ["unknown"]
     lines = [
         f"# cyber0 run manifest (version {__version__})",
         f"# wall_seconds: {wall_seconds:.3f}",
         "# output: log.csv",
         f"# numpy: {np.__version__}",
+        f"# numpy_cpu_dispatch: {' '.join(cpu) or 'none'}",
         f"# openblas_config: {_openblas('scipy_openblas_get_config64_', ctypes.c_char_p)}",
         f"# openblas_threads: {_openblas('scipy_openblas_get_num_threads64_', ctypes.c_int)}",
         *config_lines(config),

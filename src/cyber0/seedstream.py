@@ -61,14 +61,18 @@ matrix, is drawn in position chunks that do not depend on each other:
 chunk c of a request that starts at word o of stream s is the first
 2 * GAUSSIAN_BATCH_PAIRS words of the stream seeded s + (o + 2 *
 GAUSSIAN_BATCH_PAIRS * c) * GOLDEN, and a pair is accepted or rejected from
-its own two words only. Two worker threads compute the chunks, and the
-caller places their accepted pairs in chunk order and joins the threads
-before it returns, so neither the thread schedule nor the chunk size
-changes a bit of the stream. Every other draw stays on the calling thread.
+its own two words only. Two worker threads, which make no BLAS call,
+compute the chunks once OpenBLAS's idle workers, which busy-wait after a
+threaded product, are stopped (the next product restarts them at the same
+thread count; no other thread may be in a BLAS call then). The caller
+places the accepted pairs in chunk order and joins the threads before it
+returns, so neither the thread schedule nor the chunk size changes a bit
+of the stream. Every other draw stays on the calling thread.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
 from collections import deque
@@ -285,6 +289,25 @@ def _pooled_batch(seed: int, grid: np.ndarray, scratch: np.ndarray) -> tuple[np.
     return acc, first, second
 
 
+def _openblas(name: str, restype=None) -> str:
+    """What the function ``name`` of numpy's bundled OpenBLAS returns, as
+    text, or ``unknown`` where numpy does not expose that function."""
+    try:
+        from numpy._core import _multiarray_umath  # linked against the library
+        function = getattr(ctypes.CDLL(_multiarray_umath.__file__), name)
+    except (ImportError, OSError, AttributeError):
+        return "unknown"
+    function.argtypes, function.restype = [], restype
+    value = function()
+    return value.decode() if isinstance(value, bytes) else str(value)
+
+
+def _park_blas() -> None:
+    """Stop OpenBLAS's idle workers, as OpenBLAS does before a fork (see
+    the module docstring); nothing happens where numpy hides the function."""
+    _openblas("blas_thread_shutdown_")
+
+
 class RngStream:
     """Sequential view over one counter-based stream.
 
@@ -334,6 +357,7 @@ class RngStream:
         # imported here: the module costs 0.7 MB at import, which short draws never need
         from concurrent.futures import ThreadPoolExecutor
 
+        _park_blas()
         pool = ThreadPoolExecutor(_WORKERS)
         try:
             self._place(out, filled, want, self._pooled_batches(want, pool), placed)

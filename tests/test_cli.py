@@ -21,7 +21,6 @@ from cyber0.adversary import AttackKind
 from cyber0.cli import (
     CSV_HEADER,
     ConfigParseError,
-    _openblas,
     config_lines,
     load_config,
     main,
@@ -29,6 +28,7 @@ from cyber0.cli import (
 )
 from cyber0.data import IMAGES_MAGIC, LABELS_MAGIC, MNIST_FILES
 from cyber0.federation import ExperimentConfig
+from cyber0.seedstream import _openblas
 
 ROOT = Path(__file__).resolve().parent.parent
 PROFILE_DIR = ROOT / "profiles"
@@ -49,6 +49,12 @@ steps = 8
 batch_size = 16
 eval_every = 4
 """
+
+
+def manifest_comments(out: Path) -> dict[str, str]:
+    """The ``# name: value`` comment lines of the manifest in ``out``."""
+    return dict(line[2:].split(": ", 1) for line in (out / "manifest").read_text().splitlines()
+                if line.startswith("# ") and ": " in line)
 
 
 @pytest.fixture
@@ -159,18 +165,22 @@ class TestRun:
         main(["run", str(out1 / "manifest"), "--out", str(out2)])
         assert (out1 / "log.csv").read_bytes() == (out2 / "log.csv").read_bytes()
 
+    @staticmethod
+    def run_child(config: Path, out: Path, **env: str) -> dict[str, str]:
+        """The comment lines of the manifest of ``cyber0 run config`` run
+        in a child process with ``env`` added to its environment."""
+        env = {**os.environ, **env,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                           os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "cyber0.cli", "run", str(config),
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        return manifest_comments(out)
+
     def test_manifest_records_the_blas_environment(self, fast_config, tmp_path):
         # a child run with one OpenBLAS thread records that count, and its
         # comment lines keep the manifest rerunnable to the same log
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                           os.environ.get("PYTHONPATH")]))}
         out1 = tmp_path / "a"
-        subprocess.run([sys.executable, "-m", "cyber0.cli", "run", str(fast_config),
-                        "--out", str(out1)], env=env, check=True, capture_output=True)
-        comments = dict(line[2:].split(": ", 1) for line in
-                        (out1 / "manifest").read_text().splitlines()
-                        if line.startswith("# ") and ": " in line)
+        comments = self.run_child(fast_config, out1, OPENBLAS_NUM_THREADS="1")
         assert comments["numpy"] == np.__version__
         out2 = tmp_path / "b"
         assert main(["run", str(out1 / "manifest"), "--out", str(out2)]) == 0
@@ -179,6 +189,24 @@ class TestRun:
             pytest.skip("this numpy does not expose its OpenBLAS; both lines read unknown")
         assert comments["openblas_threads"] == "1"
         assert comments["openblas_config"].startswith("OpenBLAS ")  # names the CPU kernel
+
+    def test_manifest_records_numpy_cpu_dispatch(self, fast_config, tmp_path):
+        # a child without numpy's AVX-512 loops (np.log rounds apart there)
+        # records other dispatch targets than this process, and its
+        # manifest reruns under the same restriction to the same log
+        from numpy._core import _multiarray_umath as core
+        if not core.__cpu_features__.get("X86_V4"):
+            pytest.skip("this CPU has no X86_V4 (AVX-512) loops to switch off")
+        main(["run", str(fast_config), "--out", str(tmp_path / "full")])
+        full = manifest_comments(tmp_path / "full")["numpy_cpu_dispatch"]
+        assert "X86_V4" in full.split()
+        restricted = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+        first = self.run_child(fast_config, tmp_path / "a", **restricted)
+        again = self.run_child(tmp_path / "a" / "manifest", tmp_path / "b", **restricted)
+        assert first["numpy_cpu_dispatch"] != full
+        assert "X86_V4" not in first["numpy_cpu_dispatch"].split()
+        assert again["numpy_cpu_dispatch"] == first["numpy_cpu_dispatch"]
+        assert (tmp_path / "a" / "log.csv").read_bytes() == (tmp_path / "b" / "log.csv").read_bytes()
 
     @pytest.mark.parametrize("removed", ["broadcast_model = false", "mu_zero = false",
                                          "init = zeros", "debug_replicas = false",

@@ -1,3 +1,4 @@
+import ctypes
 import gzip
 import hashlib
 import re
@@ -155,6 +156,27 @@ class TestSynth:
                 m.setattr(seedstream, "THREAD_BATCHES", 2)
                 got = synth_generate(4, n, p, num_classes, split).features
             assert np.array_equal(got, want)
+
+    def test_pooled_draw_without_the_park_symbol_keeps_its_bits(self, monkeypatch):
+        # a numpy whose OpenBLAS lacks blas_thread_shutdown_: the park looks
+        # it up, does nothing, and the pooled draw (four planned batches)
+        # still equals the one-thread draw of the default THREAD_BATCHES
+        want = synth_generate(9, 200, 784, 10).features
+        looked = []
+
+        class NoSymbols:
+            def __init__(self, path):
+                pass
+
+            def __getattr__(self, name):
+                looked.append(name)
+                raise AttributeError(name)
+
+        monkeypatch.setattr(ctypes, "CDLL", NoSymbols)
+        monkeypatch.setattr(seedstream, "THREAD_BATCHES", 2)
+        got = synth_generate(9, 200, 784, 10).features
+        assert looked == ["blas_thread_shutdown_"]
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n,split,digest", [(12_000, 0, "d4319c67f1cc3820"),
                                                  (3_000, 1, "3387a3ee59bbe8cb")])

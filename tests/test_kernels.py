@@ -5,7 +5,9 @@ forces one for a process. ``run_on_kernel`` runs a test script as a child
 process under a forced kernel; the script prints the OpenBLAS build it runs
 as its first line. Sphere directions and the data-free quadratic runs take
 no value from BLAS, so the child must print the same hashes as this
-process.
+process. Its last line says whether a product keeps its bits and OpenBLAS
+its thread count across ``seedstream._park_blas``, which every pooled
+Gaussian draw runs first.
 
 Run directly, this file prints those hashes after the build line.
 """
@@ -21,9 +23,10 @@ import numpy as np
 import pytest
 
 import cyber0
-from cyber0.cli import _openblas, csv_text
+from cyber0.cli import csv_text
 from cyber0.federation import ExperimentConfig, run_experiment
-from cyber0.seedstream import DirectionMode, make_direction, sphere_direction
+from cyber0.seedstream import (DirectionMode, _openblas, _park_blas, make_direction,
+                               sphere_direction)
 from cyber0.zo import direction_seed
 from test_federation import QUAD
 
@@ -70,10 +73,25 @@ def sha(*parts: bytes) -> str:
     return hashlib.sha256(b"".join(parts)).hexdigest()[:16]
 
 
+def openblas_threads() -> str:
+    return _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+
+
+def park_keeps_product_and_threads() -> bool:
+    """Whether a (384 x 784)(784 x 640) product is bitwise the same, and
+    OpenBLAS's thread count the same, after ``_park_blas`` as before it."""
+    rng = np.random.default_rng(5)
+    x, z = rng.random((384, 784)), rng.random((784, 640))
+    before, threads = (x @ z).tobytes(), openblas_threads()
+    _park_blas()
+    return (x @ z).tobytes() == before and openblas_threads() == threads
+
+
 def kernel_digests() -> list[str]:
     """``name hash`` lines of a sphere block of every d in DIMENSIONS, of
     ``sphere_direction``'s rows of the same seeds, and of each QUAD_RUNS
-    run's final w and log.csv text."""
+    run's final w and log.csv text, then whether the park keeps a
+    product's bits and the thread count."""
     lines = [
         "make_direction " + sha(*(make_direction(SEEDS, d, DirectionMode.SPHERE).tobytes()
                                   for d in DIMENSIONS)),
@@ -83,6 +101,7 @@ def kernel_digests() -> list[str]:
     for name, overrides in QUAD_RUNS.items():
         result = run_experiment(ExperimentConfig(**overrides))
         lines.append(f"{name} {sha(result.final_w.tobytes(), csv_text(result.logs).encode())}")
+    lines.append(f"park_keeps_product_and_threads {park_keeps_product_and_threads()}")
     return lines
 
 
@@ -93,6 +112,7 @@ def in_process() -> list[str]:
 
 @pytest.mark.parametrize("core", CORES)
 def test_sphere_directions_and_data_free_runs_on_every_kernel(core, in_process):
+    assert in_process[-1] == "park_keeps_product_and_threads True"
     assert run_on_kernel(core, __file__).splitlines() == in_process
 
 

@@ -4,6 +4,7 @@ import concurrent.futures
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from cyber0.seedstream import (
     sphere_direction,
 )
 from cyber0.zo import direction_seed
+from test_kernels import openblas_threads, park_keeps_product_and_threads
 
 MASK = (1 << 64) - 1
 
@@ -320,6 +322,34 @@ class TestLongRequests:
         assert pools == []
         RngStream(1).gaussians(300_000)  # six planned batches: threaded
         assert len(pools) == 1
+
+
+class TestParkBlas:
+    """``_park_blas``, which a pooled draw runs before its workers start,
+    stops OpenBLAS's idle workers; the next product restarts them."""
+
+    def test_park_stops_the_openblas_workers(self):
+        tasks = Path("/proc/self/task")  # one entry per thread of this process
+        if not tasks.is_dir():
+            pytest.skip("no /proc/self/task to count threads in")
+        if openblas_threads() == "unknown" or int(openblas_threads()) < 2:
+            pytest.skip("OpenBLAS runs no worker thread here")
+        x = np.ones((384, 784))
+        x @ x.T  # a threaded product: the workers run, should they have been parked
+        before = len(list(tasks.iterdir()))
+        seedstream._park_blas()
+        assert len(list(tasks.iterdir())) < before
+
+    def test_product_and_thread_count_survive_the_park(self):
+        assert park_keeps_product_and_threads()
+
+    def test_only_a_pooled_draw_parks(self, small_batches, monkeypatch):
+        parks = []
+        monkeypatch.setattr(seedstream, "_park_blas", lambda: parks.append(len(small_batches)))
+        RngStream(3).gaussians(150)  # two planned batches: the calling thread's
+        assert parks == []
+        RngStream(3).gaussians(4_000)
+        assert parks == [0] and len(small_batches) == 1  # parked before the pool started
 
 
 class TestDirections:
