@@ -32,7 +32,8 @@ LABELS_MAGIC = 0x00000801
 # one (six 64-row clients at C * k = 640). The group's X Z product lays each
 # client's rows out in whole tiles of losses._TILE rows, and then a client's
 # rows of it are the rows of its own product on every OpenBLAS dgemm kernel
-# tested, so the budget changes speed and memory, not the run
+# tested, so the budget changes speed and memory, not the run. Accuracy takes
+# the test split's rows in groups of this many features (334 rows at p = 784)
 GROUP_VALUES = 1 << 18
 
 MNIST_DIR_ENV = "CYBER0_MNIST_DIR"

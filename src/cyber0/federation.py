@@ -112,6 +112,12 @@ class ExperimentConfig:
             raise ValueError("beta must satisfy 0 <= beta < 1/2")
         if self.clients - 2 * int(np.floor(self.beta * self.clients)) < 1:
             raise ValueError(f"beta = {self.beta!r} leaves no survivors among {self.clients} clients")
+        # a config line ends at '#' and at a line break and is stripped, so
+        # only a path without them reruns from the manifest's config lines
+        path = self.mnist_dir
+        if "#" in path or path != path.strip() or len(path.splitlines()) > 1:
+            raise ValueError(f"mnist_dir must not hold '#', a line break or leading or "
+                             f"trailing whitespace, got {path!r}")
         for name in ("root_seed", "data_seed"):
             if not 0 <= getattr(self, name) < 2**64:
                 raise ValueError(f"{name} must be a 64-bit unsigned integer")
@@ -343,6 +349,9 @@ def _norm(w: np.ndarray) -> float:
     return math.sqrt(np.einsum("d,d->", w, w))  # numpy's own loop, not BLAS's
 
 
+# a run's non-finite values end it through its own checks, which raise
+# NonFiniteLossError, so numpy's warnings about them are noise: one errstate a run
+@np.errstate(all="ignore")
 def run_experiment(config: ExperimentConfig, *,
                    record: Callable[[RoundRecord], object] | None = None) -> RunResult:
     """The one round engine. CyBeR-0: each client runs E local epochs of k

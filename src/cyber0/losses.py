@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import data
+
 Batch = tuple[np.ndarray, np.ndarray] | None
 
 # rows per tile of a group's X Z product: each client's rows start a tile and
@@ -175,9 +177,16 @@ class LogisticRegressionModel:
         return _mean_nll(upper, y) - _mean_nll(step, y)
 
     def accuracy(self, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-        """Fraction of correct argmax predictions, in percent."""
-        pred = np.argmax(self.logits(w, X), axis=1)
-        return 100.0 * float(np.mean(pred == y))
+        """Fraction of correct argmax predictions, in percent (nan for no
+        rows), counted exactly over one product per row group of X of
+        ``data.GROUP_VALUES`` doubles: a tall product's OpenBLAS buffer
+        pages stay resident (2.9 KB per 784-wide row)."""
+        rows = max(1, data.GROUP_VALUES // self.input_dim)
+        hits = 0
+        for a in range(0, len(X), rows):
+            pred = np.argmax(self.logits(w, X[a:a + rows]), axis=1)
+            hits += int(np.count_nonzero(pred == y[a:a + rows]))
+        return 100.0 * (hits / len(X)) if len(X) else float("nan")
 
 
 class QuadraticModel:

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -115,6 +116,26 @@ class TestConfigParsing:
             parse_config_text(f"steps = 5\nclients = 4\n{key} = {value}\nk = 4\n")
         assert err.value.line == 3
         assert str(err.value).startswith(f"line 3, column 1: {key} ")
+
+    @pytest.mark.parametrize("path", ["/data/a#b", "/data/a\nb", "/data/a\rb", "/data/a\u2028b",
+                                      " /data/a", "/data/a\t"],
+                             ids=["hash", "newline", "return", "line_separator", "leading_space",
+                                  "trailing_tab"])
+    def test_mnist_dir_a_config_line_cannot_carry_is_rejected(self, path):
+        # config_lines would write it, and parse_config_text read back a
+        # path cut at '#' or the line break, or stripped, or fail; the
+        # message's first word is the key a parse error blames
+        try:
+            assert parse_config_text(f"mnist_dir = {path}\n").mnist_dir != path
+        except ConfigParseError:
+            pass
+        with pytest.raises(ValueError, match="^mnist_dir must not hold"):
+            ExperimentConfig(mnist_dir=path)
+
+    @pytest.mark.parametrize("path", ["", "/data/a b", "/data/a\tb", "/data/a=b", "C:\\mnist"])
+    def test_mnist_dir_round_trips_through_config_lines(self, path):
+        cfg = ExperimentConfig(mnist_dir=path)
+        assert parse_config_text("\n".join(config_lines(cfg))) == cfg
 
     def test_config_mapping_round_trip(self):
         # every field type: str, int (a full 64-bit seed), float
@@ -332,10 +353,12 @@ class TestRun:
             "mu = 0.001\nk = 2\neta = 1e300\nsteps = 40\n"
             "direction_mode = sphere\ninit_radius = 1.0\n"
         )
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():  # the run's one error line is all it reports
+            warnings.simplefilter("error")
             code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 3
-        assert "diverged" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: run diverged: non-finite coefficient at "
+                                           "step 1, epoch 0, direction 0, client 0\n")
 
     @pytest.mark.parametrize("engine", ["", "algorithm = fedavg\nquad_lambda = 1e10\n"],
                              ids=["cyber0", "fedavg"])
@@ -348,8 +371,7 @@ class TestRun:
             "mu = 0\nk = 4\neta = 1e308\nsteps = 5\n"
             "direction_mode = sphere\ninit_radius = 1.0\nproject_radius = 1.0\n" + engine
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
         assert err == "error: run diverged: non-finite parameters at step 0\n"
@@ -365,8 +387,7 @@ class TestRun:
         # reports see
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text("clients = 4\nalpha = 0\nbeta = 0\nsteps = 1\n" + text)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
         assert err == "error: run diverged: non-finite parameters at step 0\n"
@@ -379,8 +400,7 @@ class TestRun:
             "algorithm = fedavg\neta = 1e300\nsteps = 40\neval_every = 40\n"
             "init_radius = 1.0\n"
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
         assert "diverged" in err and "non-finite gradient" in err
@@ -456,8 +476,7 @@ class TestConfigFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "fuzz.cfg"
             path.write_text(text)
-            with redirect_stderr(err), redirect_stdout(io.StringIO()), \
-                    np.errstate(all="ignore"):
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
                 code = main(["run", str(path), "--out", str(Path(tmp) / "o")])
         assert code in (0, 2, 3)
         errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
@@ -575,6 +594,16 @@ class TestSweep:
                      "--values", "2,abc", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: steps=abc: steps: expected an integer, got 'abc'\n")
+        assert not out.exists()
+
+    def test_mnist_dir_with_a_hash_writes_nothing(self, fast_config, tmp_path, capsys):
+        # its manifest would rerun another directory: refused before the first run
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(fast_config), "--param", "mnist_dir",
+                     "--values", "/data/a,/data/a#b", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: mnist_dir=/data/a#b: mnist_dir must not hold '#', a line break or "
+            "leading or trailing whitespace, got '/data/a#b'\n")
         assert not out.exists()
 
     def test_bad_value_exit_2(self, fast_config, tmp_path, capsys):

@@ -546,9 +546,8 @@ class TestFailureModes:
     def test_nonfinite_abort_carries_context(self):
         # a divergent step size on the quadratic overflows quickly
         cfg = ExperimentConfig(**{**QUAD, "eta": 1e300, "steps": 50, "mu": 1e-3})
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteLossError) as err:
-                run_experiment(cfg)
+        with pytest.raises(NonFiniteLossError) as err:
+            run_experiment(cfg)
         assert err.value.step >= 0
 
     @pytest.mark.parametrize("overrides", [
@@ -558,11 +557,20 @@ class TestFailureModes:
     ], ids=["quadratic", "logreg"])
     def test_last_update_overflowing_w_aborts(self, overrides):
         # no round follows whose reports would see the non-finite w
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteLossError,
-                               match="^non-finite parameters at step 0$") as err:
-                run_experiment(ExperimentConfig(**overrides))
+        with pytest.raises(NonFiniteLossError,
+                           match="^non-finite parameters at step 0$") as err:
+            run_experiment(ExperimentConfig(**overrides))
         assert err.value.step == 0
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.0])
+    def test_divergent_data_free_run_raises_without_a_warning(self, mu):
+        # the overflowing brackets (mu > 0) and projections (mu = 0) are the
+        # engine's to report, as NonFiniteLossError, not numpy's to warn of
+        cfg = ExperimentConfig(**{**QUAD, "mu": mu, "eta": 1e300, "steps": 40})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteLossError, match="^non-finite .* at step 1"):
+                run_experiment(cfg)
 
     def test_check_finite_names_first_bad_entry(self):
         # row i of the computing block is client i. The first bad entry in
@@ -622,10 +630,8 @@ class TestFailureModes:
         # gradient is bounded, so its epoch-1 coefficients stay finite.)
         cfg = ExperimentConfig(**{**QUAD, "mu": 1e-3, "k": 4,
                                   "local_epochs": 2, "eta": 1e308, "steps": 3})
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteLossError,
-                               match="epoch 1, direction 0, client 0$") as err:
-                run_experiment(cfg)
+        with pytest.raises(NonFiniteLossError, match="epoch 1, direction 0, client 0$") as err:
+            run_experiment(cfg)
         assert (err.value.epoch, err.value.direction, err.value.client) == (1, 0, 0)
 
     def test_early_epoch_is_named_before_the_drift_replays_it(self):
@@ -634,11 +640,10 @@ class TestFailureModes:
         for epochs in (1, 2):
             cfg = ExperimentConfig(**{**QUAD, "quad_dim": 8, "mu": 1e-3, "k": 4, "steps": 3,
                                       "local_epochs": epochs, "init_radius": 1e300})
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(NonFiniteLossError,
-                                   match="^non-finite coefficient at step 0, epoch 0, "
-                                         "direction 0, client 0$") as err:
-                    run_experiment(cfg)
+            with pytest.raises(NonFiniteLossError,
+                               match="^non-finite coefficient at step 0, epoch 0, "
+                                     "direction 0, client 0$") as err:
+                run_experiment(cfg)
             assert (err.value.step, err.value.epoch, err.value.direction,
                     err.value.client) == (0, 0, 0, 0)
 
@@ -647,9 +652,8 @@ class TestFailureModes:
         # caught before any train loss is
         cfg = ExperimentConfig(**{**QUAD, "algorithm": "fedavg", "eta": 1e300, "steps": 50,
                                   "eval_every": 50})
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteLossError, match="non-finite gradient at step") as err:
-                run_experiment(cfg)
+        with pytest.raises(NonFiniteLossError, match="non-finite gradient at step") as err:
+            run_experiment(cfg)
         # the data-free quadratic's one gradient row stands for every client
         assert (err.value.step, err.value.coordinate, err.value.client) == (2, 0, 0)
         assert str(err.value).endswith("step 2, coordinate 0, client 0")

@@ -5,7 +5,8 @@ forces one for a process. ``run_on_kernel`` runs a test script as a child
 process under a forced kernel; the script prints the OpenBLAS build it runs
 as its first line. Sphere directions and the data-free quadratic runs take
 no value from BLAS, so the child must print the same hashes as this
-process. Its last line says whether a product keeps its bits and OpenBLAS
+process. Its last lines say whether ``accuracy`` in row groups counts what
+one whole product does, and whether a product keeps its bits and OpenBLAS
 its thread count across ``seedstream._park_blas``, which every pooled
 Gaussian draw runs first.
 
@@ -24,7 +25,9 @@ import pytest
 
 import cyber0
 from cyber0.cli import csv_text
+from cyber0.data import GROUP_VALUES
 from cyber0.federation import ExperimentConfig, run_experiment
+from cyber0.losses import LogisticRegressionModel
 from cyber0.seedstream import (DirectionMode, _openblas, _park_blas, make_direction,
                                sphere_direction)
 from cyber0.zo import direction_seed
@@ -87,11 +90,29 @@ def park_keeps_product_and_threads() -> bool:
     return (x @ z).tobytes() == before and openblas_threads() == threads
 
 
+def whole_accuracy(model, w, X, y) -> float:
+    """The accuracy of one product over every row of X."""
+    W = w.reshape(model.input_dim + 1, model.num_classes)
+    return 100.0 * float(np.mean(np.argmax(X @ W[:-1] + W[-1], axis=1) == y))
+
+
+def grouped_accuracy_is_whole() -> bool:
+    """Whether ``accuracy`` at MNIST's width, over three row groups and part
+    of a fourth, equals the argmax count of one product over every row."""
+    model = LogisticRegressionModel(input_dim=784, num_classes=10)
+    rng = np.random.default_rng(9)
+    n = 3 * (GROUP_VALUES // 784) + 5
+    X, y = rng.random((n, 784)), rng.integers(0, 10, n)
+    w = rng.standard_normal(model.dimension)
+    return model.accuracy(w, X, y) == whole_accuracy(model, w, X, y)
+
+
 def kernel_digests() -> list[str]:
     """``name hash`` lines of a sphere block of every d in DIMENSIONS, of
     ``sphere_direction``'s rows of the same seeds, and of each QUAD_RUNS
-    run's final w and log.csv text, then whether the park keeps a
-    product's bits and the thread count."""
+    run's final w and log.csv text, then whether grouped accuracy is the
+    whole product's, and whether the park keeps a product's bits and the
+    thread count."""
     lines = [
         "make_direction " + sha(*(make_direction(SEEDS, d, DirectionMode.SPHERE).tobytes()
                                   for d in DIMENSIONS)),
@@ -101,6 +122,7 @@ def kernel_digests() -> list[str]:
     for name, overrides in QUAD_RUNS.items():
         result = run_experiment(ExperimentConfig(**overrides))
         lines.append(f"{name} {sha(result.final_w.tobytes(), csv_text(result.logs).encode())}")
+    lines.append(f"grouped_accuracy_is_whole {grouped_accuracy_is_whole()}")
     lines.append(f"park_keeps_product_and_threads {park_keeps_product_and_threads()}")
     return lines
 
@@ -112,7 +134,8 @@ def in_process() -> list[str]:
 
 @pytest.mark.parametrize("core", CORES)
 def test_sphere_directions_and_data_free_runs_on_every_kernel(core, in_process):
-    assert in_process[-1] == "park_keeps_product_and_threads True"
+    assert in_process[-2:] == ["grouped_accuracy_is_whole True",
+                               "park_keeps_product_and_threads True"]
     assert run_on_kernel(core, __file__).splitlines() == in_process
 
 

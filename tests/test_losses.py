@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cyber0
 from cyber0 import data as data_module
 from cyber0.federation import ExperimentConfig, run_experiment
 from cyber0.losses import LogisticRegressionModel, QuadraticModel
-from test_kernels import CORES, print_openblas_config, run_on_kernel
+from test_kernels import CORES, print_openblas_config, run_on_kernel, whole_accuracy
 
 
 def naive_logreg_loss(w, X, y, p, C):
@@ -407,6 +413,65 @@ def test_accuracy_percent():
     X = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0], [-0.5, 0.0]])
     y = np.array([1, 0, 1, 1])
     assert model.accuracy(w.reshape(-1), X, y) == 75.0
+
+
+@pytest.mark.parametrize("p,budget", [(784, None), (20, 100), (150, 100)],
+                         ids=["mnist_width", "five_rows", "one_row"])
+def test_grouped_accuracy_is_one_whole_product(p, budget, monkeypatch):
+    # accuracy evaluates GROUP_VALUES // p rows at a time (at least one);
+    # its exact count gives the whole product's percentage bit for bit at
+    # one row and around one and several group boundaries
+    if budget is not None:
+        monkeypatch.setattr(data_module, "GROUP_VALUES", budget)
+    rows = max(1, data_module.GROUP_VALUES // p)
+    model = LogisticRegressionModel(input_dim=p, num_classes=10)
+    rng = np.random.default_rng(p)
+    w = rng.standard_normal(model.dimension)
+    for n in sorted({1, max(1, rows - 1), rows, rows + 1, 3 * rows + 5}):
+        X, y = rng.random((n, p)), rng.integers(0, 10, n)
+        assert model.accuracy(w, X, y) == whole_accuracy(model, w, X, y), n
+
+
+def test_accuracy_of_no_rows_is_nan_without_a_warning():
+    model = LogisticRegressionModel(input_dim=3, num_classes=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(model.accuracy(np.ones(model.dimension), np.empty((0, 3)),
+                                         np.empty(0, dtype=int)))
+
+
+ACCURACY_MEMORY = """
+import numpy as np
+from cyber0 import data
+from cyber0.losses import LogisticRegressionModel
+
+def peak_kb():
+    # this process's own high-water mark: ru_maxrss also keeps the forking
+    # parent's, which would hide a smaller child's growth
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+model = LogisticRegressionModel(input_dim=256, num_classes=10)
+rng = np.random.default_rng(3)
+X, y = rng.random((8000, 256)), rng.integers(0, 10, 8000)
+w = rng.standard_normal(model.dimension)
+model.logits(w, X[:data.GROUP_VALUES // 256])  # OpenBLAS warmed by one group's product
+before = peak_kb()
+model.accuracy(w, X, y)
+print(peak_kb() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_accuracy_leaves_no_product_sized_buffer_resident():
+    # one product over all 8000 rows (a 15.6 MB operand) leaves about 15 MB
+    # of OpenBLAS buffer resident past a group-sized product's, on two
+    # threads; in a fresh process, whose peak no earlier test has raised
+    src = str(Path(cyber0.__file__).parents[1])
+    child = subprocess.run([sys.executable, "-c", ACCURACY_MEMORY], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    grown_kb = int(child.stdout)
+    assert grown_kb < 2048, f"peak RSS grew {grown_kb} KB"
 
 
 if __name__ == "__main__":
