@@ -196,7 +196,7 @@ class _Setup:
         self.data: ClientData | None = None
         self.test: Dataset | None = None  # both stay None for the data-free quadratic
         if config.model == "quadratic":
-            self.model = QuadraticModel(config.quad_lambda, np.zeros(config.quad_dim))
+            self.model = QuadraticModel(config.quad_lambda, config.quad_dim)
         else:
             if config.data == "mnist":
                 train, self.test = load_mnist(config.mnist_dir)

@@ -190,24 +190,20 @@ class LogisticRegressionModel:
 
 
 class QuadraticModel:
-    """F(w) = (lam / 2) * ||w - w_star||^2; data-free, exact gradient."""
+    """F(w) = (lam / 2) * ||w||^2 on ``dim`` coordinates, whose optimum is
+    the origin; data-free, exact gradient."""
 
-    def __init__(self, lam: float, w_star: np.ndarray):
+    def __init__(self, lam: float, dim: int):
         if lam <= 0:
             raise ValueError("curvature must be positive")
         self.lam = float(lam)
-        self.w_star = np.asarray(w_star, dtype=np.float64)
-        self.dimension = len(self.w_star)
-        # every bit zero: the +0.0 origin, which the kernel need not subtract
-        # (x - (+0.0) is x bit for bit); a -0.0 entry still subtracts
-        self._at_origin = np.count_nonzero(self.w_star.view(np.uint64)) == 0
+        self.dimension = int(dim)
 
     def eval(self, w: np.ndarray, batch: Batch = None) -> float:
-        diff = w - self.w_star
-        return 0.5 * self.lam * float(np.einsum("d,d->", diff, diff))
+        return 0.5 * self.lam * float(np.einsum("d,d->", w, w))
 
     def grad(self, w: np.ndarray, batch: Batch = None) -> np.ndarray:
-        return self.lam * (w - self.w_star)
+        return self.lam * w
 
     def prepare_variants(self, directions: np.ndarray, mu: float,
                          out: np.ndarray | None = None) -> np.ndarray:
@@ -240,8 +236,6 @@ class QuadraticModel:
         plus, minus = v[:k], v[k:]
         np.add(step, ws, out=plus)  # one row, broadcast over the k directions
         np.add(back, plus, out=minus)
-        if not self._at_origin:
-            v -= self.w_star
         losses = np.einsum("sd,sd->s", v, v)
         losses *= 0.5 * self.lam
         return losses[None, :k] - losses[None, k:]

@@ -39,8 +39,14 @@ third party can reproduce every stream bit for bit:
   OpenBLAS kernel. The chunking fixes the order in which the chunk sums
   add up, and keeps a row's sum independent of the block it sits in (an
   unchunked einsum differs between a block and a lone row at d = 10,000).
-  An all-zero draw (probability zero) consumes the next d Gaussians from
-  the same stream.
+
+* ``sphere_rows(stream, n, d)`` draws n sphere rows from one stream: the
+  next n * d Gaussians, row after row, each row divided by its norm. The
+  rows that are all zero (probability zero) are redrawn, in row order,
+  from the Gaussians after the block, d each, until none is zero. A
+  sphere direction of seed s is ``sphere_rows(RngStream(s), 1, d)[0]``;
+  ``cyber0 verify``'s Monte-Carlo estimates draw their rows by the same
+  rule, so they are part of this identity too.
 
 ``RngStream`` is the reference implementation of these rules. The engine
 generates directions a window of rounds at a time: one ``derive_seeds``
@@ -106,7 +112,7 @@ BLOCK_WORDS = 16384
 
 # uniform pairs one ``RngStream.gaussians`` batch draws at most: 64 Ki words
 # (512 KB), so a long request such as a synthetic feature matrix runs in
-# cache-sized chunks. A request planned to take more than THREAD_BATCHES
+# cache-sized chunks. A request whose ``_polar_batch`` exceeds THREAD_BATCHES
 # (at least 2) full batches has them computed on _WORKERS threads, the
 # position chunks of the module docstring. Both set speed and memory, never
 # the stream: 16 Ki pairs measured slower and 64 Ki no faster on two cores
@@ -209,9 +215,11 @@ def first_uniforms(seeds: np.ndarray) -> np.ndarray:
 
 
 def _polar_batch(want_pairs: int) -> int:
-    """Uniform pairs drawn at once when ``want_pairs`` accepted pairs are
-    still needed: the expected need at acceptance rate pi/4, with slack.
-    Uncapped: ``make_direction`` redraws a row it leaves short whole."""
+    """Uniform pairs to draw when ``want_pairs`` accepted pairs are still
+    needed: the expected need at acceptance rate pi/4, with slack. The one
+    slack rule: it sizes ``make_direction``'s first batch of a row (which
+    redraws a row it leaves short whole), each batch of a sequential request
+    (capped at GAUSSIAN_BATCH_PAIRS), and a pooled request's plan."""
     return want_pairs * 13 // 10 + 8
 
 
@@ -222,14 +230,6 @@ def _polar_factor(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     f *= -2.0
     f /= s
     return np.sqrt(f, out=f)
-
-
-def _planned_batches(want_pairs: int) -> int:
-    """Batches of GAUSSIAN_BATCH_PAIRS pairs that hold ``want_pairs``
-    accepted pairs but with odds below one in a million: the expected need
-    at acceptance rate pi/4 plus five standard deviations."""
-    return math.ceil((want_pairs * 4 / math.pi + 3 * math.sqrt(want_pairs))
-                     / GAUSSIAN_BATCH_PAIRS)
 
 
 def _position_grid(pairs: int) -> np.ndarray:
@@ -350,8 +350,7 @@ class RngStream:
         want = (n - filled + 1) // 2
         if not want:
             return out
-        # at most one batch's pairs plan at most two batches: no need to plan
-        if want <= GAUSSIAN_BATCH_PAIRS or _planned_batches(want) <= THREAD_BATCHES:
+        if _polar_batch(want) <= THREAD_BATCHES * GAUSSIAN_BATCH_PAIRS:
             self._place(out, filled, want, self._batches(want), placed)
             return out
         # imported here: the module costs 0.7 MB at import, which short draws never need
@@ -411,18 +410,20 @@ class RngStream:
             pos += 2 * pairs
 
     def _pooled_batches(self, want: int, pool):
-        """``_batches`` for a request planned to take many batches, each then
-        GAUSSIAN_BATCH_PAIRS pairs, computed on ``pool``'s workers: the
-        planned batches run ahead, one more than there are workers at a
-        time, each in its own scratch block, and more one at a time should
-        they fall short."""
+        """``_batches`` for a request whose ``_polar_batch`` spans many
+        batches, each then GAUSSIAN_BATCH_PAIRS pairs, computed on
+        ``pool``'s workers: the batches that ``_polar_batch`` plans run
+        ahead, one more than there are workers at a time, each in its own
+        scratch block, and more one at a time should they fall short. The
+        plan sets which batches are computed, never the stream's bits."""
         pairs = GAUSSIAN_BATCH_PAIRS
         grid = _position_grid(pairs)
         # a mapping of its own, whose pages go back when it is freed: from the
         # heap, the freed block stayed resident and raised byz_m40's peak by 4 MB
         shape = (_WORKERS + 1, 2, 2, pairs)
         scratch = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.uint64).reshape(shape)
-        start, planned, submitted = self._pos, _planned_batches(want), 0
+        start, submitted = self._pos, 0
+        planned = math.ceil(_polar_batch(want) / pairs)
         ahead: deque = deque()  # futures of the batches computed ahead, in stream order
         while True:
             # a block is handed out again only after the batch it held is placed
@@ -457,17 +458,26 @@ def rows_sumsq(block: np.ndarray) -> np.ndarray:
     return total
 
 
-def sphere_direction(seed: int, d: int) -> np.ndarray:
+def sphere_rows(stream: RngStream, n: int, d: int) -> np.ndarray:
+    """The next n sphere rows of ``stream``, an (n, d) block: n * d
+    Gaussians, each row divided by the square root of its ``rows_sumsq``.
+    An all-zero row (probability zero) is redrawn, in row order, from the
+    Gaussians after the block, until no row is zero (the module docstring)."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    stream = RngStream(seed)
-    g = stream.gaussians(d)
-    sumsq = float(rows_sumsq(g[None])[0])
-    while sumsq == 0.0:  # measure-zero guard
-        g = stream.gaussians(d)
-        sumsq = float(rows_sumsq(g[None])[0])
-    g /= math.sqrt(sumsq)  # correctly rounded, as np.sqrt: the same bits
+    g = stream.gaussians(n * d).reshape(n, d)
+    norms = np.sqrt(rows_sumsq(g))
+    while np.count_nonzero(norms) < n:  # measure-zero guard
+        zero = np.flatnonzero(norms == 0.0)
+        g[zero] = stream.gaussians(len(zero) * d).reshape(len(zero), d)
+        norms[zero] = np.sqrt(rows_sumsq(g[zero]))
+    g /= norms[:, None]
     return g
+
+
+def sphere_direction(seed: int, d: int) -> np.ndarray:
+    """The sphere direction of ``seed``: ``sphere_rows``' one row of its stream."""
+    return sphere_rows(RngStream(seed), 1, d)[0]
 
 
 def make_direction(

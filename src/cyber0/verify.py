@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .federation import ExperimentConfig, run_experiment
-from .seedstream import RngStream, rows_sumsq
+from .seedstream import RngStream, sphere_rows
 
 _SHARD = 1 << 15
 
@@ -69,18 +69,6 @@ class CheckResult:
         )
 
 
-def _sphere_rows(stream: RngStream, n: int, d: int) -> np.ndarray:
-    g = stream.gaussians(n * d).reshape(n, d)
-    norms = np.sqrt(rows_sumsq(g))
-    # a zero row has probability zero; redrawing keeps the check total
-    while np.any(norms == 0.0):
-        idx = np.flatnonzero(norms == 0.0)
-        g[idx] = stream.gaussians(len(idx) * d).reshape(len(idx), d)
-        norms[idx] = np.sqrt(rows_sumsq(g[idx]))
-    g /= norms[:, None]
-    return g
-
-
 def _shard_sizes(n: int, shard: int = _SHARD) -> list[int]:
     """Sizes of the consecutive shards, at most ``shard`` each, that cover n."""
     return [min(shard, n - a) for a in range(0, n, shard)]
@@ -93,7 +81,7 @@ def mc_isotropy(d: int, n_samples: int, seed: int) -> tuple[float, float]:
     acc = np.zeros((d, d))
     total = 0.0
     for take in _shard_sizes(n_samples):
-        z = _sphere_rows(stream, take, d)
+        z = sphere_rows(stream, take, d)
         acc += z.T @ z
         total += float(np.einsum("nd,nd->", z, z) / d)
     acc /= n_samples
@@ -114,7 +102,7 @@ def mc_norm_factor(d: int, k: int, n_samples: int, x: np.ndarray, seed: int) -> 
     xsq = float(np.dot(x, x))
     total = 0.0
     for take in _shard_sizes(experiments, max(_SHARD // max(k * d, 1), 1)):
-        z = _sphere_rows(stream, take * k, d).reshape(take, k, d)
+        z = sphere_rows(stream, take * k, d).reshape(take, k, d)
         c = z @ x  # (take, k)
         est = np.einsum("ek,ekd->ed", c, z)
         est *= d / k
@@ -128,8 +116,8 @@ def mc_cross_abs_bound(d: int, n_pairs: int, x: np.ndarray, seed: int) -> float:
     stream = RngStream(seed)
     total = 0.0
     for take in _shard_sizes(n_pairs):
-        z1 = _sphere_rows(stream, take, d)
-        z2 = _sphere_rows(stream, take, d)
+        z1 = sphere_rows(stream, take, d)
+        z2 = sphere_rows(stream, take, d)
         inner = np.abs(np.einsum("nd,nd->n", z1, z2))
         proj = z1 @ x
         total += float(np.dot(inner, proj * proj))
@@ -145,17 +133,17 @@ def smoothed_gap_quadratic(lam: float, mu: float, d: int, n_samples: int, seed: 
                            dist: float = 0.5) -> float:
     """|MC estimate of F_mu(w) - F(w) minus the analytic lam mu^2 / 2|.
 
-    On the quadratic, F(w + mu z) - F(w) = lam mu <w - w*, z> + lam mu^2 / 2
+    On the quadratic, F(w + mu z) - F(w) = lam mu <w, z> + lam mu^2 / 2
     for unit z, so the sphere average must land on lam mu^2 / 2.
     """
     if mu == 0.0:
         return 0.0
     stream = RngStream(seed)
-    w = dist * _sphere_rows(stream, 1, d)[0]  # w* = 0
+    w = dist * sphere_rows(stream, 1, d)[0]  # dist from the optimum, the origin
     base = 0.5 * lam * float(np.dot(w, w))
     total = 0.0
     for take in _shard_sizes(n_samples):
-        z = _sphere_rows(stream, take, d)
+        z = sphere_rows(stream, take, d)
         pts = w[None, :] + mu * z
         total += float(np.sum(0.5 * lam * np.einsum("nd,nd->n", pts, pts) - base))
     gap = total / n_samples
@@ -191,12 +179,12 @@ def _seed_losses(config: ExperimentConfig, n_seeds: int) -> np.ndarray:
 
 
 def _distance_trace(config: ExperimentConfig, n_seeds: int) -> np.ndarray:
-    """Mean ||w^t - w*|| across seeded runs, recovered from the logged loss."""
+    """Mean ||w^t|| across seeded runs, recovered from the logged loss."""
     return np.mean(np.sqrt(2.0 * _seed_losses(config, n_seeds) / config.quad_lambda), axis=0)
 
 
 def mean_square_trace(config: ExperimentConfig, n_seeds: int) -> np.ndarray:
-    """Seed mean M_t of ||w^t - w*||^2 = 2 train_loss / lam, t = 0..steps-1,
+    """Seed mean M_t of ||w^t||^2 = 2 train_loss / lam, t = 0..steps-1,
     over the runs at root seeds config.root_seed + j (every round logged)."""
     return np.mean(2.0 * _seed_losses(config, n_seeds) / config.quad_lambda, axis=0)
 

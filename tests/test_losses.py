@@ -333,31 +333,32 @@ def test_clients_out_of_range_take_their_brackets_in_a_group(case, monkeypatch):
 
 class TestQuadratic:
     def test_minimum(self):
-        m = QuadraticModel(2.0, np.array([1.0, -1.0]))
-        assert m.eval(m.w_star) == 0.0
-        assert np.array_equal(m.grad(m.w_star), [0.0, 0.0])
+        m = QuadraticModel(2.0, 2)
+        assert m.dimension == 2
+        assert m.eval(np.zeros(2)) == 0.0
+        assert np.array_equal(m.grad(np.zeros(2)), [0.0, 0.0])
 
     def test_hand_example(self):
-        m = QuadraticModel(2.0, np.zeros(2))
+        m = QuadraticModel(2.0, 2)
         w = np.array([1.0, 0.0])
         assert m.eval(w) == 1.0
         assert np.array_equal(m.grad(w), [2.0, 0.0])
 
     def test_symmetric_difference_identity(self):
-        # F(w + mu z) - F(w - mu z) = 2 mu lam <w - w*, z> in exact arithmetic
+        # F(w + mu z) - F(w - mu z) = 2 mu lam <w, z> in exact arithmetic
         rng = np.random.default_rng(1)
-        m = QuadraticModel(1.7, rng.normal(size=9))
+        m = QuadraticModel(1.7, 9)
         for _ in range(50):
             w = rng.normal(size=9)
             z = rng.normal(size=9)
             mu = float(rng.uniform(0.01, 0.5))
             lhs = m.eval(w + mu * z) - m.eval(w - mu * z)
-            rhs = 2 * mu * m.lam * float(np.dot(w - m.w_star, z))
+            rhs = 2 * mu * m.lam * float(np.dot(w, z))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     def test_multi_variant_losses_match_eval(self):
         rng = np.random.default_rng(2)
-        m = QuadraticModel(0.8, rng.normal(size=6))
+        m = QuadraticModel(0.8, 6)
         w = rng.normal(size=6)
         dirs = rng.normal(size=(5, 6))
         mu = 0.1
@@ -368,11 +369,9 @@ class TestQuadratic:
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_multi_variant_follows_in_place_schedule_bitwise(self, k, d, data):
-        # direction by direction: w + mu z, then that point minus 2 mu z, then
-        # minus w*, each squared norm one einsum row. The kernel skips the
-        # subtraction of the +0.0 origin, which is exact; -0.0 subtracts
+        # direction by direction: w + mu z, then that point minus 2 mu z,
+        # each squared norm one einsum row
         rng = np.random.default_rng(k * 1000 + d)
-        normal = rng.normal(size=d)
         seeded = rng.normal(size=d)
         dirs = rng.normal(size=(k, d))
         # -0.0 and subnormal coordinates among finite ones
@@ -380,20 +379,18 @@ class TestQuadratic:
                           st.floats(-4.0, 4.0))
         drawn = np.array(data.draw(st.lists(coord, min_size=d, max_size=d)), dtype=np.float64)
         mu = 1e-3
-        for w_star, at_origin in ((normal, False), (np.zeros(d), True), (np.full(d, -0.0), False)):
-            m = QuadraticModel(0.7, w_star)
-            assert m._at_origin == at_origin
-            for w in (seeded, drawn):
-                diff = one_client(m, m.prepare_variants(dirs, mu), None, w)
-                for r, z in enumerate(dirs):
-                    vp = z * mu + w - m.w_star
-                    vm = z * (-2.0 * mu) + (z * mu + w) - m.w_star
-                    plus, minus = (0.5 * m.lam * np.einsum("d,d->", v, v) for v in (vp, vm))
-                    assert diff[r] == plus - minus
+        m = QuadraticModel(0.7, d)
+        for w in (seeded, drawn):
+            diff = one_client(m, m.prepare_variants(dirs, mu), None, w)
+            for r, z in enumerate(dirs):
+                vp = z * mu + w
+                vm = z * (-2.0 * mu) + (z * mu + w)
+                plus, minus = (0.5 * m.lam * np.einsum("d,d->", v, v) for v in (vp, vm))
+                assert diff[r] == plus - minus
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        m = QuadraticModel(1.3, rng.normal(size=5))
+        m = QuadraticModel(1.3, 5)
         w = rng.normal(size=5)
         g = m.grad(w)
         h = 1e-6

@@ -26,6 +26,9 @@ from cyber0.seedstream import (
 from cyber0.zo import direction_seed
 from test_kernels import openblas_threads, park_keeps_product_and_threads
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import golden_digest  # noqa: E402
+
 MASK = (1 << 64) - 1
 
 
@@ -202,8 +205,8 @@ def pools(monkeypatch):
 
 @pytest.fixture
 def small_batches(monkeypatch, pools):
-    """64-pair batches, threaded above two planned batches (a request of
-    more than about 160 values): many chunks at little cost."""
+    """64-pair batches, threaded where ``_polar_batch`` exceeds two of them
+    (a request of 187 values or more): many chunks at little cost."""
     monkeypatch.setattr(seedstream, "GAUSSIAN_BATCH_PAIRS", 64)
     monkeypatch.setattr(seedstream, "THREAD_BATCHES", 2)
     return pools
@@ -218,17 +221,41 @@ def mixed_draws(seed, n):
     return parts, st.words(1)
 
 
+def test_digest_stream_sequence_leaves_and_takes_a_half_pair():
+    # the golden digest's one line whose draws go through the pending half-pair
+    pending = []
+
+    class Spy(RngStream):
+        def gaussians(self, n, out=None, placed=None):
+            pending.append(self._pending is not None)
+            return super().gaussians(n, out, placed)
+
+    spy = Spy(golden_digest.SEQUENCE_SEED)
+    draws = golden_digest.stream_sequence(spy)
+    assert pending == [False, True, False, True] and spy._pending is not None
+    plain = golden_digest.stream_sequence(RngStream(golden_digest.SEQUENCE_SEED))
+    assert all(np.array_equal(a, b) for a, b in zip(draws, plain))
+    # gaussians(3) keeps the fourth Gaussian pending, and the sphere rows
+    # start with it
+    head = reference_gaussians(golden_digest.SEQUENCE_SEED, 24)
+    assert np.array_equal(draws[0], head[:3])
+    rows = draws[1] * np.sqrt(seedstream.rows_sumsq(head[3:].reshape(3, 7)))[:, None]
+    assert np.allclose(rows.reshape(-1), head[3:], rtol=1e-15, atol=0)
+
+
 class TestLongRequests:
-    """Requests planned to take more than THREAD_BATCHES batches, whose
+    """Requests whose ``_polar_batch`` exceeds THREAD_BATCHES batches, whose
     batches worker threads compute and the caller places in stream order."""
 
-    LENGTHS = [157, 158, 159, 160, 1001, 4000, 12_345]  # threaded from 159 on
+    # threaded from 187 on: (187 + 1) // 2 = 94 pairs wanted, and
+    # 94 * 13 // 10 + 8 = 130 pairs exceed two 64-pair batches, where
+    # 93 wanted pairs give exactly 128
+    LENGTHS = [157, 158, 159, 160, 185, 186, 187, 188, 1001, 4000, 12_345]
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_threaded_request_is_the_polar_rule(self, small_batches, n):
         assert np.array_equal(RngStream(42).gaussians(n), reference_gaussians(42, n))
-        threaded = seedstream._planned_batches((n + 1) // 2) > 2
-        assert len(small_batches) == threaded == (n >= 159)
+        assert len(small_batches) == (n >= 187)
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_threaded_requests_equal_the_one_thread_stream(self, monkeypatch, n):
@@ -346,7 +373,7 @@ class TestParkBlas:
     def test_only_a_pooled_draw_parks(self, small_batches, monkeypatch):
         parks = []
         monkeypatch.setattr(seedstream, "_park_blas", lambda: parks.append(len(small_batches)))
-        RngStream(3).gaussians(150)  # two planned batches: the calling thread's
+        RngStream(3).gaussians(150)  # 105 pairs, within two batches: the calling thread's
         assert parks == []
         RngStream(3).gaussians(4_000)
         assert parks == [0] and len(small_batches) == 1  # parked before the pool started
@@ -365,6 +392,52 @@ class TestDirections:
     def test_determinism(self):
         assert np.array_equal(RngStream(9).gaussians(3000), RngStream(9).gaussians(3000))
         assert np.array_equal(sphere_direction(9, 3000), sphere_direction(9, 3000))
+
+    # zeroed[j]: the rows of the j-th request, as (-1, d), that come back zero
+    @pytest.mark.parametrize("n, zeroed", [(1, [[0]]), (1, [[0], [0]]), (5, [[1, 3]]),
+                                           (5, [[0, 1, 3], [1]])])
+    def test_sphere_rows_redraw_zero_rows_in_row_order(self, n, zeroed):
+        # a zero row is redrawn from the Gaussians after the block, d per
+        # row in row order, and again while it stays zero
+        d = 7
+        got = seedstream.sphere_rows(ZeroingStream(5, d, zeroed), n, d)
+        plain = RngStream(5)
+        rows = plain.gaussians(n * d).reshape(n, d)
+        todo = zeroed[0]
+        for later in zeroed[1:] + [[]]:
+            rows[todo] = plain.gaussians(len(todo) * d).reshape(-1, d)
+            todo = [todo[i] for i in later]
+        want = rows / np.sqrt(seedstream.rows_sumsq(rows))[:, None]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [16, 7850])
+    def test_zero_block_row_is_the_sphere_direction_of_its_seed(self, d, monkeypatch):
+        seeds = direction_seed(5, 3, np.arange(6), 0)
+        fill = seedstream._gaussian_rows
+
+        def zeroing(chunk_seeds, positions, want, out, scratch):
+            fill(chunk_seeds, positions, want, out, scratch)
+            out[chunk_seeds == seeds[2]] = 0.0
+
+        monkeypatch.setattr(seedstream, "_gaussian_rows", zeroing)
+        block = make_direction(seeds, d, DirectionMode.SPHERE)
+        monkeypatch.undo()
+        assert_rows_match_reference(block, seeds, d, DirectionMode.SPHERE)
+
+
+class ZeroingStream(RngStream):
+    """A stream whose j-th ``gaussians`` request comes back with the rows
+    ``zeroed[j]`` of its (-1, d) shape set to zero."""
+
+    def __init__(self, seed, d, zeroed):
+        super().__init__(seed)
+        self.d, self.zeroed = d, list(zeroed)
+
+    def gaussians(self, n, out=None, placed=None):
+        g = super().gaussians(n, out, placed)
+        if self.zeroed:
+            g.reshape(-1, self.d)[self.zeroed.pop(0)] = 0.0
+        return g
 
 
 REFERENCE = {DirectionMode.GAUSSIAN: lambda seed, d: RngStream(seed).gaussians(d),

@@ -52,15 +52,15 @@ def zo_coefficient(
 
 class TestCoefficient:
     def test_hand_example_on_quadratic(self):
-        # lam=1, d=2, w-w*=(1,0), z=(1,0), mu=0.1, sphere scaling:
+        # lam=1, d=2, w=(1,0), z=(1,0), mu=0.1, sphere scaling:
         # 2 * ((0.605 - 0.405) / 0.2) = 2.0
-        model = QuadraticModel(1.0, np.zeros(2))
+        model = QuadraticModel(1.0, 2)
         w = np.array([1.0, 0.0])
         c = zo_coefficient(model, w, None, np.array([1.0, 0.0]), 0.1, 2.0)
         assert c == pytest.approx(2.0, abs=1e-12)
 
     def test_orthogonal_direction_gives_zero(self):
-        model = QuadraticModel(1.0, np.zeros(2))
+        model = QuadraticModel(1.0, 2)
         w = np.array([1.0, 0.0])
         c = zo_coefficient(model, w, None, np.array([0.0, 1.0]), 0.1, 2.0)
         assert abs(c) <= 4 * np.finfo(float).eps * 2.0
@@ -72,7 +72,7 @@ class TestCoefficient:
         assert (sphere.scale, gaussian.scale) == (4.0, 1.0)
         assert (sphere.direction_mode, gaussian.direction_mode) == (
             DirectionMode.SPHERE, DirectionMode.GAUSSIAN)
-        model = QuadraticModel(1.0, np.zeros(4))
+        model = QuadraticModel(1.0, 4)
         w = np.array([0.5, -0.2, 0.1, 0.9])
         z = sphere_direction(99, 4)
         cs = zo_coefficient(model, w, None, z, 0.05, sphere.scale)
@@ -80,7 +80,7 @@ class TestCoefficient:
         assert cs == pytest.approx(4.0 * cg, rel=1e-12)
 
     def test_caller_w_untouched(self):
-        model = QuadraticModel(1.0, np.zeros(64))
+        model = QuadraticModel(1.0, 64)
         w = RngStream(3).gaussians(64) * 0.4
         snapshot = w.copy()
         zo_coefficient(model, w, None, sphere_direction(5, 64), 1e-3, 64.0)
@@ -89,7 +89,7 @@ class TestCoefficient:
     def test_mu_independence_on_quadratic(self):
         # symmetric difference is exact on quadratics for every mu
         rng = np.random.default_rng(0)
-        model = QuadraticModel(1.4, rng.normal(size=10))
+        model = QuadraticModel(1.4, 10)
         w = rng.normal(size=10)
         z = sphere_direction(12, 10)
         vals = [zo_coefficient(model, w, None, z, mu, 10.0) for mu in (1e-4, 1e-2, 0.3)]
@@ -135,7 +135,7 @@ class TestCoefficient:
 
     def test_mu0_requires_mu0_config(self):
         # mu = 0 has no bracket: it takes the engine's projection path
-        model = QuadraticModel(1.0, np.zeros(2))
+        model = QuadraticModel(1.0, 2)
         with pytest.raises(ValueError, match="mu > 0"):
             zo_coefficient(model, np.zeros(2), None, np.array([1.0, 0.0]), 0.0, 2.0)
 
@@ -145,7 +145,7 @@ class TestUnbiasedness:
         # Monte-Carlo mean of c_r z_r over 1e5 directions vs the true gradient
         d, n = 10, 100_000
         rng = np.random.default_rng(2)
-        model = QuadraticModel(1.0, rng.normal(size=d))
+        model = QuadraticModel(1.0, d)
         w = rng.normal(size=d)
         grad = model.grad(w)
         stream = RngStream(4242)
