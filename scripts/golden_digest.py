@@ -17,10 +17,14 @@ then one line, ``stream-sequence sha256[:16]``, of the draws of
 ``stream_sequence``: odd-length requests interleaved on one ``RngStream``,
 which leave and take its pending half-pair. Nothing else here takes one:
 a run draws one request from each stream, and the checks draw only
-even-length requests. The theorem checks pin each check's fixed budget: a
-change to one moves its estimate. The check lines take about 3.5 s. A
-change meant to keep outputs bit-identical prints the same lines before
-and after; diff the two outputs.
+even-length requests. Last, one line, ``directions sha256[:16]``, of
+``make_direction``'s Gaussian block of the mnist_logreg benchmark's first
+round (root seed 1001, k = 64, d = 7850), the only draw here at that
+width: the logreg goldens stop at d = 68. The theorem checks pin each
+check's fixed budget: a change to one moves its estimate. The 31 lines
+take about 4 s, the check lines 3.5 s of it. A change meant to keep
+outputs bit-identical prints the same lines before and after; diff the
+two outputs.
 
 Usage:
     python3 scripts/golden_digest.py
@@ -33,18 +37,22 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from cyber0.cli import csv_text, load_config  # noqa: E402
 from cyber0.federation import ExperimentConfig, run_experiment  # noqa: E402
-from cyber0.seedstream import RngStream, sphere_rows  # noqa: E402
+from cyber0.seedstream import DirectionMode, RngStream, make_direction, sphere_rows  # noqa: E402
 from cyber0.verify import lemma_suite, theorem_suite  # noqa: E402
+from cyber0.zo import direction_seed  # noqa: E402
 from test_federation import GOLDEN  # noqa: E402
 
 PROFILES = ("synth_demo.cfg", "quad_mu_floor.cfg")
 PROFILE_STEPS = 200
 SEQUENCE_SEED = 2024
+DIRECTIONS = (1001, 64, 7850)  # mnist_logreg's root seed, k and d
 
 
 def digest(config: ExperimentConfig) -> str:
@@ -75,6 +83,9 @@ def main() -> int:
     draws = stream_sequence(RngStream(SEQUENCE_SEED))
     draws_bytes = b"".join(a.tobytes() for a in draws)
     print("stream-sequence", hashlib.sha256(draws_bytes).hexdigest()[:16], flush=True)
+    root, k, d = DIRECTIONS
+    block = make_direction(direction_seed(root, 0, np.arange(k)), d, DirectionMode.GAUSSIAN)
+    print("directions", hashlib.sha256(block.tobytes()).hexdigest()[:16], flush=True)
     return 0
 
 

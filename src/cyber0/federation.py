@@ -324,7 +324,7 @@ def project_ball(w: np.ndarray, radius: float) -> np.ndarray:
     is exactly idempotent. Training runs leave the parameter space
     unconstrained by default; this exists for theory-mode configurations.
     """
-    if radius <= 0:
+    if not radius > 0:  # a NaN radius fails too
         raise ValueError("radius must be positive")
     if not np.all(np.isfinite(w)):
         raise ValueError("project_ball: non-finite input vector")

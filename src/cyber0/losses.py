@@ -19,6 +19,8 @@ labels; the quadratic model ignores it (every sample yields the same loss).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import data
@@ -194,8 +196,10 @@ class QuadraticModel:
     the origin; data-free, exact gradient."""
 
     def __init__(self, lam: float, dim: int):
-        if lam <= 0:
-            raise ValueError("curvature must be positive")
+        if not 0 < lam < math.inf:
+            raise ValueError("curvature must be positive and finite")
+        if not dim >= 1:
+            raise ValueError("dimension must be >= 1")
         self.lam = float(lam)
         self.dimension = int(dim)
 

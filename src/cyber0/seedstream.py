@@ -59,28 +59,30 @@ batch holds too few accepted pairs (binomial odds 1 in 749 at d = 7850,
 row. Every sphere norm, of one direction or of a block's rows, comes from
 ``rows_sumsq``. Windowed and block generation are bit-identical to the
 per-seed streams and are not part of the frozen identity: how rows are
-grouped into windows and chunks (``WINDOW_VALUES``, ``BLOCK_WORDS``)
-changes speed and memory only.
+grouped into windows and chunks changes speed and memory only.
 
-A long ``RngStream.gaussians`` request, such as a synthetic feature
-matrix, is drawn in position chunks that do not depend on each other:
-chunk c of a request that starts at word o of stream s is the first
-2 * GAUSSIAN_BATCH_PAIRS words of the stream seeded s + (o + 2 *
-GAUSSIAN_BATCH_PAIRS * c) * GOLDEN, and a pair is accepted or rejected from
-its own two words only. Two worker threads, which make no BLAS call,
-compute the chunks once OpenBLAS's idle workers, which busy-wait after a
-threaded product, are stopped (the next product restarts them at the same
-thread count; no other thread may be in a BLAS call then). The caller
-places the accepted pairs in chunk order and joins the threads before it
-returns, so neither the thread schedule nor the chunk size changes a bit
-of the stream. Every other draw stays on the calling thread.
+GAUSSIAN_BATCH_PAIRS sizes every polar draw but a lone row's: a
+``make_direction`` chunk holds as many rows as fit that many raw words (at
+least one), and a ``RngStream.gaussians`` batch at most that many pairs.
+A request whose ``_polar_batch`` exceeds the ring of _WORKERS + 1 batches,
+such as a synthetic feature matrix, is drawn in position chunks that do
+not depend on each other: chunk c of a request that starts at word o of
+stream s is the first 2 * GAUSSIAN_BATCH_PAIRS words of the stream seeded
+s + (o + 2 * GAUSSIAN_BATCH_PAIRS * c) * GOLDEN, and a pair is accepted or
+rejected from its own two words only. _WORKERS threads, which make no BLAS
+call, compute the chunks into the ring's scratch blocks once OpenBLAS's
+idle workers, which busy-wait after a threaded product, are stopped (the
+next product restarts them at the same thread count; no other thread may
+be in a BLAS call then); a chunk starts only while the pairs still
+wanted, with slack, exceed those in flight. The caller places the
+accepted pairs in chunk order and joins the threads before it returns, so
+neither the thread schedule nor the chunk size changes a bit of the
+stream. Every other draw stays on the calling thread.
 """
 
 from __future__ import annotations
 
 import ctypes
-import math
-import mmap
 from collections import deque
 from enum import IntEnum
 
@@ -103,21 +105,13 @@ _U53 = 2.0 ** -53
 # within it a row's sum does not depend on the block the row sits in
 CHUNK = 4096
 
-# raw words per chunk of rows in block direction generation (at least one
-# row per chunk); sets speed and memory, never the output. The theory
-# round's rows at d = 16 (36 words each) go 455 to a chunk; at d = 7850
-# (10,108 words) every row is its own chunk, as larger chunks measured no
-# faster there and hold more memory.
-BLOCK_WORDS = 16384
-
-# uniform pairs one ``RngStream.gaussians`` batch draws at most: 64 Ki words
-# (512 KB), so a long request such as a synthetic feature matrix runs in
-# cache-sized chunks. A request whose ``_polar_batch`` exceeds THREAD_BATCHES
-# (at least 2) full batches has them computed on _WORKERS threads, the
-# position chunks of the module docstring. Both set speed and memory, never
-# the stream: 16 Ki pairs measured slower and 64 Ki no faster on two cores
+# the one batch size of the module docstring: uniform pairs one
+# ``RngStream.gaussians`` batch draws at most (64 Ki words, 512 KB), and raw
+# words one ``make_direction`` chunk holds (910 rows at d = 16, 3 at
+# d = 7850). A request beyond _WORKERS + 1 batches runs on _WORKERS threads.
+# Both set speed and memory, never the stream: 16 Ki pairs measured slower
+# and 64 Ki no faster on two cores
 GAUSSIAN_BATCH_PAIRS = 1 << 15
-THREAD_BATCHES = 4
 _WORKERS = 2
 
 # direction values (doubles) the engine generates at once: it fills the
@@ -219,7 +213,8 @@ def _polar_batch(want_pairs: int) -> int:
     needed: the expected need at acceptance rate pi/4, with slack. The one
     slack rule: it sizes ``make_direction``'s first batch of a row (which
     redraws a row it leaves short whole), each batch of a sequential request
-    (capped at GAUSSIAN_BATCH_PAIRS), and a pooled request's plan."""
+    (capped at GAUSSIAN_BATCH_PAIRS), and when a pooled request starts
+    another batch."""
     return want_pairs * 13 // 10 + 8
 
 
@@ -340,8 +335,8 @@ class RngStream:
         final."""
         if out is None:
             out = np.empty(n, dtype=np.float64)
-        elif out.shape != (n,):
-            raise ValueError(f"out must have shape {(n,)}, got {out.shape}")
+        elif out.shape != (n,) or out.dtype != np.float64:
+            raise ValueError(f"out must have shape {(n,)}, float64: got {out.shape} {out.dtype}")
         filled = 0
         if self._pending is not None and n > 0:
             out[0] = self._pending
@@ -350,7 +345,7 @@ class RngStream:
         want = (n - filled + 1) // 2
         if not want:
             return out
-        if _polar_batch(want) <= THREAD_BATCHES * GAUSSIAN_BATCH_PAIRS:
+        if _polar_batch(want) <= (_WORKERS + 1) * GAUSSIAN_BATCH_PAIRS:
             self._place(out, filled, want, self._batches(want), placed)
             return out
         # imported here: the module costs 0.7 MB at import, which short draws never need
@@ -410,29 +405,27 @@ class RngStream:
             pos += 2 * pairs
 
     def _pooled_batches(self, want: int, pool):
-        """``_batches`` for a request whose ``_polar_batch`` spans many
-        batches, each then GAUSSIAN_BATCH_PAIRS pairs, computed on
-        ``pool``'s workers: the batches that ``_polar_batch`` plans run
-        ahead, one more than there are workers at a time, each in its own
-        scratch block, and more one at a time should they fall short. The
-        plan sets which batches are computed, never the stream's bits."""
+        """``_batches`` for a request whose ``_polar_batch`` exceeds the
+        ring, each batch GAUSSIAN_BATCH_PAIRS pairs computed on ``pool``'s
+        workers in the ring's next scratch block: a batch starts while
+        ``_polar_batch`` of the ``want`` pairs not yet placed exceeds the
+        pairs in flight (always, when none is). Which batches are computed
+        never changes the stream's bits."""
         pairs = GAUSSIAN_BATCH_PAIRS
         grid = _position_grid(pairs)
-        # a mapping of its own, whose pages go back when it is freed: from the
-        # heap, the freed block stayed resident and raised byz_m40's peak by 4 MB
-        shape = (_WORKERS + 1, 2, 2, pairs)
-        scratch = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.uint64).reshape(shape)
+        scratch = np.empty((_WORKERS + 1, 2, 2, pairs), dtype=np.uint64)
         start, submitted = self._pos, 0
-        planned = math.ceil(_polar_batch(want) / pairs)
-        ahead: deque = deque()  # futures of the batches computed ahead, in stream order
+        ahead: deque = deque()  # futures of the batches in flight, in stream order
         while True:
             # a block is handed out again only after the batch it held is placed
-            while len(ahead) < len(scratch) and (submitted < planned or not ahead):
+            while len(ahead) < len(scratch) and _polar_batch(want) > pairs * len(ahead):
                 seed = self._seed_at(start + 2 * pairs * submitted)
                 ahead.append(pool.submit(_pooled_batch, seed, grid,
                                          scratch[submitted % len(scratch)]))
                 submitted += 1
-            yield (pairs, *ahead.popleft().result())
+            acc, first, second = ahead.popleft().result()
+            yield pairs, acc, first, second
+            want -= len(acc)
 
     def _seed_at(self, pos: int) -> int:
         """The seed of the stream whose word 0 is this stream's word ``pos``."""
@@ -487,24 +480,25 @@ def make_direction(
     into ``out`` when given.
 
     Every row is bit-identical to ``RngStream(seed).gaussians(d)`` or
-    ``sphere_direction(seed, d)``. Rows are generated about BLOCK_WORDS
-    raw words at a time: each chunk draws every row's first polar batch in
-    one pass, a row whose batch holds too few accepted pairs is redrawn
-    whole by its own ``RngStream``, and sphere rows take their norms from
-    ``rows_sumsq``.
+    ``sphere_direction(seed, d)``. Rows are generated in chunks of as many
+    as fit GAUSSIAN_BATCH_PAIRS raw words: each chunk draws every row's
+    first polar batch in one pass, a row whose batch holds too few accepted
+    pairs is redrawn whole by its own ``RngStream``, and sphere rows take
+    their norms from ``rows_sumsq``.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
+    mode = DirectionMode(mode)  # a string such as "sphere" raises
     seeds = np.asarray(seeds, dtype=np.uint64)
     k = len(seeds)
     if out is None:
         out = np.empty((k, d))
-    elif out.shape != (k, d):
-        raise ValueError(f"out must have shape {(k, d)}, got {out.shape}")
+    elif out.shape != (k, d) or out.dtype != np.float64:
+        raise ValueError(f"out must have shape {(k, d)}, float64: got {out.shape} {out.dtype}")
     want = (d + 1) // 2
     pairs = _polar_batch(want)
     positions = _position_grid(pairs)[:, None, :]
-    rows = max(1, min(k, BLOCK_WORDS // (2 * pairs)))  # range() takes no zero step
+    rows = max(1, min(k, GAUSSIAN_BATCH_PAIRS // (2 * pairs)))  # range() takes no zero step
     scratch = np.empty((2, 2, rows, pairs), dtype=np.uint64)
     for a in range(0, k, rows):
         block = out[a : a + rows]
@@ -538,13 +532,9 @@ def _gaussian_rows(seeds: np.ndarray, positions: np.ndarray, want: int, out: np.
     np.add(positions, seeds[:, None], out=z)
     _fmix64_inplace(z, v.view(np.uint64))
     v1, v2, s, acc = _polar(z, v)
-    if n == 1:  # every chunk at d = 7,850: its pairs are a slice of acc, no index grid
-        full = np.array([len(acc) >= want])
-        sel = acc[: want if full[0] else 0].reshape(-1, want)
-    else:
-        starts = np.searchsorted(acc, np.arange(n + 1) * pairs)
-        full = np.diff(starts) >= want
-        sel = acc[starts[:-1][full, None] + np.arange(want)]
+    starts = np.searchsorted(acc, np.arange(n + 1) * pairs)
+    full = np.diff(starts) >= want
+    sel = acc[starts[:-1][full, None] + np.arange(want)]
     f = _polar_factor(s[sel])
     rows = slice(None) if full.all() else full
     out[rows, 0::2] = v1[sel] * f

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -63,3 +64,8 @@ class TestProjectBall:
             project_ball(np.array([1.0, np.nan]), 1.0)
         with pytest.raises(ValueError):
             project_ball(np.array([1.0]), 0.0)
+
+    def test_rejects_a_nan_radius(self):
+        # NaN <= 0 is False: a NaN radius would project every w to NaN
+        with pytest.raises(ValueError, match="radius"):
+            project_ball(np.array([3.0, 4.0]), math.nan)

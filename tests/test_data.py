@@ -153,14 +153,13 @@ class TestSynth:
             assert np.array_equal(synth_generate(4, n, p, num_classes, split).features, want)
             with monkeypatch.context() as m:
                 m.setattr(seedstream, "GAUSSIAN_BATCH_PAIRS", 64)
-                m.setattr(seedstream, "THREAD_BATCHES", 2)
                 got = synth_generate(4, n, p, num_classes, split).features
             assert np.array_equal(got, want)
 
     def test_pooled_draw_without_the_park_symbol_keeps_its_bits(self, monkeypatch):
         # a numpy whose OpenBLAS lacks blas_thread_shutdown_: the park looks
-        # it up, does nothing, and the pooled draw (four planned batches)
-        # still equals the one-thread draw of the default THREAD_BATCHES
+        # it up, does nothing, and the pooled draw of 64-pair batches still
+        # equals the draw of the default batches
         want = synth_generate(9, 200, 784, 10).features
         looked = []
 
@@ -173,7 +172,7 @@ class TestSynth:
                 raise AttributeError(name)
 
         monkeypatch.setattr(ctypes, "CDLL", NoSymbols)
-        monkeypatch.setattr(seedstream, "THREAD_BATCHES", 2)
+        monkeypatch.setattr(seedstream, "GAUSSIAN_BATCH_PAIRS", 64)
         got = synth_generate(9, 200, 784, 10).features
         assert looked == ["blas_thread_shutdown_"]
         assert got.tobytes() == want.tobytes()
@@ -185,6 +184,23 @@ class TestSynth:
         # classes), drawn on worker threads
         features = synth_generate(70, n, 784, 10, split).features
         assert hashlib.sha256(features.tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("n,split,batches", [(12_000, 0, 183), (3_000, 1, 46)])
+    def test_mnist_width_splits_compute_only_the_batches_they_place(self, n, split, batches,
+                                                                      monkeypatch):
+        computed, placed = [], []
+        batch_values, pooled = seedstream._pooled_batch, RngStream._pooled_batches
+
+        def counted(self, want, pool):
+            for batch in pooled(self, want, pool):
+                placed.append(1)
+                yield batch
+
+        monkeypatch.setattr(seedstream, "_pooled_batch",
+                            lambda *args: computed.append(1) or batch_values(*args))
+        monkeypatch.setattr(RngStream, "_pooled_batches", counted)
+        synth_generate(70, n, 784, 10, split)
+        assert len(computed) == len(placed) == batches
 
     def test_single_class(self):
         ds = synth_generate(5, 30, 4, 1)

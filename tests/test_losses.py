@@ -332,6 +332,11 @@ def test_clients_out_of_range_take_their_brackets_in_a_group(case, monkeypatch):
 
 
 class TestQuadratic:
+    @pytest.mark.parametrize("lam, dim", [(math.nan, 4), (math.inf, 4), (1.0, 0)])
+    def test_rejects_bad_curvature_or_dimension(self, lam, dim):
+        with pytest.raises(ValueError):
+            QuadraticModel(lam, dim)
+
     def test_minimum(self):
         m = QuadraticModel(2.0, 2)
         assert m.dimension == 2

@@ -205,10 +205,10 @@ def pools(monkeypatch):
 
 @pytest.fixture
 def small_batches(monkeypatch, pools):
-    """64-pair batches, threaded where ``_polar_batch`` exceeds two of them
-    (a request of 187 values or more): many chunks at little cost."""
+    """64-pair batches, threaded where ``_polar_batch`` exceeds the ring's
+    three of them (a request of 285 values or more): many chunks at little
+    cost."""
     monkeypatch.setattr(seedstream, "GAUSSIAN_BATCH_PAIRS", 64)
-    monkeypatch.setattr(seedstream, "THREAD_BATCHES", 2)
     return pools
 
 
@@ -244,18 +244,19 @@ def test_digest_stream_sequence_leaves_and_takes_a_half_pair():
 
 
 class TestLongRequests:
-    """Requests whose ``_polar_batch`` exceeds THREAD_BATCHES batches, whose
-    batches worker threads compute and the caller places in stream order."""
+    """Requests whose ``_polar_batch`` exceeds the ring of _WORKERS + 1
+    batches, whose batches worker threads compute and the caller places in
+    stream order."""
 
-    # threaded from 187 on: (187 + 1) // 2 = 94 pairs wanted, and
-    # 94 * 13 // 10 + 8 = 130 pairs exceed two 64-pair batches, where
-    # 93 wanted pairs give exactly 128
-    LENGTHS = [157, 158, 159, 160, 185, 186, 187, 188, 1001, 4000, 12_345]
+    # threaded from 285 on: (285 + 1) // 2 = 143 pairs wanted, and
+    # 143 * 13 // 10 + 8 = 193 pairs exceed three 64-pair batches, where
+    # 142 wanted pairs give exactly 192
+    LENGTHS = [157, 158, 159, 160, 185, 186, 187, 188, 283, 284, 285, 286, 1001, 4000, 12_345]
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_threaded_request_is_the_polar_rule(self, small_batches, n):
         assert np.array_equal(RngStream(42).gaussians(n), reference_gaussians(42, n))
-        assert len(small_batches) == (n >= 187)
+        assert len(small_batches) == (n >= 285)
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_threaded_requests_equal_the_one_thread_stream(self, monkeypatch, n):
@@ -264,7 +265,6 @@ class TestLongRequests:
         # batches, where every request here is drawn on one thread
         want, want_next = mixed_draws(7, n)
         monkeypatch.setattr(seedstream, "GAUSSIAN_BATCH_PAIRS", 64)
-        monkeypatch.setattr(seedstream, "THREAD_BATCHES", 2)
         got, got_next = mixed_draws(7, n)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -296,11 +296,35 @@ class TestLongRequests:
         for count, seen in zip(counts, snapshots):
             assert np.array_equal(seen, out[:count])
 
+    @pytest.mark.parametrize("n", [9_999, 12_345])
+    def test_ring_computes_at_most_one_batch_it_does_not_place(self, small_batches,
+                                                                monkeypatch, n):
+        # a batch starts only while the pairs still wanted, with slack,
+        # exceed those in flight, so at most the last batch started goes
+        # unplaced
+        computed = []
+        batch_values = seedstream._pooled_batch
+        monkeypatch.setattr(seedstream, "_pooled_batch",
+                            lambda *args: computed.append(1) or batch_values(*args))
+        for seed in range(8):
+            computed.clear()
+            placed = []
+            RngStream(seed).gaussians(n, placed=placed.append)
+            assert placed[-1] == n
+            assert len(placed) <= len(computed) <= len(placed) + 1, seed
+
     def test_out_of_another_length_is_rejected(self):
         st = RngStream(4)
         with pytest.raises(ValueError, match="out must have shape"):
             st.gaussians(3, out=np.empty(4))
         assert np.array_equal(st.gaussians(3), reference_gaussians(4, 3))
+
+    def test_out_of_another_dtype_is_rejected(self):
+        # a float32 out would round the stream's values
+        st = RngStream(3)
+        with pytest.raises(ValueError, match="float32"):
+            st.gaussians(6, out=np.empty(6, np.float32))
+        assert np.array_equal(st.gaussians(6), reference_gaussians(3, 6))
 
     def test_no_thread_outlives_the_call(self, small_batches):
         before = threading.active_count()
@@ -347,7 +371,7 @@ class TestLongRequests:
         sphere_direction(9, 16)
         RngStream(2).gaussians(7850)
         assert pools == []
-        RngStream(1).gaussians(300_000)  # six planned batches: threaded
+        RngStream(1).gaussians(300_000)  # about six batches, beyond the ring: threaded
         assert len(pools) == 1
 
 
@@ -373,7 +397,7 @@ class TestParkBlas:
     def test_only_a_pooled_draw_parks(self, small_batches, monkeypatch):
         parks = []
         monkeypatch.setattr(seedstream, "_park_blas", lambda: parks.append(len(small_batches)))
-        RngStream(3).gaussians(150)  # 105 pairs, within two batches: the calling thread's
+        RngStream(3).gaussians(150)  # 105 pairs, within the ring: the calling thread's
         assert parks == []
         RngStream(3).gaussians(4_000)
         assert parks == [0] and len(small_batches) == 1  # parked before the pool started
@@ -491,6 +515,7 @@ class TestDirectionBlock:
         # exactly the short rows are redrawn whole from their own streams,
         # in one-row chunks and in one many-row chunk alike
         seeds = direction_seed(5, 3, np.array(self.SHORT_ROW_SAMPLES[d]), 0)
+        row_words = 2 * seedstream._polar_batch((d + 1) // 2)
         short = self.short_seeds(seeds, d)
         assert len(short) >= 1
         fallback = []
@@ -502,8 +527,8 @@ class TestDirectionBlock:
 
         monkeypatch.setattr(seedstream, "RngStream", CountingStream)
         blocks = []
-        for budget in (1, 1 << 62):
-            monkeypatch.setattr(seedstream, "BLOCK_WORDS", budget)
+        for budget in (row_words, 1 << 62):
+            monkeypatch.setattr(seedstream, "GAUSSIAN_BATCH_PAIRS", budget)
             fallback.clear()
             blocks.append(make_direction(seeds, d, mode))
             assert fallback == short
@@ -518,8 +543,11 @@ class TestDirectionBlock:
         # inside a many-row chunk
         seeds = direction_seed(5, 3, np.array(self.SHORT_ROW_SAMPLES[d]), 0)
         default = make_direction(seeds, d, mode)
-        for budget in (1, 1 << 62):  # one row per chunk; the whole block in one chunk
-            monkeypatch.setattr(seedstream, "BLOCK_WORDS", budget)
+        row_words = 2 * seedstream._polar_batch((d + 1) // 2)
+        # one row per chunk, below a row's words and at exactly one row's;
+        # the whole block in one chunk
+        for budget in (row_words // 2, row_words, 1 << 62):
+            monkeypatch.setattr(seedstream, "GAUSSIAN_BATCH_PAIRS", budget)
             assert np.array_equal(make_direction(seeds, d, mode), default)
 
     def test_fills_out_in_place(self):
@@ -529,6 +557,19 @@ class TestDirectionBlock:
         assert_rows_match_reference(out, seeds, 33, DirectionMode.SPHERE)
         with pytest.raises(ValueError):
             make_direction(seeds, 33, DirectionMode.SPHERE, out=np.empty((4, 33)))
+
+    def test_out_of_another_dtype_is_rejected(self):
+        seeds = direction_seed(1, 2, np.arange(5))
+        with pytest.raises(ValueError, match="float32"):
+            make_direction(seeds, 33, DirectionMode.SPHERE, out=np.empty((5, 33), np.float32))
+
+    def test_mode_must_be_a_direction_mode(self):
+        # "sphere" == DirectionMode.SPHERE is False, so a string would have
+        # drawn Gaussian rows; the config's strings map to modes before this
+        seeds = direction_seed(1, 2, np.arange(2))
+        with pytest.raises(ValueError, match="sphere"):
+            make_direction(seeds, 8, "sphere")
+        assert_rows_match_reference(make_direction(seeds, 8, 1), seeds, 8, DirectionMode.SPHERE)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_no_seeds_give_an_empty_block(self, mode):
